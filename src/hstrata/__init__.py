@@ -6,15 +6,7 @@ permutation, the kernel dimension of its skew-symmetric white-square matrix,
 and closed-form / generating-function counting.  All arithmetic is exact.
 """
 
-from .diagrams import (
-    Diagram,
-    DiagramParseError,
-    RegionSets,
-    WhiteLabeling,
-    parse_diagram,
-    region_sets,
-    serialize_diagram,
-)
+from .diagrams import Diagram, DiagramParseError, WhiteLabeling
 from .enumeration import (
     DEFAULT_CELL_LIMIT,
     EnumerationLimitError,
@@ -26,7 +18,6 @@ from .enumeration import (
     tally_dimensions,
 )
 from .exactlinalg import (
-    ExactMatrix,
     cycle_kernel_basis,
     in_white_kernel,
     kernel_basis,
@@ -54,39 +45,32 @@ from .genfunc import (
     stratum_series,
 )
 from .pipedreams import (
-    BoundaryLabeling,
     CycleDecomposition,
     NonCauchonWarning,
     Permutation,
-    ToricEndpoints,
     all_black_permutation,
     cycle_decomposition,
     is_restricted,
     odd_cycle_count,
     stratum_dimension_by_cycles,
-    toric_endpoints,
+    toric_endpoint_table,
     toric_permutation,
-    toric_permutation_traced,
     trace_permutation,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryLabeling",
     "ClosedForm",
     "CycleDecomposition",
     "DEFAULT_CELL_LIMIT",
     "Diagram",
     "DiagramParseError",
     "EnumerationLimitError",
-    "ExactMatrix",
     "NonCauchonWarning",
     "Permutation",
     "RatPoly",
-    "RegionSets",
     "StratumTally",
-    "ToricEndpoints",
     "TruncatedSeries3",
     "WhiteLabeling",
     "all_black_permutation",
@@ -104,13 +88,10 @@ __all__ = [
     "kernel_basis",
     "kernel_dim",
     "odd_cycle_count",
-    "parse_diagram",
     "perm_matrix_sum",
     "poly_bernoulli",
     "poly_bernoulli_series",
     "rank",
-    "region_sets",
-    "serialize_diagram",
     "series_pipeline_check",
     "single_cycle_count",
     "stirling2",
@@ -121,9 +102,8 @@ __all__ = [
     "tally_dimensions",
     "to_boundary_kernel",
     "to_square_kernel",
-    "toric_endpoints",
+    "toric_endpoint_table",
     "toric_permutation",
-    "toric_permutation_traced",
     "trace_permutation",
     "white_adjacency_matrix",
 ]

@@ -12,7 +12,7 @@ vacuously, and one in column 1 the second.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 WHITE_CHAR = "."
 BLACK_CHAR = "#"
@@ -85,9 +85,11 @@ class Diagram:
     def parse(cls, text: str) -> "Diagram":
         """Parse the '.'/'#' text format (rows separated by newlines).
 
-        A single trailing newline is tolerated.  Raises DiagramParseError with
-        1-based line/column positions on bad input.
+        Lines may end in LF or CRLF, and a single trailing line ending is
+        tolerated.  Raises DiagramParseError with 1-based line/column positions
+        on bad input.
         """
+        text = text.replace("\r\n", "\n")
         if text.endswith("\n"):
             text = text[:-1]
         if not text:
@@ -123,22 +125,6 @@ class Diagram:
             "".join(BLACK_CHAR if black else WHITE_CHAR for black in row) for row in self._rows
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self._m,
-            "n": self._n,
-            "rows": ["".join(BLACK_CHAR if b else WHITE_CHAR for b in row) for row in self._rows],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Diagram":
-        d = cls.parse("\n".join(data["rows"]))
-        if d.m != data["m"] or d.n != data["n"]:
-            raise DiagramParseError(
-                f"declared size {data['m']}x{data['n']} does not match rows {d.m}x{d.n}"
-            )
-        return d
-
     def transpose(self) -> "Diagram":
         """The n x m diagram with rows and columns exchanged."""
         return Diagram(zip(*self._rows))
@@ -152,7 +138,6 @@ class Diagram:
                 if black:
                     if not (col_black_above[c] or row_black_left):
                         return False
-                    col_black_above[c] &= True
                 else:
                     col_black_above[c] = False
                 row_black_left &= black
@@ -228,39 +213,3 @@ class WhiteLabeling:
 
     def __repr__(self) -> str:
         return f"WhiteLabeling({self._positions!r})"
-
-
-class RegionSets(NamedTuple):
-    """Labels of white squares strictly above/right/below/left of a square."""
-
-    above: frozenset[int]
-    right: frozenset[int]
-    below: frozenset[int]
-    left: frozenset[int]
-
-
-def region_sets(d: Diagram, lab: WhiteLabeling, label: int) -> RegionSets:
-    """White-square labels in the four axis-aligned regions around a label.
-
-    Squares in a different row and different column belong to no region.
-    """
-    r0, c0 = lab.position_of(label)
-    above, right, below, left = set(), set(), set(), set()
-    for j, (r, c) in enumerate(lab.positions, start=1):
-        if j == label:
-            continue
-        if c == c0:
-            (above if r < r0 else below).add(j)
-        elif r == r0:
-            (left if c < c0 else right).add(j)
-    return RegionSets(frozenset(above), frozenset(right), frozenset(below), frozenset(left))
-
-
-def parse_diagram(text: str) -> Diagram:
-    """Parse '.'/'#' text into a Diagram (see Diagram.parse)."""
-    return Diagram.parse(text)
-
-
-def serialize_diagram(d: Diagram) -> str:
-    """Inverse of parse_diagram."""
-    return d.serialize()

@@ -8,7 +8,9 @@ non-Cauchon partial colorings and yields every Cauchon diagram once, in
 lexicographic order of the row-major cell string with white before black.
 
 Counts grow like poly-Bernoulli numbers, so enumeration is capped by a cell
-limit and the closed-form counting routes should be used beyond it.
+limit and the closed-form counting routes should be used beyond it.  Tallies
+by dimension can be cached on disk as JSON; a cached tally is checked against
+its shape and the poly-Bernoulli total before it is used.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import factorial
 from pathlib import Path
 from typing import Iterator
 
-from .diagrams import BLACK_CHAR, WHITE_CHAR, Diagram
+from .diagrams import Diagram
 from .exactlinalg import kernel_dim, white_adjacency_matrix
 from .genfunc import stirling2
 from .pipedreams import (
@@ -65,6 +67,8 @@ class StratumTally:
     def __post_init__(self):
         if self.total != sum(self.counts.values()):
             raise ValueError("tally total does not match the sum of its counts")
+        if any(c < 0 for c in self.counts.values()):
+            raise ValueError("tally counts must be nonnegative")
 
     @classmethod
     def from_counts(cls, m: int, n: int, counts: dict[int, int]) -> "StratumTally":
@@ -102,28 +106,9 @@ def _check_shape(m: int, n: int, max_cells: int) -> None:
         raise EnumerationLimitError(m, n, max_cells)
 
 
-def cauchon_diagrams(
-    m: int, n: int, prefix: str = "", max_cells: int = DEFAULT_CELL_LIMIT
-) -> Iterator[Diagram]:
-    """Yield every m x n Cauchon diagram exactly once, deterministically.
-
-    `prefix` fixes the colors of the first len(prefix) cells in row-major
-    order ('.' white, '#' black), so disjoint prefixes partition the search
-    space and the resulting streams can be processed independently and their
-    tallies merged.  A prefix no Cauchon diagram extends yields nothing.
-    """
+def cauchon_diagrams(m: int, n: int, max_cells: int = DEFAULT_CELL_LIMIT) -> Iterator[Diagram]:
+    """Yield every m x n Cauchon diagram exactly once, deterministically."""
     _check_shape(m, n, max_cells)
-    if len(prefix) > m * n:
-        raise ValueError("prefix longer than the grid")
-    forced: list[bool | None] = [None] * (m * n)
-    for k, ch in enumerate(prefix):
-        if ch == BLACK_CHAR:
-            forced[k] = True
-        elif ch == WHITE_CHAR:
-            forced[k] = False
-        else:
-            raise ValueError(f"bad prefix character {ch!r}")
-
     cells = [False] * (m * n)
     col_black_above = [True] * n
 
@@ -134,15 +119,13 @@ def cauchon_diagrams(
         c = k % n
         if c == 0:
             row_black_left = True
-        want = forced[k]
-        if want is not True:
-            # white branch
-            cells[k] = False
-            was = col_black_above[c]
-            col_black_above[c] = False
-            yield from gen(k + 1, False)
-            col_black_above[c] = was
-        if want is not False and (col_black_above[c] or row_black_left):
+        # white branch
+        cells[k] = False
+        was = col_black_above[c]
+        col_black_above[c] = False
+        yield from gen(k + 1, False)
+        col_black_above[c] = was
+        if col_black_above[c] or row_black_left:
             # black branch, allowed only when the Cauchon condition holds
             cells[k] = True
             yield from gen(k + 1, row_black_left)
@@ -163,15 +146,21 @@ def tally_dimensions(
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
     computes the kernel dimension of the white adjacency matrix.  The two
     agree on every diagram.  Results are cached as JSON when a cache
-    directory is configured (argument or HSTRATA_CACHE_DIR).
+    directory is configured (argument or HSTRATA_CACHE_DIR).  A cached file is
+    trusted only when it parses, is for this m x n and totals
+    poly_bernoulli(m, n); otherwise the tally is recomputed and the file
+    replaced.  Files are written to a temporary name and then renamed, so a
+    reader never sees a partial one.
     """
     if method not in TALLY_METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {TALLY_METHODS}")
     _check_shape(m, n, max_cells)
 
     path = _cache_path(cache_dir, m, n, method)
-    if path is not None and path.exists():
-        return StratumTally.from_json_dict(json.loads(path.read_text()))
+    if path is not None:
+        cached = _read_cache(path, m, n)
+        if cached is not None:
+            return cached
 
     counts: dict[int, int] = {}
     for d in cauchon_diagrams(m, n, max_cells=max_cells):
@@ -183,9 +172,30 @@ def tally_dimensions(
     tally = StratumTally.from_counts(m, n, counts)
 
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(tally.to_json_dict()))
+        _write_cache(path, tally)
     return tally
+
+
+def _read_cache(path: Path, m: int, n: int) -> StratumTally | None:
+    """The tally stored at path, or None if it is absent, corrupt or not for m x n."""
+    try:
+        tally = StratumTally.from_json_dict(json.loads(path.read_text()))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+    if (tally.m, tally.n) != (m, n) or tally.total != poly_bernoulli(m, n):
+        return None
+    return tally
+
+
+def _write_cache(path: Path, tally: StratumTally) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(tally.to_json_dict()))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cache_path(

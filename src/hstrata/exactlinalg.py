@@ -1,17 +1,17 @@
-"""Exact rational matrices, kernel dimensions, and the two kernel maps.
+"""Exact rank and kernels of row-list matrices, and the two kernel maps.
 
-All arithmetic is exact: entries are Python ints or fractions.Fraction, rank
-is computed by integer-preserving elimination, and no floating point is used
-anywhere.  Vectors are plain tuples of exact numbers; entry i-1 of a vector
-corresponds to label i (white-square labels for square-indexed vectors, toric
-boundary labels for boundary-indexed vectors).
+A matrix is a plain sequence of equal-length rows of Python ints or
+fractions.Fraction; rank is computed by integer-preserving elimination, and
+no floating point is used anywhere.  Vectors are plain tuples of exact
+numbers; entry i-1 of a vector corresponds to label i (white-square labels for
+square-indexed vectors, toric boundary labels for boundary-indexed vectors).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .diagrams import Diagram, WhiteLabeling
 from .pipedreams import (
@@ -24,112 +24,35 @@ from .pipedreams import (
 
 Rational = Union[int, Fraction]
 ExactVector = tuple[Rational, ...]
+Matrix = Sequence[Sequence[Rational]]
 
 # Row operations without the final division keep everything in the integers;
 # rows are renormalized by their gcd once entries pass this bound.
 _GCD_REDUCE_BOUND = 1 << 62
 
 
-class ExactMatrix:
-    """Immutable dense matrix over exact rationals."""
-
-    __slots__ = ("_rows", "_cols", "_entries")
-
-    def __init__(self, entries: Iterable[Iterable[Rational]], cols: int | None = None):
-        rows = tuple(tuple(e for e in row) for row in entries)
-        if rows:
-            width = len(rows[0])
-            if any(len(row) != width for row in rows):
-                raise ValueError("matrix rows must all have the same length")
-            if cols is not None and cols != width:
-                raise ValueError(f"declared {cols} columns but rows have {width}")
-            cols = width
-        else:
-            cols = 0 if cols is None else cols
-        self._rows = len(rows)
-        self._cols = cols
-        self._entries = rows
-
-    @property
-    def rows(self) -> int:
-        return self._rows
-
-    @property
-    def cols(self) -> int:
-        return self._cols
-
-    @property
-    def entries(self) -> tuple[tuple[Rational, ...], ...]:
-        return self._entries
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    def entry(self, i: int, j: int) -> Rational:
-        """0-based entry access."""
-        return self._entries[i][j]
-
-    def row(self, i: int) -> tuple[Rational, ...]:
-        return self._entries[i]
-
-    def with_entry(self, i: int, j: int, value: Rational) -> "ExactMatrix":
-        """Copy of this matrix with one entry replaced."""
-        rows = [list(row) for row in self._entries]
-        rows[i][j] = value
-        return ExactMatrix(rows, cols=self._cols)
-
-    def matvec(self, vec: Sequence[Rational]) -> ExactVector:
-        if len(vec) != self._cols:
-            raise ValueError(f"vector length {len(vec)} does not match {self._cols} columns")
-        return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in self._entries)
-
-    def is_skew_symmetric(self) -> bool:
-        if self._rows != self._cols:
-            return False
-        e = self._entries
-        return all(e[i][j] == -e[j][i] for i in range(self._rows) for j in range(i, self._cols))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self._rows,
-            "cols": self._cols,
-            "data": [[str(e) for e in row] for row in self._entries],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExactMatrix":
-        entries = [[Fraction(s) for s in row] for row in data["data"]]
-        mat = cls(entries, cols=data["cols"])
-        if mat.rows != data["rows"]:
-            raise ValueError("declared row count does not match data")
-        return mat
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self._cols == other._cols
-            and self._entries == other._entries
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._cols, self._entries))
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({[list(r) for r in self._entries]!r})"
-
-    def __str__(self) -> str:
-        if not self._entries:
-            return "(empty 0x%d matrix)" % self._cols
-        cells = [[str(e) for e in row] for row in self._entries]
-        width = max(len(s) for row in cells for s in row)
-        return "\n".join(" ".join(s.rjust(width) for s in row) for row in cells)
+def is_skew_symmetric(rows: Matrix) -> bool:
+    """Whether the rows form a square matrix equal to minus its transpose."""
+    size = len(rows)
+    if any(len(row) != size for row in rows):
+        return False
+    return all(rows[i][j] == -rows[j][i] for i in range(size) for j in range(i, size))
 
 
-def _integer_rows(M: ExactMatrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank is unchanged)."""
+def matvec(rows: Matrix, vec: Sequence[Rational]) -> ExactVector:
+    """The product of the matrix with a column vector."""
+    if any(len(row) != len(vec) for row in rows):
+        raise ValueError(f"vector length {len(vec)} does not match the matrix rows")
+    return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in rows)
+
+
+def _integer_rows(rows: Matrix) -> list[list[int]]:
+    """Copy rows as ints, each scaled by the lcm of its denominators (rank is unchanged)."""
+    width = len(rows[0]) if rows else 0
     out = []
-    for row in M.entries:
+    for row in rows:
+        if len(row) != width:
+            raise ValueError("matrix rows must all have the same length")
         scale = 1
         for e in row:
             den = e.denominator
@@ -185,26 +108,28 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     return pivot_cols
 
 
-def rank(M: ExactMatrix) -> int:
+def rank(M: Matrix) -> int:
     """Rank over the rationals by exact integer-preserving elimination."""
-    rows = _integer_rows(M)
-    return len(_eliminate(rows, M.cols))
+    return len(_eliminate(_integer_rows(M), len(M[0]) if M else 0))
 
 
-def kernel_dim(M: ExactMatrix) -> int:
+def kernel_dim(M: Matrix) -> int:
     """Dimension over the rationals of the null space of a square matrix."""
-    if M.rows != M.cols:
-        raise ValueError(f"kernel_dim requires a square matrix, got {M.rows}x{M.cols}")
-    return M.cols - rank(M)
+    for row in M:
+        if len(row) != len(M):
+            raise ValueError(
+                f"kernel_dim requires a square matrix, got {len(M)} rows, one of length {len(row)}"
+            )
+    return len(M) - rank(M)
 
 
-def kernel_basis(M: ExactMatrix) -> tuple[ExactVector, ...]:
+def kernel_basis(M: Matrix) -> tuple[ExactVector, ...]:
     """A basis of the rational null space, one vector per free column.
 
     Each basis vector has a 1 in its free coordinate and 0 in the others, so
     the basis is deterministic and visibly independent.
     """
-    cols = M.cols
+    cols = len(M[0]) if M else 0
     rows = _integer_rows(M)
     pivot_cols = _eliminate(rows, cols)
     pivot_set = set(pivot_cols)
@@ -223,7 +148,7 @@ def kernel_basis(M: ExactMatrix) -> tuple[ExactVector, ...]:
     return tuple(basis)
 
 
-def white_adjacency_matrix(d: Diagram, lab: WhiteLabeling | None = None) -> ExactMatrix:
+def white_adjacency_matrix(d: Diagram, lab: WhiteLabeling | None = None) -> list[list[int]]:
     """The N x N skew-symmetric relation matrix of the white squares.
 
     Entry (i, j) is +1 when white square i is strictly below or strictly to
@@ -245,13 +170,12 @@ def white_adjacency_matrix(d: Diagram, lab: WhiteLabeling | None = None) -> Exac
                 # j is below or right of i (row-major order), so entry (i, j) is -1
                 row[j] = -1
                 entries[j][i] = 1
-    mat = ExactMatrix(entries, cols=N)
-    if not mat.is_skew_symmetric():
+    if not is_skew_symmetric(entries):
         raise AssertionError("white adjacency matrix failed the skew-symmetry check")
-    return mat
+    return entries
 
 
-def perm_matrix_sum(p: Permutation, q: Permutation) -> ExactMatrix:
+def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:
     """Sum P_p + P_q of two permutation matrices, P[i][j] = [j == p(i)]."""
     if p.size != q.size:
         raise ValueError(f"size mismatch: {p.size} vs {q.size}")
@@ -260,7 +184,7 @@ def perm_matrix_sum(p: Permutation, q: Permutation) -> ExactMatrix:
     for i in range(1, k + 1):
         entries[i - 1][p(i) - 1] += 1
         entries[i - 1][q(i) - 1] += 1
-    return ExactMatrix(entries, cols=k)
+    return entries
 
 
 def cycle_kernel_basis(decomp: CycleDecomposition) -> tuple[ExactVector, ...]:
@@ -282,7 +206,7 @@ def cycle_kernel_basis(decomp: CycleDecomposition) -> tuple[ExactVector, ...]:
     return tuple(basis)
 
 
-def _boundary_matrix(d: Diagram) -> ExactMatrix:
+def _boundary_matrix(d: Diagram) -> list[list[int]]:
     return perm_matrix_sum(trace_permutation(d), all_black_permutation(d.m, d.n))
 
 
@@ -300,7 +224,7 @@ def to_square_kernel(d: Diagram, lab: WhiteLabeling, v: Sequence[Rational]) -> E
     """
     if len(v) != d.m + d.n:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
-    if not _is_zero(_boundary_matrix(d).matvec(v)):
+    if not _is_zero(matvec(_boundary_matrix(d), v)):
         raise ValueError("vector is not in the boundary kernel")
     endpoints = toric_endpoint_table(d, lab)
     return tuple(v[e.left - 1] - v[e.top - 1] for e in endpoints)

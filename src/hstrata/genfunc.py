@@ -165,17 +165,6 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def stirling2_by_alternating_sum(n: int, k: int) -> int:
-    """Independent evaluation of stirling2 via the inclusion-exclusion sum."""
-    if k == 0:
-        return 1 if n == 0 else 0
-    total = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
-    q, r = divmod(total, factorial(k))
-    if r:
-        raise ArithmeticError("alternating sum is not divisible by k!")
-    return q
-
-
 def falling_factorial_poly(p: RatPoly, k: int) -> RatPoly:
     """The product p (p-1) ... (p-k+1); the empty product (k=0) is 1."""
     if k < 0:
@@ -275,14 +264,6 @@ class ClosedForm:
         ordered = sorted(self._coeffs.items(), key=lambda kv: -kv[0])
         return {"m": self.m, "d": self.d, "coeffs": {str(k): str(c) for k, c in ordered}}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ClosedForm":
-        return cls(
-            int(data["m"]),
-            int(data["d"]),
-            {int(k): Fraction(v) for k, v in data["coeffs"].items()},
-        )
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, ClosedForm)
@@ -332,7 +313,8 @@ def double_factorial_poly(m: int) -> RatPoly:
 def double_factorial_coeff(m: int, d: int) -> int:
     """Coefficient of t^d in double_factorial_poly(m)."""
     value = double_factorial_poly(m).coeff(d)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"(t+1)(t+3)... gave the non-integer {value} at ({m},{d})")
     return int(value)
 
 

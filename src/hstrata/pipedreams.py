@@ -7,22 +7,24 @@ its top edge.  A pipe entered on the bottom or right side of the grid
 therefore only ever travels up or left and exits on the left or top side
 after at most m + n turns.
 
-Boundary labels come in two flavours (`BoundaryLabeling`):
+Boundary labels come in two flavours:
 
 * standard: the bottom side carries 1..n left to right and the right side
   carries n+1..n+m bottom to top (entry points); the left side carries 1..m
   bottom to top and the top side m+1..m+n left to right (exit points).
   Tracing every pipe gives the permutation of [m+n] associated with the
-  diagram; it always satisfies -n <= p(i) - i <= m.  Numbering the rows
-  bottom to top is the unique choice of axis directions for which that bound
-  holds on every diagram while the all-black diagram still traces to the
-  i -> m+i rotation; in particular the all-white diagram traces to the
-  identity.
+  diagram (trace_permutation); it always satisfies -n <= p(i) - i <= m.
+  Numbering the rows bottom to top is the unique choice of axis directions
+  for which that bound holds on every diagram while the all-black diagram
+  still traces to the i -> m+i rotation; in particular the all-white diagram
+  traces to the identity.
 * toric: each row carries one label on both of its sides (bottom row 1 up to
   top row m) and column c carries m+c on both of its sides, so a pipe can be
   followed around the grid as if it were drawn on a torus.  The resulting
   permutation is the toric permutation; it equals the standard permutation
-  composed with the inverse of the all-black diagram's permutation.
+  composed with the inverse of the all-black diagram's permutation
+  (toric_permutation).  The exits of white squares under these labels are
+  their toric endpoints (toric_endpoint_table).
 
 The dimension of the stratum attached to a Cauchon diagram is the number of
 odd cycles of its toric permutation, where a cycle is odd when it has an odd
@@ -104,16 +106,6 @@ class Permutation:
     def cycle_string(self) -> str:
         """Cycle notation, e.g. '(1 3 2)(4)'; fixed points are shown."""
         return str(cycle_decomposition(self))
-
-    def to_json_dict(self) -> dict:
-        return {"size": self.size, "images": list(self._images)}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Permutation":
-        p = cls(data["images"])
-        if p.size != data["size"]:
-            raise ValueError("declared size does not match image list")
-        return p
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._images == other._images
@@ -199,46 +191,6 @@ def odd_cycle_count(decomp: CycleDecomposition) -> int:
     return sum(1 for c in decomp.cycles if len(c) % 2 == 0)
 
 
-class BoundaryLabeling:
-    """Assignment of the labels 1..m+n to the four sides of an m x n grid."""
-
-    __slots__ = ("kind", "m", "n")
-
-    def __init__(self, kind: str, m: int, n: int):
-        if kind not in ("standard", "toric"):
-            raise ValueError(f"unknown labeling kind {kind!r}")
-        self.kind = kind
-        self.m = m
-        self.n = n
-
-    @classmethod
-    def standard(cls, m: int, n: int) -> "BoundaryLabeling":
-        return cls("standard", m, n)
-
-    @classmethod
-    def toric(cls, m: int, n: int) -> "BoundaryLabeling":
-        return cls("toric", m, n)
-
-    def bottom(self, c: int) -> int:
-        """Entry label on the bottom side of column c."""
-        return c if self.kind == "standard" else self.m + c
-
-    def right(self, r: int) -> int:
-        """Entry label on the right side of row r (rows count from the bottom)."""
-        return self.n + (self.m + 1 - r) if self.kind == "standard" else self.m + 1 - r
-
-    def left(self, r: int) -> int:
-        """Exit label on the left side of row r (same for both kinds)."""
-        return self.m + 1 - r
-
-    def top(self, c: int) -> int:
-        """Exit label on the top side of column c (same for both kinds)."""
-        return self.m + c
-
-    def __repr__(self) -> str:
-        return f"BoundaryLabeling({self.kind!r}, m={self.m}, n={self.n})"
-
-
 def all_black_permutation(m: int, n: int) -> Permutation:
     """Permutation traced by the all-black m x n diagram.
 
@@ -287,38 +239,10 @@ def _exit_tables(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
     return up, left
 
 
-def _walk(d: Diagram, r: int, c: int, moving_up: bool) -> int:
-    """Follow one pipe step by step from square (r, c); return the exit label.
-
-    Independent of the table-based tracer; used for cross-checking.
-    """
-    while r >= 1 and c >= 1:
-        if d.is_white(r, c):
-            moving_up = not moving_up
-        if moving_up:
-            r -= 1
-        else:
-            c -= 1
-    return d.m + c if r == 0 else d.m + 1 - r
-
-
-def traced_permutation(d: Diagram, labeling: BoundaryLabeling) -> Permutation:
-    """Trace every pipe under the given boundary labeling (stepwise walker)."""
-    m, n = d.m, d.n
-    if labeling.m != m or labeling.n != n:
-        raise ValueError("labeling size does not match diagram")
-    images = [0] * (m + n)
-    for c in range(1, n + 1):
-        images[labeling.bottom(c) - 1] = _walk(d, m, c, True)
-    for r in range(1, m + 1):
-        images[labeling.right(r) - 1] = _walk(d, r, n, False)
-    return Permutation(images)
-
-
 def trace_permutation(d: Diagram) -> Permutation:
     """Permutation of [m+n] traced by the diagram's pipes (standard labels).
 
-    The result is always restricted; this is asserted after tracing.
+    The result is always restricted; a ValueError reports a trace that is not.
     """
     m, n = d.m, d.n
     up, left = _exit_tables(d)
@@ -328,21 +252,14 @@ def trace_permutation(d: Diagram) -> Permutation:
     for r in range(1, m + 1):
         images[n + (m + 1 - r) - 1] = left[r][n]
     p = Permutation(images)
-    assert is_restricted(p, m, n), "pipe trace produced a non-restricted permutation"
+    if not is_restricted(p, m, n):
+        raise ValueError(f"pipe trace produced the non-restricted permutation {p.one_line()}")
     return p
 
 
 def toric_permutation(d: Diagram) -> Permutation:
     """The traced permutation composed with the inverse all-black permutation."""
     return trace_permutation(d) * all_black_permutation(d.m, d.n).inverse()
-
-
-def toric_permutation_traced(d: Diagram) -> Permutation:
-    """The toric permutation read directly off the toric boundary labeling.
-
-    A second, independent implementation of toric_permutation.
-    """
-    return traced_permutation(d, BoundaryLabeling.toric(d.m, d.n))
 
 
 class ToricEndpoints(NamedTuple):
@@ -353,25 +270,20 @@ class ToricEndpoints(NamedTuple):
 
 
 def toric_endpoint_table(d: Diagram, lab: WhiteLabeling) -> tuple[ToricEndpoints, ...]:
-    """Endpoints for every white label at once (index i-1 holds label i)."""
+    """Toric labels reached by leaving each white square left or up.
+
+    Index i-1 holds label i.  `left` follows the pipe leaving the square
+    through its left edge, `top` the one leaving through its top edge.
+    Whenever square j is the next white square to the right of square i in
+    its row, or the next white square above i in its column, the identity
+    table[i-1].top == table[j-1].left holds (the two exits continue along the
+    same pipe).
+    """
     up, left = _exit_tables(d)
     out = []
     for r, c in lab.positions:
         out.append(ToricEndpoints(left=left[r][c - 1], top=up[r - 1][c]))
     return tuple(out)
-
-
-def toric_endpoints(d: Diagram, lab: WhiteLabeling, label: int) -> ToricEndpoints:
-    """Toric labels reached by leaving white square `label` left or up.
-
-    `left` follows the pipe leaving through the square's left edge, `top` the
-    one leaving through its top edge.  Whenever square j is the next white
-    square to the right of square i in its row, or the next white square
-    above i in its column, the identity endpoints(i).top == endpoints(j).left
-    holds (the two exits continue along the same pipe).
-    """
-    lab.position_of(label)  # range check
-    return toric_endpoint_table(d, lab)[label - 1]
 
 
 def stratum_dimension_by_cycles(d: Diagram) -> int:

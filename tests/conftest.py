@@ -1,18 +1,21 @@
 """Shared oracles and strategies for the test suite.
 
 The helpers here are deliberately independent re-implementations (plain
-definitions, brute force) used to validate the package's faster or cleverer
-code paths.
+definitions, brute force, a stepwise pipe walker, region sets, the
+inclusion-exclusion Stirling sum) used to validate the package's faster or
+cleverer code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from hstrata import Diagram
+from hstrata import Diagram, Permutation, WhiteLabeling
 
 
 def all_diagrams(m: int, n: int):
@@ -81,6 +84,119 @@ def rank_by_minors(entries) -> int:
                 if det_fraction(sub) != 0:
                     return size
     return 0
+
+
+class BoundaryLabeling:
+    """Assignment of the labels 1..m+n to the four sides of an m x n grid."""
+
+    __slots__ = ("kind", "m", "n")
+
+    def __init__(self, kind: str, m: int, n: int):
+        if kind not in ("standard", "toric"):
+            raise ValueError(f"unknown labeling kind {kind!r}")
+        self.kind = kind
+        self.m = m
+        self.n = n
+
+    @classmethod
+    def standard(cls, m: int, n: int) -> "BoundaryLabeling":
+        return cls("standard", m, n)
+
+    @classmethod
+    def toric(cls, m: int, n: int) -> "BoundaryLabeling":
+        return cls("toric", m, n)
+
+    def bottom(self, c: int) -> int:
+        """Entry label on the bottom side of column c."""
+        return c if self.kind == "standard" else self.m + c
+
+    def right(self, r: int) -> int:
+        """Entry label on the right side of row r (rows count from the bottom)."""
+        return self.n + (self.m + 1 - r) if self.kind == "standard" else self.m + 1 - r
+
+    def left(self, r: int) -> int:
+        """Exit label on the left side of row r (same for both kinds)."""
+        return self.m + 1 - r
+
+    def top(self, c: int) -> int:
+        """Exit label on the top side of column c (same for both kinds)."""
+        return self.m + c
+
+    def __repr__(self) -> str:
+        return f"BoundaryLabeling({self.kind!r}, m={self.m}, n={self.n})"
+
+
+def _walk(d: Diagram, r: int, c: int, moving_up: bool) -> int:
+    """Follow one pipe step by step from square (r, c); return the exit label.
+
+    Independent of the table-based tracer; used for cross-checking.
+    """
+    while r >= 1 and c >= 1:
+        if d.is_white(r, c):
+            moving_up = not moving_up
+        if moving_up:
+            r -= 1
+        else:
+            c -= 1
+    return d.m + c if r == 0 else d.m + 1 - r
+
+
+def traced_permutation(d: Diagram, labeling: BoundaryLabeling) -> Permutation:
+    """Trace every pipe under the given boundary labeling (stepwise walker)."""
+    m, n = d.m, d.n
+    if labeling.m != m or labeling.n != n:
+        raise ValueError("labeling size does not match diagram")
+    images = [0] * (m + n)
+    for c in range(1, n + 1):
+        images[labeling.bottom(c) - 1] = _walk(d, m, c, True)
+    for r in range(1, m + 1):
+        images[labeling.right(r) - 1] = _walk(d, r, n, False)
+    return Permutation(images)
+
+
+def toric_permutation_traced(d: Diagram) -> Permutation:
+    """The toric permutation read directly off the toric boundary labeling.
+
+    A second, independent implementation of toric_permutation.
+    """
+    return traced_permutation(d, BoundaryLabeling.toric(d.m, d.n))
+
+
+class RegionSets(NamedTuple):
+    """Labels of white squares strictly above/right/below/left of a square."""
+
+    above: frozenset[int]
+    right: frozenset[int]
+    below: frozenset[int]
+    left: frozenset[int]
+
+
+def region_sets(d: Diagram, lab: WhiteLabeling, label: int) -> RegionSets:
+    """White-square labels in the four axis-aligned regions around a label.
+
+    Squares in a different row and different column belong to no region.
+    """
+    r0, c0 = lab.position_of(label)
+    above, right, below, left = set(), set(), set(), set()
+    for j, (r, c) in enumerate(lab.positions, start=1):
+        if j == label:
+            continue
+        if c == c0:
+            (above if r < r0 else below).add(j)
+        elif r == r0:
+            (left if c < c0 else right).add(j)
+    return RegionSets(frozenset(above), frozenset(right), frozenset(below), frozenset(left))
+
+
+def stirling2_by_alternating_sum(n: int, k: int) -> int:
+    """Independent evaluation of stirling2 via the inclusion-exclusion sum."""
+    if k == 0:
+        return 1 if n == 0 else 0
+    total = sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1))
+    q, r = divmod(total, factorial(k))
+    if r:
+        raise ArithmeticError("alternating sum is not divisible by k!")
+    return q
 
 
 @st.composite

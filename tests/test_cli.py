@@ -4,9 +4,12 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from hstrata import RatPoly
+from hstrata import cli
 from hstrata.cli import main, run_verify
 
 
@@ -131,6 +134,30 @@ class TestCount:
     def test_rejects_nonpositive(self, capsys):
         code, _, err = run_cli(capsys, "count", "0", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("method", ["formula", "series"])
+    def test_non_integral_coefficient_is_an_error(self, capsys, monkeypatch, method):
+        # a fractional count must be reported, not truncated to 0 by int()
+        poly = RatPoly([Fraction(1, 2), 7, 2])
+        monkeypatch.setattr(cli, "stratum_poly", lambda m, n: poly)
+        series = SimpleNamespace(egf_coeff=lambda i, j: poly)
+        monkeypatch.setattr(cli, "stratum_series", lambda max_x, max_y: series)
+        code, out, err = run_cli(capsys, "count", "2", "2", "--method", method)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "1/2" in err
+
+    def test_truncated_cache_file_is_recomputed(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "count", "2", "2", "--method", "enum", "--cache-dir", str(tmp_path)
+        )
+        path = next(tmp_path.iterdir())
+        path.write_text(path.read_text()[:10])
+        again = run_cli(
+            capsys, "count", "2", "2", "--method", "enum", "--cache-dir", str(tmp_path)
+        )
+        assert again == (0, out, "")
+        assert json.loads(path.read_text())["total"] == "14"
 
 
 class TestVerify:

@@ -3,50 +3,48 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from hstrata import Diagram, DiagramParseError, parse_diagram, region_sets, serialize_diagram
+from hstrata import Diagram, DiagramParseError
 
-from conftest import all_diagrams, cauchon_by_definition, diagrams
+from conftest import all_diagrams, cauchon_by_definition, diagrams, region_sets
 
 
 class TestParseSerialize:
     def test_parse_single_black(self):
-        d = parse_diagram(".#\n..")
+        d = Diagram.parse(".#\n..")
         assert (d.m, d.n) == (2, 2)
         assert d.is_black(1, 2)
         assert not d.is_black(1, 1) and not d.is_black(2, 1) and not d.is_black(2, 2)
 
     def test_serialize_all_black_row(self):
-        assert serialize_diagram(Diagram.all_black(1, 3)) == "###"
+        assert Diagram.all_black(1, 3).serialize() == "###"
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(DiagramParseError, match="ragged"):
-            parse_diagram("..\n.")
+            Diagram.parse("..\n.")
 
     def test_empty_input_rejected(self):
         with pytest.raises(DiagramParseError, match="empty"):
-            parse_diagram("")
+            Diagram.parse("")
 
     def test_illegal_character_position(self):
         with pytest.raises(DiagramParseError) as exc:
-            parse_diagram("..\n.x")
+            Diagram.parse("..\n.x")
         assert exc.value.line == 2
         assert exc.value.column == 2
 
     def test_trailing_newline_tolerated(self):
-        assert parse_diagram(".#\n..\n") == parse_diagram(".#\n..")
+        assert Diagram.parse(".#\n..\n") == Diagram.parse(".#\n..")
+
+    def test_crlf_line_endings(self):
+        assert Diagram.parse("#.\r\n.#\r\n##\r\n") == Diagram.parse("#.\n.#\n##")
+
+    def test_lone_carriage_return_rejected(self):
+        with pytest.raises(DiagramParseError, match="illegal character"):
+            Diagram.parse("#.\r.#")
 
     @given(diagrams())
     def test_round_trip(self, d):
-        assert parse_diagram(serialize_diagram(d)) == d
-
-    def test_json_round_trip(self):
-        d = parse_diagram("#.\n.#\n##")
-        assert Diagram.from_json_dict(d.to_json_dict()) == d
-        assert d.to_json_dict() == {"m": 3, "n": 2, "rows": ["#.", ".#", "##"]}
-
-    def test_json_size_mismatch(self):
-        with pytest.raises(DiagramParseError):
-            Diagram.from_json_dict({"m": 1, "n": 2, "rows": ["..", ".."]})
+        assert Diagram.parse(d.serialize()) == d
 
 
 class TestCauchon:
@@ -58,11 +56,11 @@ class TestCauchon:
 
     def test_lone_interior_black_rejected(self):
         # (2,2) black with white above and white to the left
-        assert not parse_diagram("..\n.#").is_cauchon()
+        assert not Diagram.parse("..\n.#").is_cauchon()
 
     def test_first_row_and_column_always_pass(self):
-        assert parse_diagram("##\n#.").is_cauchon()
-        assert parse_diagram(".#\n..").is_cauchon()
+        assert Diagram.parse("##\n#.").is_cauchon()
+        assert Diagram.parse(".#\n..").is_cauchon()
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_matches_definition_exhaustively(self, m, n):
@@ -76,7 +74,7 @@ class TestCauchon:
 
 class TestTranspose:
     def test_black_over_white(self):
-        assert parse_diagram("#\n.").transpose() == parse_diagram("#.")
+        assert Diagram.parse("#\n.").transpose() == Diagram.parse("#.")
 
     def test_all_black_shape(self):
         assert Diagram.all_black(2, 3).transpose() == Diagram.all_black(3, 2)
@@ -93,7 +91,7 @@ class TestWhiteLabeling:
         assert lab.count == 4
 
     def test_black_squares_skipped(self):
-        lab = parse_diagram("#\n.").white_labeling()
+        lab = Diagram.parse("#\n.").white_labeling()
         assert lab.positions == ((2, 1),)
         assert lab.label_at(2, 1) == 1
         assert lab.label_at(1, 1) is None
@@ -138,7 +136,7 @@ class TestRegionSets:
 
     def test_ten_white_square_example(self):
         # 4x4 regression diagram; its region sets are frozen golden data
-        d = parse_diagram("..#.\n..##\n#...\n#..#")
+        d = Diagram.parse("..#.\n..##\n#...\n#..#")
         regions = region_sets(d, d.white_labeling(), 5)
         assert regions.above == {2}
         assert regions.right == set()

@@ -43,23 +43,6 @@ class TestCauchonDiagrams:
         key = lambda s: s.replace("\n", "").translate({ord("."): "0", ord("#"): "1"})
         assert first == sorted(first, key=key)
 
-    def test_prefix_partitions_the_stream(self):
-        full = list(cauchon_diagrams(3, 3))
-        merged = list(cauchon_diagrams(3, 3, prefix=".")) + list(
-            cauchon_diagrams(3, 3, prefix="#")
-        )
-        assert merged == full
-
-    def test_inconsistent_prefix_is_empty(self):
-        # 2x2 with only the bottom-right square black is not Cauchon
-        assert list(cauchon_diagrams(2, 2, prefix="...#")) == []
-
-    def test_prefix_validation(self):
-        with pytest.raises(ValueError, match="prefix"):
-            list(cauchon_diagrams(2, 2, prefix="x"))
-        with pytest.raises(ValueError, match="prefix"):
-            list(cauchon_diagrams(2, 2, prefix="....."))
-
     def test_cell_limit(self):
         with pytest.raises(EnumerationLimitError, match="closed-form"):
             cauchon_diagrams(5, 6)
@@ -147,6 +130,44 @@ class TestTallyDimensions:
         path.write_text(json.dumps(planted.to_json_dict()))
         assert tally_dimensions(2, 2, cache_dir=tmp_path) == planted
 
+    def test_cache_for_another_shape_is_recomputed(self, tmp_path):
+        path = tmp_path / "tally-v1-2x2-cycles.json"
+        path.write_text(json.dumps(tally_dimensions(3, 3).to_json_dict()))
+        tally = tally_dimensions(2, 2, cache_dir=tmp_path)
+        assert tally.counts == {0: 5, 1: 7, 2: 2}
+        assert StratumTally.from_json_dict(json.loads(path.read_text())) == tally
+
+    def test_cache_with_wrong_total_is_recomputed(self, tmp_path):
+        path = tmp_path / "tally-v1-2x2-cycles.json"
+        planted = StratumTally.from_counts(2, 2, {0: 5, 1: 7})
+        path.write_text(json.dumps(planted.to_json_dict()))
+        assert tally_dimensions(2, 2, cache_dir=tmp_path).counts == {0: 5, 1: 7, 2: 2}
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m": 2, "n": 2, "coun',
+            "",
+            "[]",
+            '{"m": 2}',
+            '{"m": 2, "n": 2, "counts": {"0": "20", "1": "-6"}, "total": "14"}',
+        ],
+    )
+    def test_corrupt_cache_is_recomputed(self, tmp_path, text):
+        path = tmp_path / "tally-v1-2x2-cycles.json"
+        path.write_text(text)
+        tally = tally_dimensions(2, 2, cache_dir=tmp_path)
+        assert tally.counts == {0: 5, 1: 7, 2: 2}
+        assert StratumTally.from_json_dict(json.loads(path.read_text())) == tally
+
+    def test_cache_write_leaves_no_temp_file(self, tmp_path):
+        tally_dimensions(2, 2, cache_dir=tmp_path)
+        tally_dimensions(2, 1, "kernel", cache_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "tally-v1-2x1-kernel.json",
+            "tally-v1-2x2-cycles.json",
+        ]
+
     def test_cache_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HSTRATA_CACHE_DIR", str(tmp_path))
         tally_dimensions(2, 1)
@@ -171,6 +192,10 @@ class TestStratumTally:
             StratumTally.from_json_dict(
                 {"m": 1, "n": 1, "counts": {"0": "1"}, "total": "5"}
             )
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            StratumTally.from_counts(1, 1, {0: 3, 1: -1})
 
     def test_zero_counts_dropped(self):
         tally = StratumTally.from_counts(1, 1, {0: 1, 1: 1, 2: 0})

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hstrata import (
-    BoundaryLabeling,
     CycleDecomposition,
     Diagram,
     NonCauchonWarning,
@@ -14,17 +13,22 @@ from hstrata import (
     cycle_decomposition,
     is_restricted,
     odd_cycle_count,
-    parse_diagram,
     poly_bernoulli,
     stratum_dimension_by_cycles,
-    toric_endpoints,
+    toric_endpoint_table,
     toric_permutation,
-    toric_permutation_traced,
     trace_permutation,
 )
-from hstrata.pipedreams import toric_endpoint_table, traced_permutation
+from hstrata import pipedreams
+from hstrata.cli import main
 
-from conftest import all_diagrams, diagrams
+from conftest import (
+    BoundaryLabeling,
+    all_diagrams,
+    diagrams,
+    toric_permutation_traced,
+    traced_permutation,
+)
 
 # Two regression diagrams recovered by exhaustive search from frozen pipe
 # data; see the tests below for the values they must keep reproducing.
@@ -59,11 +63,6 @@ class TestPermutation:
             Permutation.from_one_line("[a,b]")
         with pytest.raises(ValueError):
             Permutation.from_one_line("")
-
-    def test_json_round_trip(self):
-        p = Permutation([2, 1, 4, 3])
-        assert p.to_json_dict() == {"size": 4, "images": [2, 1, 4, 3]}
-        assert Permutation.from_json_dict(p.to_json_dict()) == p
 
     @given(st.permutations(list(range(1, 8))))
     def test_inverse_round_trip(self, images):
@@ -136,10 +135,10 @@ class TestIsRestricted:
 
 class TestTrace:
     def test_black_over_white(self):
-        assert trace_permutation(parse_diagram("#\n.")).images == (1, 3, 2)
+        assert trace_permutation(Diagram.parse("#\n.")).images == (1, 3, 2)
 
     def test_white_over_black(self):
-        assert trace_permutation(parse_diagram(".\n#")).images == (2, 1, 3)
+        assert trace_permutation(Diagram.parse(".\n#")).images == (2, 1, 3)
 
     def test_single_white_square_is_identity(self):
         assert trace_permutation(Diagram.all_white(1, 1)) == Permutation.identity(2)
@@ -165,6 +164,26 @@ class TestTrace:
         walked = traced_permutation(d, BoundaryLabeling.standard(d.m, d.n))
         assert walked == trace_permutation(d)
 
+    def test_non_restricted_trace_is_an_error(self, monkeypatch, tmp_path, capsys):
+        # a corrupted exit table sends the bottom pipe of a 1x2 grid to the
+        # far end, which breaks the restricted bound; the check must survive
+        # python -O and surface as a CLI error
+        exit_tables = pipedreams._exit_tables
+
+        def corrupted(d):
+            up, left = exit_tables(d)
+            up[d.m][1], left[1][d.n] = left[1][d.n], up[d.m][1]
+            return up, left
+
+        monkeypatch.setattr(pipedreams, "_exit_tables", corrupted)
+        d = Diagram.all_white(1, 2)
+        with pytest.raises(ValueError, match="non-restricted"):
+            trace_permutation(d)
+        path = tmp_path / "d.txt"
+        path.write_text(d.serialize())
+        assert main(["dim", str(path)]) == 2
+        assert "non-restricted" in capsys.readouterr().err
+
 
 class TestToricPermutation:
     def test_all_black_gives_identity(self):
@@ -174,7 +193,7 @@ class TestToricPermutation:
         assert toric_permutation(Diagram.all_white(1, 1)).images == (2, 1)
 
     def test_black_over_white(self):
-        assert toric_permutation(parse_diagram("#\n.")).images == (3, 2, 1)
+        assert toric_permutation(Diagram.parse("#\n.")).images == (3, 2, 1)
 
     def test_all_white_2x2(self):
         tau = toric_permutation(Diagram.all_white(2, 2))
@@ -217,23 +236,23 @@ class TestBoundaryLabeling:
 class TestToricEndpoints:
     def test_all_white_2x2(self):
         d = Diagram.all_white(2, 2)
-        lab = d.white_labeling()
-        assert tuple(toric_endpoints(d, lab, 1)) == (2, 3)
-        assert tuple(toric_endpoints(d, lab, 2)) == (3, 4)
-        assert tuple(toric_endpoints(d, lab, 3)) == (1, 2)
-        assert tuple(toric_endpoints(d, lab, 4)) == (2, 3)
+        table = toric_endpoint_table(d, d.white_labeling())
+        assert [tuple(e) for e in table] == [(2, 3), (3, 4), (1, 2), (2, 3)]
 
     def test_gluing_on_2x2(self):
         d = Diagram.all_white(2, 2)
-        lab = d.white_labeling()
+        table = toric_endpoint_table(d, d.white_labeling())
         # square 2 sits right of square 1, square 1 sits above square 3
-        assert toric_endpoints(d, lab, 1).top == toric_endpoints(d, lab, 2).left
-        assert toric_endpoints(d, lab, 3).top == toric_endpoints(d, lab, 1).left
+        assert table[0].top == table[1].left
+        assert table[2].top == table[0].left
 
     def test_invalid_label(self):
+        # one entry per white label, so label 3 of a 1x2 grid has none
         d = Diagram.all_white(1, 2)
-        with pytest.raises(ValueError):
-            toric_endpoints(d, d.white_labeling(), 3)
+        table = toric_endpoint_table(d, d.white_labeling())
+        assert len(table) == 2
+        with pytest.raises(IndexError):
+            table[3 - 1]
 
     @pytest.mark.parametrize("cells", range(1, 17))
     def test_gluing_identity_exhaustive(self, cells):
@@ -263,7 +282,7 @@ class TestToricEndpoints:
 class TestStratumDimension:
     def test_census_2x1(self):
         dims = {
-            text: stratum_dimension_by_cycles(parse_diagram(text))
+            text: stratum_dimension_by_cycles(Diagram.parse(text))
             for text in (".\n.", ".\n#", "#\n.", "#\n#")
         }
         assert dims == {".\n.": 0, ".\n#": 1, "#\n.": 1, "#\n#": 0}
@@ -275,7 +294,7 @@ class TestStratumDimension:
         assert stratum_dimension_by_cycles(Diagram.all_white(2, 2)) == 2
 
     def test_non_cauchon_warns_but_computes(self):
-        d = parse_diagram("..\n.#")
+        d = Diagram.parse("..\n.#")
         with pytest.warns(NonCauchonWarning):
             value = stratum_dimension_by_cycles(d)
         assert value >= 0
@@ -285,7 +304,7 @@ class TestReconstructedExamples:
     """Regression data for two diagrams pinned down by their traces."""
 
     def test_3x4_sigma_and_tau(self):
-        d = parse_diagram(EXAMPLE_3X4)
+        d = Diagram.parse(EXAMPLE_3X4)
         assert d.is_cauchon()
         sigma = trace_permutation(d)
         assert sigma.images == (2, 1, 4, 7, 3, 6, 5)
@@ -300,16 +319,16 @@ class TestReconstructedExamples:
             for d in all_diagrams(3, 4)
             if d.is_cauchon() and trace_permutation(d) == target
         ]
-        assert matches == [parse_diagram(EXAMPLE_3X4)]
+        assert matches == [Diagram.parse(EXAMPLE_3X4)]
 
     def test_4x4_toric_permutation(self):
-        d = parse_diagram(EXAMPLE_4X4)
+        d = Diagram.parse(EXAMPLE_4X4)
         tau = toric_permutation(d)
         assert tau.images == (4, 6, 5, 8, 3, 1, 2, 7)
         assert str(cycle_decomposition(tau)) == "(1 4 8 7 2 6)(3 5)"
 
     def test_4x4_endpoints(self):
-        d = parse_diagram(EXAMPLE_4X4)
-        lab = d.white_labeling()
-        assert tuple(toric_endpoints(d, lab, 7)) == (4, 7)
-        assert tuple(toric_endpoints(d, lab, 8)) == (7, 6)
+        d = Diagram.parse(EXAMPLE_4X4)
+        table = toric_endpoint_table(d, d.white_labeling())
+        assert tuple(table[7 - 1]) == (4, 7)
+        assert tuple(table[8 - 1]) == (7, 6)
