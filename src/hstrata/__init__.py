@@ -36,7 +36,6 @@ from .genfunc import (
     closed_form_coeffs,
     double_factorial_coeff,
     double_factorial_poly,
-    falling_factorial_poly,
     poly_bernoulli_series,
     series_pipeline_check,
     stirling2,
@@ -82,7 +81,6 @@ __all__ = [
     "diagram_from_permutation",
     "double_factorial_coeff",
     "double_factorial_poly",
-    "falling_factorial_poly",
     "in_white_kernel",
     "is_restricted",
     "kernel_basis",

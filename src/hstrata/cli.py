@@ -54,6 +54,12 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
+# run_verify grows about 2x per extra cell: 12 cells took 15 s, 13 took 28 s
+# and 14 took 59 s on a 2-CPU box (Python 3.11), so 14 is the largest run
+# that finishes in about a minute.
+VERIFY_MAX_CELLS = 14
+# stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
+SERIES_MAX_ORDER = 28
 
 FORMATS = ("text", "json", "csv")
 
@@ -95,7 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
     p.set_defaults(handler=_cmd_dim)
 
-    p = sub.add_parser("count", parents=[common], help="count strata by dimension")
+    p = sub.add_parser(
+        "count",
+        parents=[common],
+        help="count strata by dimension",
+        description=(
+            f"Count strata by dimension. --method series needs max(m, n) <= {SERIES_MAX_ORDER} "
+            "(about 45 s at the cap on a 2-CPU box)."
+        ),
+    )
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
     p.add_argument(
@@ -106,7 +120,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("verify", parents=[common], help="run the cross-check suite")
+    p = sub.add_parser(
+        "verify",
+        parents=[common],
+        help="run the cross-check suite",
+        description=(
+            f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about a "
+            "minute at the cap on a 2-CPU box)."
+        ),
+    )
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
@@ -178,7 +201,7 @@ def _method_counts(m: int, n: int, method: str, args) -> dict[int, int]:
     if method == "formula":
         poly = stratum_poly(m, n)
     else:
-        poly = stratum_series(max(m, 1), max(n, 1)).egf_coeff(m, n)
+        poly = stratum_series(m, n).egf_coeff(m, n)
     counts = {}
     for d, c in enumerate(poly.coeffs):
         if c.denominator != 1 or c < 0:
@@ -192,6 +215,8 @@ def _cmd_count(args) -> dict:
     methods = args.method or ["formula"]
     if args.m < 1 or args.n < 1:
         raise ValueError("m and n must be positive")
+    if "series" in methods and max(args.m, args.n) > SERIES_MAX_ORDER:
+        raise ValueError(f"--method series is capped at max(m, n) <= {SERIES_MAX_ORDER}")
     counts = {meth: _method_counts(args.m, args.n, meth, args) for meth in methods}
     first = counts[methods[0]]
     agree = all(counts[meth] == first for meth in methods)
@@ -320,8 +345,10 @@ def _next_white(d: Diagram, r: int, c: int, direction: str) -> int | None:
 
 def _cmd_verify(args) -> dict:
     limit = args.max_cells if args.max_cells is not None else VERIFY_DEFAULT_CELLS
-    if limit > DEFAULT_CELL_LIMIT:
-        raise ValueError(f"--max-cells capped at {DEFAULT_CELL_LIMIT} for verify")
+    if limit < 1:
+        raise ValueError("--max-cells must be at least 1 for verify")
+    if limit > VERIFY_MAX_CELLS:
+        raise ValueError(f"--max-cells capped at {VERIFY_MAX_CELLS} for verify")
     return run_verify(limit, inject_fault=args.inject_fault)
 
 

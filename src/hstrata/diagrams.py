@@ -85,19 +85,20 @@ class Diagram:
     def parse(cls, text: str) -> "Diagram":
         """Parse the '.'/'#' text format (rows separated by newlines).
 
-        Lines may end in LF or CRLF, and a single trailing line ending is
-        tolerated.  Raises DiagramParseError with 1-based line/column positions
-        on bad input.
+        Lines may end in LF or CRLF, and trailing line endings (blank lines
+        after the last row) are ignored; a blank line between rows is an
+        empty row.  Raises DiagramParseError with 1-based line/column
+        positions on bad input.
         """
-        text = text.replace("\r\n", "\n")
-        if text.endswith("\n"):
-            text = text[:-1]
+        text = text.replace("\r\n", "\n").rstrip("\n")
         if not text:
             raise DiagramParseError("empty input")
         lines = text.split("\n")
         width = len(lines[0])
         rows = []
         for i, line in enumerate(lines, start=1):
+            if not line:
+                raise DiagramParseError("empty row", line=i)
             if len(line) != width:
                 raise DiagramParseError(
                     f"ragged rows: row has length {len(line)}, expected {width}", line=i
@@ -114,8 +115,6 @@ class Diagram:
                         line=i,
                         column=j,
                     )
-            if not row:
-                raise DiagramParseError("empty row", line=i)
             rows.append(row)
         return cls(rows)
 

@@ -2,15 +2,18 @@
 
 Everything here is exact rational arithmetic; no floating point.  The number
 of d-dimensional strata on an m x n grid, written h(m, n, d) below, is
-obtained from three independent routes:
+obtained from two mathematically independent routes:
 
-* a closed triple sum over Stirling numbers and falling factorials of
-  polynomials in t, whose t^d coefficient is h(m, n, d) (stratum_count);
-* the same sum regrouped as h(m, n, d) = sum_k c_k(m, d) * k^n with rational
-  coefficients independent of n (closed_form_coeffs);
+* the closed triple sum over Stirling numbers and falling factorials of
+  (1-t)/2 and -(1+t)/2, grouped once per m into an integer table of
+  polynomials C_k(t) with h(m, n, d) = 2^-m sum_k C_k[d] k^n for all n >= 1.
+  stratum_poly sums the table against k^n (stratum_count reads one
+  coefficient) and closed_form_coeffs reads c_k = C_k[d] / 2^m off it;
 * a truncated bivariate power series in x and y with polynomial-in-t
   coefficients whose exponential coefficient of x^m y^n is the polynomial
-  sum_d h(m, n, d) t^d (stratum_series).
+  sum_d h(m, n, d) t^d (stratum_series).  Its powers, exp and reciprocal
+  are solved coefficient by coefficient from first-order recurrences
+  (J.C.P. Miller's power recurrence), never by summing powers of a series.
 
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
 a rational limit read off the polynomial (t+1)(t+3)...(t+2m-1).
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -153,6 +156,17 @@ def _as_poly(x: "RatPoly | Scalar") -> RatPoly:
     return x if isinstance(x, RatPoly) else RatPoly([x])
 
 
+def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: int = 1) -> None:
+    """acc += scale * pa * pb on integer coefficient lists; acc grows as needed."""
+    if len(pa) + len(pb) - 1 > len(acc):
+        acc += [0] * (len(pa) + len(pb) - 1 - len(acc))
+    for i, x in enumerate(pa):
+        if x:
+            x *= scale
+            for j, y in enumerate(pb):
+                acc[i + j] += x * y
+
+
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of [n] into k parts."""
@@ -165,55 +179,63 @@ def stirling2(n: int, k: int) -> int:
     return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
-def falling_factorial_poly(p: RatPoly, k: int) -> RatPoly:
-    """The product p (p-1) ... (p-k+1); the empty product (k=0) is 1."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = RatPoly([1])
-    for i in range(k):
-        out = out * (p - i)
+def _affine_products(m: int, shift: int) -> list[list[int]]:
+    """Integer coefficient lists of prod_{i<l} (shift - 2i - t), l = 0..m."""
+    out = [[1]]
+    for l in range(m):
+        nxt: list[int] = []
+        _add_product(nxt, out[-1], [shift - 2 * l, -1])
+        out.append(nxt)
     return out
 
 
-# The two affine arguments whose falling factorials drive the closed form.
-_HALF_ONE_MINUS_T = RatPoly([Fraction(1, 2), Fraction(-1, 2)])
-_NEG_HALF_ONE_PLUS_T = RatPoly([Fraction(-1, 2), Fraction(-1, 2)])
-
-
-def _closed_sum_terms(m: int):
-    """Terms (k, coefficient-polynomial) of the closed triple sum at size m.
-
-    k = 1 - l1 + l2 ranges over 1-m .. m+1; multiplying each polynomial by
-    k^n and summing gives the dimension-counting polynomial for an m x n
-    grid.  The factor k^n is left to the callers.
-    """
-    for mp in range(m + 1):
-        sign = -1 if (m - mp) % 2 else 1
-        binom = comb(m, mp)
-        for l1 in range(mp + 1):
-            s1 = stirling2(mp, l1)
-            if not s1:
-                continue
-            ff1 = falling_factorial_poly(_HALF_ONE_MINUS_T, l1)
-            for l2 in range(m - mp + 1):
-                s2 = stirling2(m - mp, l2)
-                if not s2:
-                    continue
-                ff2 = falling_factorial_poly(_NEG_HALF_ONE_PLUS_T, l2)
-                yield 1 - l1 + l2, ff1 * ff2 * (sign * binom * s1 * s2)
-
-
 @lru_cache(maxsize=None)
+def _closed_table(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Pairs (k, C_k) with h(m, n, d) = 2^-m sum_k C_k[d] k^n for every n >= 1.
+
+    C_k(t) = sum over 1 - l1 + l2 = k of W(l1, l2) 2^(m-l1-l2) P1_l1(t) P2_l2(t),
+    where W(l1, l2) = sum_mp (-1)^(m-mp) C(m, mp) S(mp, l1) S(m-mp, l2),
+    P1_l = prod_{i<l} (1-2i-t) and P2_l = prod_{i<l} (-1-2i-t): the closed
+    triple sum over Stirling numbers and the falling factorials of (1-t)/2
+    and -(1+t)/2, times 2^m so every coefficient is an integer.  Each C_k is
+    a tuple of m+1 ints (t^0 .. t^m); the base k = 0 is left out since
+    0^n = 0 for n >= 1.
+    """
+    p1 = _affine_products(m, 1)
+    p2 = _affine_products(m, -1)
+    grouped: dict[int, list[int]] = {}
+    for l1 in range(m + 1):
+        for l2 in range(m + 1 - l1):
+            k = 1 - l1 + l2
+            if k == 0:
+                continue
+            w = sum(
+                (-1) ** (m - mp) * comb(m, mp) * stirling2(mp, l1) * stirling2(m - mp, l2)
+                for mp in range(l1, m - l2 + 1)
+            )
+            if not w:
+                continue
+            acc = grouped.setdefault(k, [0] * (m + 1))
+            _add_product(acc, p1[l1], p2[l2], w << (m - l1 - l2))
+    return tuple((k, tuple(c)) for k, c in sorted(grouped.items()))
+
+
 def stratum_poly(m: int, n: int) -> RatPoly:
     """The polynomial in t whose t^d coefficient is h(m, n, d)."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    total = RatPoly()
-    for k, poly in _closed_sum_terms(m):
-        if k == 0:
-            continue  # 0^n = 0 for n >= 1
-        total = total + poly * k**n
-    return total
+    total = [0] * (m + 1)
+    for k, c in _closed_table(m):
+        kn = k**n
+        for d, a in enumerate(c):
+            total[d] += a * kn
+    coeffs = []
+    for d, v in enumerate(total):
+        q, r = divmod(v, 1 << m)
+        if r:
+            raise ArithmeticError(f"closed form gave the non-integer {v}/2^{m} at ({m},{n},{d})")
+        coeffs.append(q)
+    return RatPoly(coeffs)
 
 
 def stratum_count(m: int, n: int, d: int) -> int:
@@ -287,17 +309,14 @@ class ClosedForm:
 
 
 def closed_form_coeffs(m: int, d: int) -> ClosedForm:
-    """Group the closed triple sum by base k and extract the t^d coefficient."""
+    """The coefficients c_k = C_k[d] / 2^m of the closed form at size m."""
     if m < 1:
         raise ValueError("m must be positive")
     if d < 0:
         raise ValueError("dimension must be nonnegative")
-    grouped: dict[int, Fraction] = {}
-    for k, poly in _closed_sum_terms(m):
-        if k == 0:
-            continue  # contributes 0^n = 0 for every n >= 1
-        grouped[k] = grouped.get(k, Fraction(0)) + poly.coeff(d)
-    return ClosedForm(m, d, grouped)
+    if d > m:
+        return ClosedForm(m, d, {})
+    return ClosedForm(m, d, {k: Fraction(c[d], 1 << m) for k, c in _closed_table(m)})
 
 
 def double_factorial_poly(m: int) -> RatPoly:
@@ -446,64 +465,96 @@ class TruncatedSeries3:
         if not isinstance(other, TruncatedSeries3):
             return self.scale(other)
         self._match(other)
-        rows = [[RatPoly() for _ in range(self.max_y + 1)] for _ in range(self.max_x + 1)]
-        a, b = self._coeffs, other._coeffs
-        for i1, row1 in enumerate(a):
-            for j1, c1 in enumerate(row1):
-                if c1.is_zero():
-                    continue
-                for i2 in range(self.max_x + 1 - i1):
-                    row2 = b[i2]
-                    target = rows[i1 + i2]
-                    for j2 in range(self.max_y + 1 - j1):
-                        c2 = row2[j2]
-                        if not c2.is_zero():
-                            target[j1 + j2] = target[j1 + j2] + c1 * c2
+        (a, da), (b, db) = self._integer_grid(), other._integer_grid()
+        den = da * db
+        rows = []
+        for i in range(self.max_x + 1):
+            row = []
+            for j in range(self.max_y + 1):
+                acc: list[int] = []
+                for i1 in range(i + 1):
+                    row_a, row_b = a[i1], b[i - i1]
+                    for j1 in range(j + 1):
+                        _add_product(acc, row_a[j1], row_b[j - j1])
+                row.append(RatPoly([Fraction(v, den) for v in acc]))
+            rows.append(row)
         return TruncatedSeries3(self.max_x, self.max_y, rows)
+
+    def _integer_grid(self) -> tuple[list[list[list[int]]], int]:
+        """The coefficients as integer lists over one common denominator."""
+        den = lcm(*(q.denominator for row in self._coeffs for c in row for q in c.coeffs))
+        grid = [
+            [[q.numerator * (den // q.denominator) for q in c.coeffs] for c in row]
+            for row in self._coeffs
+        ]
+        return grid, den
 
     def __rmul__(self, other: "Scalar | RatPoly") -> "TruncatedSeries3":
         return self.scale(other)
 
     def exp(self) -> "TruncatedSeries3":
-        """exp of a series with zero constant term, truncated exactly."""
+        """exp of a series with zero constant term, truncated exactly.
+
+        H = exp(G) solves x dH/dx = (x dG/dx) H, so for i >= 1
+        i H[i][j] = sum_(a,b) a G[a][b] H[i-a][j-b]; on the first row the
+        same recurrence runs along y.
+        """
         if not self.constant_term.is_zero():
             raise ValueError("exp needs a zero constant term")
-        one = TruncatedSeries3.constant(self.max_x, self.max_y, 1)
-        acc = one
-        term = one
-        for k in range(1, self.max_x + self.max_y + 1):
-            term = term * self
-            term = term.scale(Fraction(1, k))
-            acc = acc + term
-        return acc
-
-    def log(self) -> "TruncatedSeries3":
-        """log of a series with constant term one, truncated exactly."""
-        if self.constant_term != RatPoly([1]):
-            raise ValueError("log needs constant term 1")
-        u = self - 1
-        acc = TruncatedSeries3(self.max_x, self.max_y)
-        power = TruncatedSeries3.constant(self.max_x, self.max_y, 1)
-        for k in range(1, self.max_x + self.max_y + 1):
-            power = power * u
-            acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-        return acc
+        return self._recurrence(RatPoly([1]), 0)
 
     def inverse(self) -> "TruncatedSeries3":
-        """Reciprocal of a series with constant term one (geometric sum)."""
+        """Reciprocal of a series with constant term one: the power -1."""
         if self.constant_term != RatPoly([1]):
             raise ValueError("inverse needs constant term 1")
-        u = 1 - self
-        acc = TruncatedSeries3.constant(self.max_x, self.max_y, 1)
-        power = TruncatedSeries3.constant(self.max_x, self.max_y, 1)
-        for _ in range(self.max_x + self.max_y):
-            power = power * u
-            acc = acc + power
-        return acc
+        return self._recurrence(RatPoly(), 1)
 
     def pow_poly(self, exponent: RatPoly | Scalar) -> "TruncatedSeries3":
-        """Raise a constant-term-1 series to a polynomial-in-t power."""
-        return self.log().scale(_as_poly(exponent)).exp()
+        """Raise a constant-term-1 series to a polynomial-in-t power.
+
+        H = F^alpha solves F x dH/dx = alpha (x dF/dx) H (J.C.P. Miller's
+        recurrence; Knuth, TAOCP vol. 2, 4.7), so for i >= 1
+        i H[i][j] = sum_((a,b) != (0,0)) ((alpha+1) a - i) F[a][b] H[i-a][j-b];
+        on the first row the same recurrence runs along y.
+        """
+        if self.constant_term != RatPoly([1]):
+            raise ValueError("pow_poly needs constant term 1")
+        return self._recurrence(_as_poly(exponent) + 1, 1)
+
+    def _recurrence(self, p: RatPoly, q: int) -> "TruncatedSeries3":
+        """The series H with H[0][0] = 1 and, for every other (i, j),
+
+            n H[i][j] = sum_((a,b) != (0,0)) (p e - q n) c[a][b] H[i-a][j-b],
+
+        where c = self, n = i and e = a when i >= 1, and n = j and e = b on
+        the first row.  Each coefficient costs one pass over the nonzero
+        coefficients of c.
+        """
+        terms = [
+            (a, b, ca)
+            for a, row in enumerate(self._coeffs)
+            for b, ca in enumerate(row)
+            if ca and (a, b) != (0, 0)
+        ]
+        h = [[RatPoly()] * (self.max_y + 1) for _ in range(self.max_x + 1)]
+        h[0][0] = RatPoly([1])
+        for i in range(self.max_x + 1):
+            for j in range(self.max_y + 1):
+                if (i, j) == (0, 0):
+                    continue
+                n = i or j
+                weighted = RatPoly()  # sum of e c[a][b] H[i-a][j-b]
+                plain = RatPoly()  # sum of c[a][b] H[i-a][j-b]
+                for a, b, ca in terms:
+                    if a <= i and b <= j and h[i - a][j - b]:
+                        e = a if i else b
+                        prod = ca * h[i - a][j - b]
+                        if e:
+                            weighted = weighted + prod * e
+                        if q:
+                            plain = plain + prod
+                h[i][j] = (p * weighted - plain * (q * n)) / n
+        return TruncatedSeries3(self.max_x, self.max_y, h)
 
     def substitute_negated(self) -> "TruncatedSeries3":
         """The series with x and y both negated."""
@@ -530,7 +581,7 @@ def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
     The exponential coefficient of x^m y^n is the polynomial whose t^d
     coefficient is h(m, n, d).  Computed as the product of the two binomial
     factors (e^-y + e^-x - 1) and (e^x + e^y - 1) raised to the affine
-    exponents -(1+t)/2 and (1-t)/2 via exp(exponent * log(factor)).
+    exponents -(1+t)/2 and (1-t)/2 by the power recurrence of pow_poly.
     """
     neg_factor = _exp_xy(max_x, max_y, 0, -1) + _exp_xy(max_x, max_y, -1, 0) - 1
     pos_factor = _exp_xy(max_x, max_y, 1, 0) + _exp_xy(max_x, max_y, 0, 1) - 1

@@ -2,8 +2,9 @@
 
 The helpers here are deliberately independent re-implementations (plain
 definitions, brute force, a stepwise pipe walker, region sets, the
-inclusion-exclusion Stirling sum) used to validate the package's faster or
-cleverer code paths.
+inclusion-exclusion Stirling sum, the closed triple sum over Fraction
+polynomials, power-sum series exp/log/inverse) used to validate the
+package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from hstrata import Diagram, Permutation, WhiteLabeling
+from hstrata import Diagram, Permutation, RatPoly, TruncatedSeries3, WhiteLabeling, stirling2
 
 
 def all_diagrams(m: int, n: int):
@@ -197,6 +198,114 @@ def stirling2_by_alternating_sum(n: int, k: int) -> int:
     if r:
         raise ArithmeticError("alternating sum is not divisible by k!")
     return q
+
+
+def falling_factorial_poly(p: RatPoly, k: int) -> RatPoly:
+    """The product p (p-1) ... (p-k+1); the empty product (k=0) is 1."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    out = RatPoly([1])
+    for i in range(k):
+        out = out * (p - i)
+    return out
+
+
+# The two affine arguments whose falling factorials drive the closed form.
+_HALF_ONE_MINUS_T = RatPoly([Fraction(1, 2), Fraction(-1, 2)])
+_NEG_HALF_ONE_PLUS_T = RatPoly([Fraction(-1, 2), Fraction(-1, 2)])
+
+
+def _closed_sum_terms(m: int):
+    """Terms (k, coefficient-polynomial) of the closed triple sum at size m.
+
+    k = 1 - l1 + l2 ranges over 1-m .. m+1; multiplying each polynomial by
+    k^n and summing gives the dimension-counting polynomial for an m x n
+    grid.  The factor k^n is left to the callers.
+    """
+    for mp in range(m + 1):
+        sign = -1 if (m - mp) % 2 else 1
+        binom = comb(m, mp)
+        for l1 in range(mp + 1):
+            s1 = stirling2(mp, l1)
+            if not s1:
+                continue
+            ff1 = falling_factorial_poly(_HALF_ONE_MINUS_T, l1)
+            for l2 in range(m - mp + 1):
+                s2 = stirling2(m - mp, l2)
+                if not s2:
+                    continue
+                ff2 = falling_factorial_poly(_NEG_HALF_ONE_PLUS_T, l2)
+                yield 1 - l1 + l2, ff1 * ff2 * (sign * binom * s1 * s2)
+
+
+def stratum_poly_by_triple_sum(m: int, n: int) -> RatPoly:
+    """The dimension-counting polynomial, summed term by term in Fractions."""
+    total = RatPoly()
+    for k, poly in _closed_sum_terms(m):
+        if k:
+            total = total + poly * k**n
+    return total
+
+
+def closed_form_coeffs_by_triple_sum(m: int, d: int) -> dict[int, Fraction]:
+    """The nonzero c_k of h(m, n, d) = sum_k c_k k^n, grouped term by term."""
+    grouped: dict[int, Fraction] = {}
+    for k, poly in _closed_sum_terms(m):
+        if k:
+            grouped[k] = grouped.get(k, Fraction(0)) + poly.coeff(d)
+    return {k: c for k, c in grouped.items() if c}
+
+
+def series_exp_by_powers(s: TruncatedSeries3) -> TruncatedSeries3:
+    """exp as the truncated sum of s^k / k!."""
+    if not s.constant_term.is_zero():
+        raise ValueError("exp needs a zero constant term")
+    one = TruncatedSeries3.constant(s.max_x, s.max_y, 1)
+    acc = term = one
+    for k in range(1, s.max_x + s.max_y + 1):
+        term = (term * s).scale(Fraction(1, k))
+        acc = acc + term
+    return acc
+
+
+def series_log(s: TruncatedSeries3) -> TruncatedSeries3:
+    """log of a series with constant term one, as the Mercator sum."""
+    if s.constant_term != RatPoly([1]):
+        raise ValueError("log needs constant term 1")
+    u = s - 1
+    acc = TruncatedSeries3(s.max_x, s.max_y)
+    power = TruncatedSeries3.constant(s.max_x, s.max_y, 1)
+    for k in range(1, s.max_x + s.max_y + 1):
+        power = power * u
+        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
+    return acc
+
+
+def series_inverse_by_geometric_sum(s: TruncatedSeries3) -> TruncatedSeries3:
+    """Reciprocal of a constant-term-1 series as the sum of (1 - s)^k."""
+    if s.constant_term != RatPoly([1]):
+        raise ValueError("inverse needs constant term 1")
+    u = 1 - s
+    acc = power = TruncatedSeries3.constant(s.max_x, s.max_y, 1)
+    for _ in range(s.max_x + s.max_y):
+        power = power * u
+        acc = acc + power
+    return acc
+
+
+def series_pow_by_exp_log(s: TruncatedSeries3, exponent) -> TruncatedSeries3:
+    """s^exponent as exp(exponent * log s), both by power sums."""
+    return series_exp_by_powers(series_log(s).scale(exponent))
+
+
+def stratum_series_by_exp_log(max_x: int, max_y: int) -> TruncatedSeries3:
+    """The trivariate counting series with its powers taken via exp/log."""
+    ex = TruncatedSeries3.exponential
+    neg = ex(max_x, max_y, 0, -1) + ex(max_x, max_y, -1, 0) - 1
+    pos = ex(max_x, max_y, 1, 0) + ex(max_x, max_y, 0, 1) - 1
+    alpha_neg = RatPoly([Fraction(-1, 2), Fraction(-1, 2)])  # -(1+t)/2
+    alpha_pos = RatPoly([Fraction(1, 2), Fraction(-1, 2)])  # (1-t)/2
+    return series_pow_by_exp_log(neg, alpha_neg) * series_pow_by_exp_log(pos, alpha_pos)
 
 
 @st.composite

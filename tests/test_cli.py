@@ -83,6 +83,15 @@ class TestDim:
         assert code == 0
         assert "dimension: 1" in out
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_stdin_with_trailing_blank_lines(self, capsys, monkeypatch, eol):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(f"..{eol}..{eol}{eol}"))
+        code, out, _ = run_cli(capsys, "dim", "-")
+        assert code == 0
+        assert "dimension: 2" in out
+
     def test_csv_has_header_row(self, capsys, diagram_file):
         path = diagram_file("..\n..")
         code, out, _ = run_cli(capsys, "dim", path, "--format", "csv")
@@ -130,6 +139,22 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "6", "5", "--method", "enum")
         assert code == 2
         assert "closed-form" in err
+
+    def test_series_order_cap(self, capsys):
+        cap = cli.SERIES_MAX_ORDER
+        for m, n in ((cap + 1, 1), (1, cap + 1)):
+            code, out, err = run_cli(capsys, "count", str(m), str(n), "--method", "series")
+            assert code == 2
+            assert out == ""
+            assert f"max(m, n) <= {cap}" in err
+        # the formula route has no such cap, and the cap itself is allowed
+        code, out, _ = run_cli(capsys, "count", str(cap + 1), "1", "--format", "json")
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "count", str(cap), "1", "--method", "series", "--method", "formula"
+        )
+        assert code == 0
+        assert "agree: True" in out
 
     def test_rejects_nonpositive(self, capsys):
         code, _, err = run_cli(capsys, "count", "0", "2")
@@ -197,6 +222,16 @@ class TestVerify:
     def test_cap_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-cells", "30")
         assert code == 2
+        for cells in (cli.VERIFY_MAX_CELLS + 1, 25):
+            code, out, err = run_cli(capsys, "verify", "--max-cells", str(cells))
+            assert code == 2
+            assert out == ""
+            assert f"capped at {cli.VERIFY_MAX_CELLS}" in err
+        # an empty sweep would pass vacuously
+        for cells in ("0", "-3"):
+            code, out, err = run_cli(capsys, "verify", "--max-cells", cells)
+            assert code == 2
+            assert "at least 1" in err
 
 
 class TestAsymptotics:

@@ -35,6 +35,21 @@ class TestParseSerialize:
     def test_trailing_newline_tolerated(self):
         assert Diagram.parse(".#\n..\n") == Diagram.parse(".#\n..")
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_trailing_blank_lines_tolerated(self, eol):
+        expected = Diagram.parse(".#\n..")
+        for blank_lines in range(1, 4):
+            assert Diagram.parse(f".#{eol}..{eol}" + eol * blank_lines) == expected
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_blank_line_inside_is_an_empty_row(self, eol):
+        with pytest.raises(DiagramParseError, match="empty row") as exc:
+            Diagram.parse(f".#{eol}{eol}..{eol}")
+        assert exc.value.line == 2
+        with pytest.raises(DiagramParseError, match="empty row") as exc:
+            Diagram.parse(f"{eol}.#{eol}..")
+        assert exc.value.line == 1
+
     def test_crlf_line_endings(self):
         assert Diagram.parse("#.\r\n.#\r\n##\r\n") == Diagram.parse("#.\n.#\n##")
 

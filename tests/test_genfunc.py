@@ -15,7 +15,6 @@ from hstrata import (
     closed_form_coeffs,
     double_factorial_coeff,
     double_factorial_poly,
-    falling_factorial_poly,
     poly_bernoulli,
     poly_bernoulli_series,
     series_pipeline_check,
@@ -28,7 +27,18 @@ from hstrata import (
 )
 from hstrata import genfunc
 
-from conftest import count_set_partitions, stirling2_by_alternating_sum
+from conftest import (
+    closed_form_coeffs_by_triple_sum,
+    count_set_partitions,
+    falling_factorial_poly,
+    series_exp_by_powers,
+    series_inverse_by_geometric_sum,
+    series_log,
+    series_pow_by_exp_log,
+    stirling2_by_alternating_sum,
+    stratum_poly_by_triple_sum,
+    stratum_series_by_exp_log,
+)
 
 F = Fraction
 
@@ -179,6 +189,25 @@ class TestStratumCount:
             for n in range(1, 7):
                 assert stratum_poly(m, n)(1) == poly_bernoulli(m, n)
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_fraction_triple_sum(self, m):
+        for n in range(1, 11):
+            assert stratum_poly(m, n) == stratum_poly_by_triple_sum(m, n)
+
+    def test_second_n_at_same_m_is_not_served_from_the_first(self):
+        # the engine caches per m only; a cache keyed by m alone must still
+        # give each n its own polynomial, in any call order
+        calls = [(5, 3), (5, 7), (4, 7), (5, 3), (4, 2), (5, 1)]
+        got = [stratum_poly(m, n) for m, n in calls]
+        assert got == [stratum_poly_by_triple_sum(m, n) for m, n in calls]
+        assert len(set(got)) == 5
+
+    def test_non_integral_table_is_an_error(self, monkeypatch):
+        # a table whose k^n sums are odd cannot be divided by 2^m exactly
+        monkeypatch.setattr(genfunc, "_closed_table", lambda m: ((1, (1, 0)),))
+        with pytest.raises(ArithmeticError):
+            stratum_poly(1, 3)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             stratum_count(2, 0, 0)
@@ -192,6 +221,17 @@ class TestClosedForm:
     @pytest.mark.parametrize("m,d", sorted(GOLDEN_ROWS))
     def test_golden_rows(self, m, d):
         assert closed_form_coeffs(m, d).coeffs == GOLDEN_ROWS[(m, d)]
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_fraction_triple_sum(self, m):
+        for d in range(0, m + 2):
+            assert closed_form_coeffs(m, d).coeffs == closed_form_coeffs_by_triple_sum(m, d)
+
+    def test_second_d_at_same_m_is_not_served_from_the_first(self):
+        calls = [(6, 2), (6, 0), (3, 0), (6, 2), (6, 6)]
+        got = [closed_form_coeffs(m, d).coeffs for m, d in calls]
+        assert got == [closed_form_coeffs_by_triple_sum(m, d) for m, d in calls]
+        assert got[0] != got[1]
 
     def test_4_0_against_enumeration(self):
         cf = closed_form_coeffs(4, 0)
@@ -288,6 +328,19 @@ class TestAsymptoticProportion:
             assert gap(40) < F(1, 1000)
 
 
+SERIES_ORDERS = [(1, 1), (1, 4), (3, 2), (4, 4), (5, 5)]
+
+
+def _dense_series(max_x: int, max_y: int, constant: RatPoly) -> TruncatedSeries3:
+    """A series with every coefficient nonzero and depending on t."""
+    rows = [
+        [RatPoly([F(i - 2 * j + 1, i + j + 1), F((-1) ** i, j + 2)]) for j in range(max_y + 1)]
+        for i in range(max_x + 1)
+    ]
+    rows[0][0] = constant
+    return TruncatedSeries3(max_x, max_y, rows)
+
+
 class TestSeries:
     def test_exponential_coefficient_normalization(self):
         s = TruncatedSeries3.exponential(3, 3, 1, 1)  # e^(x+y)
@@ -324,9 +377,11 @@ class TestSeries:
     def test_log_and_inverse_require_unit_constant(self):
         zero = TruncatedSeries3(2, 2)
         with pytest.raises(ValueError, match="constant"):
-            zero.log()
+            series_log(zero)
         with pytest.raises(ValueError, match="constant"):
             zero.inverse()
+        with pytest.raises(ValueError, match="constant"):
+            zero.pow_poly(RatPoly.t())
 
     def test_log_inverts_exp(self):
         rows = [[RatPoly() for _ in range(4)] for _ in range(4)]
@@ -334,7 +389,29 @@ class TestSeries:
         rows[1][1] = RatPoly([0, F(1, 2)])
         rows[0][2] = RatPoly([F(-1, 3)])
         s = TruncatedSeries3(3, 3, rows)
-        assert s.exp().log() == s
+        assert series_log(s.exp()) == s
+
+    @pytest.mark.parametrize("order", [(1, 1), (2, 3), (4, 2), (3, 5), (5, 5)])
+    def test_stratum_series_matches_exp_log_route(self, order):
+        assert stratum_series(*order) == stratum_series_by_exp_log(*order)
+
+    @pytest.mark.parametrize("order", SERIES_ORDERS)
+    def test_exp_matches_power_sum(self, order):
+        g = _dense_series(*order, constant=RatPoly())
+        assert g.exp() == series_exp_by_powers(g)
+
+    @pytest.mark.parametrize("order", SERIES_ORDERS)
+    def test_inverse_matches_geometric_sum(self, order):
+        f = _dense_series(*order, constant=RatPoly([1]))
+        assert f.inverse() == series_inverse_by_geometric_sum(f)
+
+    @pytest.mark.parametrize("order", SERIES_ORDERS)
+    def test_pow_poly_matches_exp_log(self, order):
+        f = _dense_series(*order, constant=RatPoly([1]))
+        exponent = RatPoly([F(1, 2), F(-1, 2)])
+        assert f.pow_poly(exponent) == series_pow_by_exp_log(f, exponent)
+        assert f.pow_poly(3) == f * f * f
+        assert f.pow_poly(-1) == f.inverse()
 
     def test_inverse_is_reciprocal(self):
         s = TruncatedSeries3.exponential(3, 3, 1, -1)
