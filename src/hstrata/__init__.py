@@ -6,7 +6,7 @@ permutation, the kernel dimension of its skew-symmetric white-square matrix,
 and closed-form / generating-function counting.  All arithmetic is exact.
 """
 
-from .diagrams import Diagram, DiagramParseError, WhiteLabeling
+from .diagrams import Diagram, DiagramParseError
 from .enumeration import (
     DEFAULT_CELL_LIMIT,
     EnumerationLimitError,
@@ -44,7 +44,6 @@ from .genfunc import (
     stratum_series,
 )
 from .pipedreams import (
-    CycleDecomposition,
     NonCauchonWarning,
     Permutation,
     all_black_permutation,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedForm",
-    "CycleDecomposition",
     "DEFAULT_CELL_LIMIT",
     "Diagram",
     "DiagramParseError",
@@ -71,7 +69,6 @@ __all__ = [
     "RatPoly",
     "StratumTally",
     "TruncatedSeries3",
-    "WhiteLabeling",
     "all_black_permutation",
     "asymptotic_proportion",
     "cauchon_diagrams",

@@ -60,6 +60,13 @@ VERIFY_DEFAULT_CELLS = 9
 VERIFY_MAX_CELLS = 14
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
+# dim's exact elimination is cubic in the white squares N: an all-white grid
+# took 1.0 s at N = 256, 12 s at 576, 49 s at 900 and 71 s at 1024 on the
+# same box, so 900 (30x30) is the largest that finishes in about a minute.
+DIM_MAX_WHITE = 900
+# asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
+# and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
+ASYMPTOTICS_MAX_N = 1000
 
 FORMATS = ("text", "json", "csv")
 
@@ -79,16 +86,12 @@ def main(argv: list[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text", help="output format")
-    common.add_argument(
+    cells = argparse.ArgumentParser(add_help=False)
+    cells.add_argument(
         "--max-cells",
         type=int,
         default=None,
         help="enumeration cell limit (defaults per command)",
-    )
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        help="tally cache directory (overrides HSTRATA_CACHE_DIR)",
     )
 
     parser = argparse.ArgumentParser(
@@ -97,13 +100,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dim", parents=[common], help="analyze one diagram file")
+    p = sub.add_parser(
+        "dim",
+        parents=[common],
+        help="analyze one diagram file",
+        description=(
+            f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
+            "(about 50 s at the cap on a 2-CPU box)."
+        ),
+    )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
     p.set_defaults(handler=_cmd_dim)
 
     p = sub.add_parser(
         "count",
-        parents=[common],
+        parents=[common, cells],
         help="count strata by dimension",
         description=(
             f"Count strata by dimension. --method series needs max(m, n) <= {SERIES_MAX_ORDER} "
@@ -118,11 +129,16 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("enum", "formula", "series"),
         help="counting method; may be repeated, methods are cross-checked",
     )
+    p.add_argument(
+        "--cache-dir",
+        default=None,
+        help="tally cache directory (overrides HSTRATA_CACHE_DIR)",
+    )
     p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser(
         "verify",
-        parents=[common],
+        parents=[common, cells],
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
@@ -133,13 +149,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("asymptotics", parents=[common], help="ratio table against the limit")
+    p = sub.add_parser(
+        "asymptotics",
+        parents=[common],
+        help="ratio table against the limit",
+        description=(
+            f"Exact ratios against the limiting share for n = 1..--n-max (default 10, at "
+            f"most {ASYMPTOTICS_MAX_N}: 2.2 MB of JSON in 0.3 s at the cap for m = 4 on a "
+            "2-CPU box)."
+        ),
+    )
     p.add_argument("m", type=int)
     p.add_argument("d", type=int)
     p.add_argument("--n-max", type=int, default=10)
     p.set_defaults(handler=_cmd_asymptotics)
 
-    p = sub.add_parser("lookup", parents=[common], help="diagram for a restricted permutation")
+    p = sub.add_parser(
+        "lookup", parents=[common, cells], help="diagram for a restricted permutation"
+    )
     p.add_argument("permutation", help="one-line images, e.g. '[3,4,1,2]'")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
@@ -163,12 +190,14 @@ def _cmd_dim(args) -> dict:
         with open(args.diagram) as handle:
             text = handle.read()
     d = Diagram.parse(text)
-    lab = d.white_labeling()
+    white = len(d.white_squares())
+    if white > DIM_MAX_WHITE:
+        raise ValueError(f"dim is capped at {DIM_MAX_WHITE} white squares, got {white}")
     sigma = trace_permutation(d)
     tau = toric_permutation(d)
-    decomp = cycle_decomposition(tau)
-    odd = odd_cycle_count(decomp)
-    kdim = kernel_dim(white_adjacency_matrix(d, lab))
+    cycles = cycle_decomposition(tau)
+    odd = odd_cycle_count(cycles)
+    kdim = kernel_dim(white_adjacency_matrix(d))
     pp_dim = kernel_dim(perm_matrix_sum(sigma, all_black_permutation(d.m, d.n)))
     agree = odd == kdim == pp_dim
     cauchon = d.is_cauchon()
@@ -177,12 +206,12 @@ def _cmd_dim(args) -> dict:
         "m": d.m,
         "n": d.n,
         "cauchon": cauchon,
-        "white_squares": lab.count,
+        "white_squares": white,
         "sigma": sigma.one_line(),
         "sigma_cycles": sigma.cycle_string(),
         "tau": tau.one_line(),
-        "tau_cycles": str(decomp),
-        "cycle_lengths": list(decomp.lengths()),
+        "tau_cycles": tau.cycle_string(),
+        "cycle_lengths": [len(c) for c in cycles],
         "odd_cycles": odd,
         "kernel_dim": kdim,
         "boundary_kernel_dim": pp_dim,
@@ -270,44 +299,43 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
         tally: dict[int, int] = {}
         for d in cauchon_diagrams(m, n, max_cells=max_cells):
             diagrams += 1
-            lab = d.white_labeling()
-            mat = white_adjacency_matrix(d, lab)
-            if fault_pending and lab.count >= 2:
+            squares = d.white_squares()
+            mat = white_adjacency_matrix(d)
+            if fault_pending and len(squares) >= 2:
                 mat[0][1] = -mat[0][1]
                 fault_pending = False
             record("skew_symmetry", is_skew_symmetric(mat))
 
             tau = toric_permutation(d)
-            decomp = cycle_decomposition(tau)
-            odd = odd_cycle_count(decomp)
+            cycles = cycle_decomposition(tau)
+            odd = odd_cycle_count(cycles)
             kdim = kernel_dim(mat)
             pp = perm_matrix_sum(trace_permutation(d), all_black_permutation(m, n))
             record("dimension_equality", odd == kdim == kernel_dim(pp))
             tally[odd] = tally.get(odd, 0) + 1
 
-            endpoints = toric_endpoint_table(d, lab)
+            endpoints = toric_endpoint_table(d)
+            index = {pos: i for i, pos in enumerate(squares)}
             glue_ok = True
-            for i, (r, c) in enumerate(lab.positions):
+            for i, (r, c) in enumerate(squares):
                 next_c = _next_white(d, r, c, "right")
                 if next_c is not None:
-                    j = lab.label_at(r, next_c)
-                    glue_ok &= endpoints[i].top == endpoints[j - 1].left
+                    glue_ok &= endpoints[i].top == endpoints[index[r, next_c]].left
                 next_r = _next_white(d, r, c, "up")
                 if next_r is not None:
-                    j = lab.label_at(next_r, c)
-                    glue_ok &= endpoints[i].top == endpoints[j - 1].left
+                    glue_ok &= endpoints[i].top == endpoints[index[next_r, c]].left
             record("gluing_identity", glue_ok)
 
             iso_ok = True
             try:
-                for v in cycle_kernel_basis(decomp):
-                    w = to_square_kernel(d, lab, v)
-                    iso_ok &= in_white_kernel(d, lab, w)
-                    iso_ok &= to_boundary_kernel(d, lab, w) == tuple(-2 * x for x in v)
+                for v in cycle_kernel_basis(cycles):
+                    w = to_square_kernel(d, v)
+                    iso_ok &= in_white_kernel(d, w)
+                    iso_ok &= to_boundary_kernel(d, w) == tuple(-2 * x for x in v)
                 for w in kernel_basis(mat):
-                    v = to_boundary_kernel(d, lab, w)
+                    v = to_boundary_kernel(d, w)
                     iso_ok &= all(x == 0 for x in matvec(pp, v))
-                    iso_ok &= to_square_kernel(d, lab, v) == tuple(-2 * x for x in w)
+                    iso_ok &= to_square_kernel(d, v) == tuple(-2 * x for x in w)
             except ValueError:
                 iso_ok = False
             record("iso_maps", iso_ok)
@@ -358,6 +386,8 @@ def _cmd_asymptotics(args) -> dict:
         raise ValueError("need 0 <= d <= m")
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
+    if args.n_max > ASYMPTOTICS_MAX_N:
+        raise ValueError(f"--n-max capped at {ASYMPTOTICS_MAX_N} for asymptotics")
     limit = asymptotic_proportion(m, d)
     cf = closed_form_coeffs(m, d)
     rows = []

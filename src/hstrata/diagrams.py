@@ -12,7 +12,7 @@ vacuously, and one in column 1 the second.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 WHITE_CHAR = "."
 BLACK_CHAR = "#"
@@ -143,17 +143,18 @@ class Diagram:
         return True
 
     def white_squares(self) -> tuple[tuple[int, int], ...]:
-        """Positions of white squares in row-major order (1-based)."""
+        """Positions of white squares in row-major order (1-based).
+
+        These are the white-square labels used package-wide: label i is the
+        square at entry i-1, so labels increase left to right within a row and
+        every label in a row is smaller than every label in any lower row.
+        """
         return tuple(
             (r, c)
             for r, row in enumerate(self._rows, start=1)
             for c, black in enumerate(row, start=1)
             if not black
         )
-
-    def white_labeling(self) -> "WhiteLabeling":
-        """The canonical row-major labeling of this diagram's white squares."""
-        return WhiteLabeling(self.white_squares())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Diagram) and self._rows == other._rows
@@ -164,51 +165,3 @@ class Diagram:
     def __repr__(self) -> str:
         return f"Diagram.parse({self.serialize()!r})"
 
-
-class WhiteLabeling:
-    """Bijection between labels 1..N and white-square positions.
-
-    Labels increase left to right within each row, and all labels in a row are
-    smaller than all labels in any lower row (row-major order).
-    """
-
-    __slots__ = ("_positions", "_by_position")
-
-    def __init__(self, positions: Iterable[tuple[int, int]]):
-        self._positions = tuple((int(r), int(c)) for r, c in positions)
-        if list(self._positions) != sorted(self._positions):
-            raise ValueError("white-square labels must be in row-major order")
-        self._by_position = {pos: i + 1 for i, pos in enumerate(self._positions)}
-        if len(self._by_position) != len(self._positions):
-            raise ValueError("duplicate white-square position")
-
-    @property
-    def count(self) -> int:
-        """Number of labelled squares, N."""
-        return len(self._positions)
-
-    @property
-    def positions(self) -> tuple[tuple[int, int], ...]:
-        """positions[i - 1] is the (row, column) of label i."""
-        return self._positions
-
-    def position_of(self, label: int) -> tuple[int, int]:
-        if not 1 <= label <= len(self._positions):
-            raise ValueError(f"invalid white-square label {label} (have 1..{len(self._positions)})")
-        return self._positions[label - 1]
-
-    def label_at(self, r: int, c: int) -> int | None:
-        """Label of the white square at (r, c), or None if that square is not labelled."""
-        return self._by_position.get((r, c))
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._positions)
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WhiteLabeling) and self._positions == other._positions
-
-    def __repr__(self) -> str:
-        return f"WhiteLabeling({self._positions!r})"

@@ -3,8 +3,9 @@
 A matrix is a plain sequence of equal-length rows of Python ints or
 fractions.Fraction; rank is computed by integer-preserving elimination, and
 no floating point is used anywhere.  Vectors are plain tuples of exact
-numbers; entry i-1 of a vector corresponds to label i (white-square labels for
-square-indexed vectors, toric boundary labels for boundary-indexed vectors).
+numbers; entry i-1 of a vector corresponds to label i (white-square labels,
+i.e. Diagram.white_squares() order, for square-indexed vectors; toric boundary
+labels for boundary-indexed vectors).
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
-from .diagrams import Diagram, WhiteLabeling
+from .diagrams import Diagram
 from .pipedreams import (
-    CycleDecomposition,
     Permutation,
     all_black_permutation,
     toric_endpoint_table,
@@ -148,17 +148,16 @@ def kernel_basis(M: Matrix) -> tuple[ExactVector, ...]:
     return tuple(basis)
 
 
-def white_adjacency_matrix(d: Diagram, lab: WhiteLabeling | None = None) -> list[list[int]]:
+def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     """The N x N skew-symmetric relation matrix of the white squares.
 
     Entry (i, j) is +1 when white square i is strictly below or strictly to
     the right of white square j, -1 when strictly above or strictly to the
     left, and 0 otherwise (in particular when the squares share neither row
-    nor column).  Skew-symmetry is verified on construction.
+    nor column).  Each pair is set once as -1 above the diagonal and +1
+    below it, so the matrix is skew-symmetric by construction.
     """
-    if lab is None:
-        lab = d.white_labeling()
-    pos = lab.positions
+    pos = d.white_squares()
     N = len(pos)
     entries = [[0] * N for _ in range(N)]
     for i in range(N):
@@ -170,8 +169,6 @@ def white_adjacency_matrix(d: Diagram, lab: WhiteLabeling | None = None) -> list
                 # j is below or right of i (row-major order), so entry (i, j) is -1
                 row[j] = -1
                 entries[j][i] = 1
-    if not is_skew_symmetric(entries):
-        raise AssertionError("white adjacency matrix failed the skew-symmetry check")
     return entries
 
 
@@ -187,19 +184,20 @@ def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:
     return entries
 
 
-def cycle_kernel_basis(decomp: CycleDecomposition) -> tuple[ExactVector, ...]:
+def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector, ...]:
     """Alternating +-1 vectors supported on the even-length cycles.
 
     For each even-length cycle (a_1 .. a_2k) the vector with +1 at a_i for
     odd i and -1 for even i is in the kernel of P_omega + P_sigma whenever
-    the decomposition is that of the corresponding toric permutation; the
-    vectors form a basis of that kernel.
+    the cycles are those of the corresponding toric permutation; the vectors
+    form a basis of that kernel.  The vector length is the total cycle length.
     """
+    size = sum(map(len, cycles))
     basis = []
-    for cycle in decomp.cycles:
+    for cycle in cycles:
         if len(cycle) % 2:
             continue
-        v = [0] * decomp.size
+        v = [0] * size
         for idx, a in enumerate(cycle):
             v[a - 1] = 1 if idx % 2 == 0 else -1
         basis.append(tuple(v))
@@ -214,7 +212,7 @@ def _is_zero(vec: Sequence[Rational]) -> bool:
     return all(x == 0 for x in vec)
 
 
-def to_square_kernel(d: Diagram, lab: WhiteLabeling, v: Sequence[Rational]) -> ExactVector:
+def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     """Map a boundary-kernel vector to a white-square-kernel vector.
 
     Entry i of the result is v[left(i)] - v[top(i)], where left/top are the
@@ -226,11 +224,10 @@ def to_square_kernel(d: Diagram, lab: WhiteLabeling, v: Sequence[Rational]) -> E
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
     if not _is_zero(matvec(_boundary_matrix(d), v)):
         raise ValueError("vector is not in the boundary kernel")
-    endpoints = toric_endpoint_table(d, lab)
-    return tuple(v[e.left - 1] - v[e.top - 1] for e in endpoints)
+    return tuple(v[e.left - 1] - v[e.top - 1] for e in toric_endpoint_table(d))
 
 
-def to_boundary_kernel(d: Diagram, lab: WhiteLabeling, w: Sequence[Rational]) -> ExactVector:
+def to_boundary_kernel(d: Diagram, w: Sequence[Rational]) -> ExactVector:
     """Map a white-square-kernel vector to a boundary-kernel vector.
 
     For a row label a (toric labels count rows from the bottom) the result
@@ -239,18 +236,16 @@ def to_boundary_kernel(d: Diagram, lab: WhiteLabeling, w: Sequence[Rational]) ->
     kernel of the white adjacency matrix (checked); the output is then
     guaranteed to lie in the boundary kernel.
     """
-    if len(w) != lab.count:
-        raise ValueError(f"vector length {len(w)} does not match {lab.count} white squares")
-    if not in_white_kernel(d, lab, w):
+    if not in_white_kernel(d, w):
         raise ValueError("vector is not in the white-square kernel")
     v: list[Rational] = [0] * (d.m + d.n)
-    for (r, c), x in zip(lab.positions, w):
+    for (r, c), x in zip(d.white_squares(), w):
         v[d.m - r] -= x  # physical row r carries toric label m+1-r
         v[d.m + c - 1] += x
     return tuple(v)
 
 
-def in_white_kernel(d: Diagram, lab: WhiteLabeling, w: Sequence[Rational]) -> bool:
+def in_white_kernel(d: Diagram, w: Sequence[Rational]) -> bool:
     """Whether w satisfies, at every white square, above+left == below+right.
 
     The sums run over the white squares strictly above, left of, below, and
@@ -258,10 +253,10 @@ def in_white_kernel(d: Diagram, lab: WhiteLabeling, w: Sequence[Rational]) -> bo
     null space of the white adjacency matrix, but is evaluated directly from
     the geometry rather than through the matrix.
     """
-    if len(w) != lab.count:
-        raise ValueError(f"vector length {len(w)} does not match {lab.count} white squares")
-    pos = lab.positions
+    pos = d.white_squares()
     N = len(pos)
+    if len(w) != N:
+        raise ValueError(f"vector length {len(w)} does not match {N} white squares")
     for i in range(N):
         ri, ci = pos[i]
         acc = 0

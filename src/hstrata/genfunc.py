@@ -35,14 +35,10 @@ class RatPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self._coeffs = tuple(cs)
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "RatPoly":
-        return cls([value])
 
     @classmethod
     def t(cls) -> "RatPoly":
@@ -110,14 +106,6 @@ class RatPoly:
 
     def __truediv__(self, scalar: Scalar) -> "RatPoly":
         return RatPoly([c / scalar for c in self._coeffs])
-
-    def __pow__(self, k: int) -> "RatPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = RatPoly([1])
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)

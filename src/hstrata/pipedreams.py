@@ -36,7 +36,7 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, NamedTuple
 
-from .diagrams import Diagram, WhiteLabeling
+from .diagrams import Diagram
 
 
 class NonCauchonWarning(UserWarning):
@@ -105,7 +105,7 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Cycle notation, e.g. '(1 3 2)(4)'; fixed points are shown."""
-        return str(cycle_decomposition(self))
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in cycle_decomposition(self))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._images == other._images
@@ -117,57 +117,14 @@ class Permutation:
         return f"Permutation({list(self._images)!r})"
 
 
-class CycleDecomposition:
-    """Disjoint cycles of a permutation, including length-1 fixed points.
+def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Disjoint cycles of p, fixed points included as 1-cycles.
 
-    Each cycle is rotated to start at its minimum element and cycles are
-    sorted by that minimum, so the decomposition is deterministic.
+    Each cycle starts at its minimum element and the cycles are sorted by that
+    minimum, so the decomposition is deterministic.
     """
-
-    __slots__ = ("_cycles", "_size")
-
-    def __init__(self, cycles: Iterable[Iterable[int]], size: int):
-        cs = tuple(tuple(cycle) for cycle in cycles)
-        seen = [x for cycle in cs for x in cycle]
-        if sorted(seen) != list(range(1, size + 1)):
-            raise ValueError(f"cycles do not partition [{size}]")
-        self._cycles = cs
-        self._size = size
-
-    @property
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        return self._cycles
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self._cycles)
-
-    def __iter__(self):
-        return iter(self._cycles)
-
-    def __len__(self) -> int:
-        return len(self._cycles)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, CycleDecomposition)
-            and self._cycles == other._cycles
-            and self._size == other._size
-        )
-
-    def __str__(self) -> str:
-        return "".join("(" + " ".join(str(x) for x in c) + ")" for c in self._cycles)
-
-    def __repr__(self) -> str:
-        return f"CycleDecomposition({list(self._cycles)!r}, size={self._size})"
-
-
-def cycle_decomposition(p: Permutation) -> CycleDecomposition:
-    """Disjoint-cycle decomposition with the deterministic ordering above."""
     seen = [False] * p.size
+    images = p.images
     cycles = []
     for start in range(1, p.size + 1):
         if seen[start - 1]:
@@ -177,18 +134,18 @@ def cycle_decomposition(p: Permutation) -> CycleDecomposition:
         while not seen[x - 1]:
             seen[x - 1] = True
             cycle.append(x)
-            x = p(x)
+            x = images[x - 1]
         cycles.append(tuple(cycle))
-    return CycleDecomposition(cycles, p.size)
+    return tuple(cycles)
 
 
-def odd_cycle_count(decomp: CycleDecomposition) -> int:
+def odd_cycle_count(cycles: tuple[tuple[int, ...], ...]) -> int:
     """Number of odd cycles, i.e. cycles of even length.
 
     Cycle parity here means inversion parity, which for a single cycle is
     opposite to the parity of its length; fixed points contribute nothing.
     """
-    return sum(1 for c in decomp.cycles if len(c) % 2 == 0)
+    return sum(1 for c in cycles if len(c) % 2 == 0)
 
 
 def all_black_permutation(m: int, n: int) -> Permutation:
@@ -269,21 +226,21 @@ class ToricEndpoints(NamedTuple):
     top: int
 
 
-def toric_endpoint_table(d: Diagram, lab: WhiteLabeling) -> tuple[ToricEndpoints, ...]:
+def toric_endpoint_table(d: Diagram) -> tuple[ToricEndpoints, ...]:
     """Toric labels reached by leaving each white square left or up.
 
-    Index i-1 holds label i.  `left` follows the pipe leaving the square
-    through its left edge, `top` the one leaving through its top edge.
+    Index i-1 holds white-square label i, the square d.white_squares()[i-1].
+    `left` follows the pipe leaving the square through its left edge, `top`
+    the one leaving through its top edge.
     Whenever square j is the next white square to the right of square i in
     its row, or the next white square above i in its column, the identity
     table[i-1].top == table[j-1].left holds (the two exits continue along the
     same pipe).
     """
     up, left = _exit_tables(d)
-    out = []
-    for r, c in lab.positions:
-        out.append(ToricEndpoints(left=left[r][c - 1], top=up[r - 1][c]))
-    return tuple(out)
+    return tuple(
+        ToricEndpoints(left=left[r][c - 1], top=up[r - 1][c]) for r, c in d.white_squares()
+    )
 
 
 def stratum_dimension_by_cycles(d: Diagram) -> int:

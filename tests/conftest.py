@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from hstrata import Diagram, Permutation, RatPoly, TruncatedSeries3, WhiteLabeling, stirling2
+from hstrata import Diagram, Permutation, RatPoly, TruncatedSeries3, stirling2
 
 
 def all_diagrams(m: int, n: int):
@@ -172,14 +172,17 @@ class RegionSets(NamedTuple):
     left: frozenset[int]
 
 
-def region_sets(d: Diagram, lab: WhiteLabeling, label: int) -> RegionSets:
+def region_sets(d: Diagram, label: int) -> RegionSets:
     """White-square labels in the four axis-aligned regions around a label.
 
     Squares in a different row and different column belong to no region.
     """
-    r0, c0 = lab.position_of(label)
+    squares = d.white_squares()
+    if not 1 <= label <= len(squares):
+        raise ValueError(f"invalid white-square label {label} (have 1..{len(squares)})")
+    r0, c0 = squares[label - 1]
     above, right, below, left = set(), set(), set(), set()
-    for j, (r, c) in enumerate(lab.positions, start=1):
+    for j, (r, c) in enumerate(squares, start=1):
         if j == label:
             continue
         if c == c0:

@@ -76,8 +76,8 @@ def cauchon_sweep():
         for d in cauchon_diagrams(m, n):
             count += 1
             sigma = trace_permutation(d)
-            decomp = cycle_decomposition(sigma * omega_inv)
-            odd = odd_cycle_count(decomp)
+            cycles = cycle_decomposition(sigma * omega_inv)
+            odd = odd_cycle_count(cycles)
             mat = white_adjacency_matrix(d)
             key = tuple(map(tuple, mat))
             kd = kdim_cache.get(key)
@@ -88,7 +88,7 @@ def cauchon_sweep():
             if not (odd == kd == kp):
                 equality_failures += 1
             tally[odd] += 1
-            if decomp.lengths() == (m + n,):
+            if len(cycles) == 1:
                 singles += 1
         results[(m, n)] = {
             "count": count,
@@ -110,26 +110,25 @@ def iso_sweep():
         for bits in product((False, True), repeat=m * n):
             d = Diagram([bits[i * n : (i + 1) * n] for i in range(m)])
             diagrams += 1
-            lab = d.white_labeling()
             sigma = trace_permutation(d)
             pp = perm_matrix_sum(sigma, omega)
-            decomp = cycle_decomposition(sigma * omega.inverse())
-            for v in cycle_kernel_basis(decomp):
+            cycles = cycle_decomposition(sigma * omega.inverse())
+            for v in cycle_kernel_basis(cycles):
                 vectors += 1
                 try:
-                    w = to_square_kernel(d, lab, v)
-                    ok = in_white_kernel(d, lab, w)
-                    ok &= to_boundary_kernel(d, lab, w) == tuple(-2 * x for x in v)
+                    w = to_square_kernel(d, v)
+                    ok = in_white_kernel(d, w)
+                    ok &= to_boundary_kernel(d, w) == tuple(-2 * x for x in v)
                 except ValueError:
                     ok = False
                 if not ok:
                     failures += 1
-            for w in kernel_basis(white_adjacency_matrix(d, lab)):
+            for w in kernel_basis(white_adjacency_matrix(d)):
                 vectors += 1
                 try:
-                    v = to_boundary_kernel(d, lab, w)
+                    v = to_boundary_kernel(d, w)
                     ok = all(x == 0 for x in matvec(pp, v))
-                    ok &= to_square_kernel(d, lab, v) == tuple(-2 * x for x in w)
+                    ok &= to_square_kernel(d, v) == tuple(-2 * x for x in w)
                 except ValueError:
                     ok = False
                 if not ok:

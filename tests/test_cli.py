@@ -92,6 +92,23 @@ class TestDim:
         assert code == 0
         assert "dimension: 2" in out
 
+    def test_white_square_cap(self, capsys, diagram_file, monkeypatch):
+        cap = cli.DIM_MAX_WHITE
+        assert cap >= 256  # a 16x16 grid stays allowed
+        path = diagram_file("." * (cap + 1))
+        code, out, err = run_cli(capsys, "dim", path)
+        assert code == 2
+        assert out == ""
+        assert f"capped at {cap} white squares, got {cap + 1}" in err
+        # only white squares count, and the cap itself is allowed
+        monkeypatch.setattr(cli, "DIM_MAX_WHITE", 3)
+        code, out, _ = run_cli(capsys, "dim", diagram_file("#.\n.."))
+        assert code == 0
+        assert "white_squares: 3" in out
+        code, _, err = run_cli(capsys, "dim", diagram_file("..\n.."))
+        assert code == 2
+        assert "capped at 3 white squares, got 4" in err
+
     def test_csv_has_header_row(self, capsys, diagram_file):
         path = diagram_file("..\n..")
         code, out, _ = run_cli(capsys, "dim", path, "--format", "csv")
@@ -265,6 +282,18 @@ class TestAsymptotics:
         code, _, err = run_cli(capsys, "asymptotics", "2", "1", "--n-max", "0")
         assert code == 2
 
+    def test_n_max_cap(self, capsys):
+        cap = cli.ASYMPTOTICS_MAX_N
+        code, out, err = run_cli(capsys, "asymptotics", "1", "0", "--n-max", str(cap + 1))
+        assert code == 2
+        assert out == ""
+        assert f"capped at {cap}" in err
+        code, out, _ = run_cli(
+            capsys, "asymptotics", "1", "0", "--n-max", str(cap), "--format", "csv"
+        )
+        assert code == 0
+        assert len(out.splitlines()) == cap + 1
+
 
 class TestLookup:
     def test_rotation_is_all_black(self, capsys):
@@ -341,6 +370,56 @@ class TestFormatConsistency:
         for key in ("sigma", "tau", "odd_cycles", "kernel_dim", "dimension"):
             assert str(report[key]) == record[key]
             assert f"{key}: {report[key]}" in text_out
+
+
+class TestOptionScope:
+    # each option is declared only on the subcommands that read it
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dim", "-", "--cache-dir", "x"],
+            ["dim", "-", "--max-cells", "3"],
+            ["asymptotics", "2", "0", "--cache-dir", "x"],
+            ["asymptotics", "2", "0", "--max-cells", "3"],
+            ["coeffs", "2", "0", "--cache-dir", "x"],
+            ["coeffs", "2", "0", "--max-cells", "3"],
+            ["verify", "--cache-dir", "x"],
+            ["lookup", "[1,2]", "1", "1", "--cache-dir", "x"],
+        ],
+    )
+    def test_unread_option_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_read_options_are_accepted(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "count", "2", "2", "--method", "enum", "--max-cells", "4",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert "agree: True" in out
+        code, _, _ = run_cli(capsys, "verify", "--max-cells", "2")
+        assert code == 0
+        code, out, _ = run_cli(capsys, "lookup", "[3,4,1,2]", "2", "2", "--max-cells", "4")
+        assert code == 0
+        assert "##\n##" in out
+
+    @pytest.mark.parametrize(
+        "command,cap",
+        [
+            ("dim", "DIM_MAX_WHITE"),
+            ("asymptotics", "ASYMPTOTICS_MAX_N"),
+            ("verify", "VERIFY_MAX_CELLS"),
+            ("count", "SERIES_MAX_ORDER"),
+        ],
+    )
+    def test_help_states_the_cap(self, capsys, command, cap):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert str(getattr(cli, cap)) in capsys.readouterr().out
 
 
 def test_console_entry_point():

@@ -100,32 +100,23 @@ class TestTranspose:
 
 
 class TestWhiteLabeling:
+    # white-square label i is entry i-1 of d.white_squares()
+
     def test_all_white_row_major(self):
-        lab = Diagram.all_white(2, 2).white_labeling()
-        assert lab.positions == ((1, 1), (1, 2), (2, 1), (2, 2))
-        assert lab.count == 4
+        assert Diagram.all_white(2, 2).white_squares() == ((1, 1), (1, 2), (2, 1), (2, 2))
 
     def test_black_squares_skipped(self):
-        lab = Diagram.parse("#\n.").white_labeling()
-        assert lab.positions == ((2, 1),)
-        assert lab.label_at(2, 1) == 1
-        assert lab.label_at(1, 1) is None
+        assert Diagram.parse("#\n.").white_squares() == ((2, 1),)
 
     def test_all_black_empty(self):
-        assert Diagram.all_black(2, 2).white_labeling().count == 0
-
-    def test_invalid_label(self):
-        lab = Diagram.all_white(2, 2).white_labeling()
-        with pytest.raises(ValueError, match="label"):
-            lab.position_of(5)
-        with pytest.raises(ValueError, match="label"):
-            lab.position_of(0)
+        assert Diagram.all_black(2, 2).white_squares() == ()
 
     @given(diagrams())
     def test_labels_are_row_major(self, d):
-        lab = d.white_labeling()
-        assert list(lab.positions) == sorted(lab.positions)
-        assert len(lab.positions) == sum(
+        squares = d.white_squares()
+        assert list(squares) == sorted(set(squares))
+        assert all(d.is_white(r, c) for r, c in squares)
+        assert len(squares) == sum(
             1 for r in range(1, d.m + 1) for c in range(1, d.n + 1) if d.is_white(r, c)
         )
 
@@ -133,7 +124,7 @@ class TestWhiteLabeling:
 class TestRegionSets:
     def test_bottom_left_square(self):
         d = Diagram.all_white(2, 2)
-        regions = region_sets(d, d.white_labeling(), 3)
+        regions = region_sets(d, 3)
         assert regions.above == {1}
         assert regions.right == {4}
         assert regions.below == set()
@@ -141,7 +132,7 @@ class TestRegionSets:
 
     def test_top_left_square(self):
         d = Diagram.all_white(2, 2)
-        regions = region_sets(d, d.white_labeling(), 1)
+        regions = region_sets(d, 1)
         assert (regions.above, regions.right, regions.below, regions.left) == (
             set(),
             {2},
@@ -152,7 +143,7 @@ class TestRegionSets:
     def test_ten_white_square_example(self):
         # 4x4 regression diagram; its region sets are frozen golden data
         d = Diagram.parse("..#.\n..##\n#...\n#..#")
-        regions = region_sets(d, d.white_labeling(), 5)
+        regions = region_sets(d, 5)
         assert regions.above == {2}
         assert regions.right == set()
         assert regions.below == {6, 9}
@@ -161,13 +152,12 @@ class TestRegionSets:
     def test_invalid_label_rejected(self):
         d = Diagram.all_white(1, 1)
         with pytest.raises(ValueError):
-            region_sets(d, d.white_labeling(), 2)
+            region_sets(d, 2)
 
     @given(diagrams())
     def test_regions_disjoint_and_exclude_self(self, d):
-        lab = d.white_labeling()
-        for label in range(1, lab.count + 1):
-            regions = region_sets(d, lab, label)
+        for label in range(1, len(d.white_squares()) + 1):
+            regions = region_sets(d, label)
             seen = set()
             for part in regions:
                 assert label not in part

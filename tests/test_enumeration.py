@@ -223,8 +223,7 @@ class TestSingleCycleCount:
     def test_matches_enumeration(self, m, n):
         fullcycles = 0
         for d in cauchon_diagrams(m, n):
-            decomp = cycle_decomposition(toric_permutation(d))
-            if decomp.lengths() == (m + n,):
+            if len(cycle_decomposition(toric_permutation(d))) == 1:
                 fullcycles += 1
         assert fullcycles == single_cycle_count(m, n)
 

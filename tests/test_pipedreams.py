@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hstrata import (
-    CycleDecomposition,
     Diagram,
     NonCauchonWarning,
     Permutation,
@@ -72,27 +71,32 @@ class TestPermutation:
 
 class TestCycles:
     def test_transposition_and_fixed_point(self):
-        decomp = cycle_decomposition(Permutation([2, 1, 3]))
-        assert decomp.cycles == ((1, 2), (3,))
-        assert str(decomp) == "(1 2)(3)"
+        p = Permutation([2, 1, 3])
+        assert cycle_decomposition(p) == ((1, 2), (3,))
+        assert p.cycle_string() == "(1 2)(3)"
 
     def test_identity_is_all_fixed_points(self):
-        decomp = cycle_decomposition(Permutation.identity(4))
-        assert decomp.lengths() == (1, 1, 1, 1)
-        assert odd_cycle_count(decomp) == 0
+        cycles = cycle_decomposition(Permutation.identity(4))
+        assert cycles == ((1,), (2,), (3,), (4,))
+        assert odd_cycle_count(cycles) == 0
 
     def test_two_transpositions(self):
-        decomp = cycle_decomposition(Permutation([4, 3, 2, 1]))
-        assert decomp.cycles == ((1, 4), (2, 3))
-        assert odd_cycle_count(decomp) == 2
+        cycles = cycle_decomposition(Permutation([4, 3, 2, 1]))
+        assert cycles == ((1, 4), (2, 3))
+        assert odd_cycle_count(cycles) == 2
 
     def test_three_cycle_is_even(self):
         # odd length means an even cycle, contributing nothing
         assert odd_cycle_count(cycle_decomposition(Permutation([3, 1, 2]))) == 0
 
-    def test_cycles_must_partition(self):
-        with pytest.raises(ValueError):
-            CycleDecomposition([(1, 2)], size=3)
+    @given(st.permutations(list(range(1, 8))))
+    def test_cycles_partition_min_first_and_follow_p(self, images):
+        p = Permutation(images)
+        cycles = cycle_decomposition(p)
+        assert sorted(x for c in cycles for x in c) == list(range(1, 8))
+        assert all(c[0] == min(c) for c in cycles)
+        assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
+        assert all(p(c[i]) == c[(i + 1) % len(c)] for c in cycles for i in range(len(c)))
 
 
 class TestAllBlackPermutation:
@@ -198,7 +202,7 @@ class TestToricPermutation:
     def test_all_white_2x2(self):
         tau = toric_permutation(Diagram.all_white(2, 2))
         assert tau.images == (3, 4, 1, 2)
-        assert cycle_decomposition(tau).cycles == ((1, 3), (2, 4))
+        assert cycle_decomposition(tau) == ((1, 3), (2, 4))
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 4)])
     def test_direct_toric_trace_agrees_exhaustively(self, m, n):
@@ -236,12 +240,12 @@ class TestBoundaryLabeling:
 class TestToricEndpoints:
     def test_all_white_2x2(self):
         d = Diagram.all_white(2, 2)
-        table = toric_endpoint_table(d, d.white_labeling())
+        table = toric_endpoint_table(d)
         assert [tuple(e) for e in table] == [(2, 3), (3, 4), (1, 2), (2, 3)]
 
     def test_gluing_on_2x2(self):
         d = Diagram.all_white(2, 2)
-        table = toric_endpoint_table(d, d.white_labeling())
+        table = toric_endpoint_table(d)
         # square 2 sits right of square 1, square 1 sits above square 3
         assert table[0].top == table[1].left
         assert table[2].top == table[0].left
@@ -249,7 +253,7 @@ class TestToricEndpoints:
     def test_invalid_label(self):
         # one entry per white label, so label 3 of a 1x2 grid has none
         d = Diagram.all_white(1, 2)
-        table = toric_endpoint_table(d, d.white_labeling())
+        table = toric_endpoint_table(d)
         assert len(table) == 2
         with pytest.raises(IndexError):
             table[3 - 1]
@@ -264,18 +268,17 @@ class TestToricEndpoints:
                 continue
             n = cells // m
             for d in all_diagrams(m, n):
-                lab = d.white_labeling()
-                endpoints = toric_endpoint_table(d, lab)
-                for i, (r, c) in enumerate(lab.positions):
+                squares = d.white_squares()
+                index = {pos: i for i, pos in enumerate(squares)}
+                endpoints = toric_endpoint_table(d)
+                for i, (r, c) in enumerate(squares):
                     for cc in range(c + 1, d.n + 1):
                         if d.is_white(r, cc):
-                            j = lab.label_at(r, cc)
-                            assert endpoints[i].top == endpoints[j - 1].left
+                            assert endpoints[i].top == endpoints[index[r, cc]].left
                             break
                     for rr in range(r - 1, 0, -1):
                         if d.is_white(rr, c):
-                            j = lab.label_at(rr, c)
-                            assert endpoints[i].top == endpoints[j - 1].left
+                            assert endpoints[i].top == endpoints[index[rr, c]].left
                             break
 
 
@@ -310,7 +313,7 @@ class TestReconstructedExamples:
         assert sigma.images == (2, 1, 4, 7, 3, 6, 5)
         assert sigma.cycle_string() == "(1 2)(3 4 7 5)(6)"
         tau = toric_permutation(d)
-        assert str(cycle_decomposition(tau)) == "(1 3 5)(2 6 4)(7)"
+        assert tau.cycle_string() == "(1 3 5)(2 6 4)(7)"
 
     def test_3x4_is_unique_cauchon_preimage(self):
         target = Permutation([2, 1, 4, 7, 3, 6, 5])
@@ -325,10 +328,10 @@ class TestReconstructedExamples:
         d = Diagram.parse(EXAMPLE_4X4)
         tau = toric_permutation(d)
         assert tau.images == (4, 6, 5, 8, 3, 1, 2, 7)
-        assert str(cycle_decomposition(tau)) == "(1 4 8 7 2 6)(3 5)"
+        assert tau.cycle_string() == "(1 4 8 7 2 6)(3 5)"
 
     def test_4x4_endpoints(self):
         d = Diagram.parse(EXAMPLE_4X4)
-        table = toric_endpoint_table(d, d.white_labeling())
+        table = toric_endpoint_table(d)
         assert tuple(table[7 - 1]) == (4, 7)
         assert tuple(table[8 - 1]) == (7, 6)
