@@ -26,15 +26,15 @@ from .enumeration import (
     tally_dimensions,
 )
 from .exactlinalg import (
+    _boundary_image,
+    _in_white_kernel,
+    _square_image,
     cycle_kernel_basis,
-    in_white_kernel,
     is_skew_symmetric,
     kernel_basis,
     kernel_dim,
     matvec,
     perm_matrix_sum,
-    to_boundary_kernel,
-    to_square_kernel,
     white_adjacency_matrix,
 )
 from .genfunc import (
@@ -54,9 +54,9 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: 12 cells took 15 s, 13 took 28 s
-# and 14 took 59 s on a 2-CPU box (Python 3.11), so 14 is the largest run
-# that finishes in about a minute.
+# run_verify grows about 2x per extra cell: 12 cells took 9.8 s, 13 took
+# 17 s and 14 took 38 s on a 2-CPU box (Python 3.11), so 14 is the largest
+# run that finishes in under a minute.
 VERIFY_MAX_CELLS = 14
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
@@ -67,6 +67,10 @@ DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
 ASYMPTOTICS_MAX_N = 1000
+# count and lookup take --max-cells up to DEFAULT_CELL_LIMIT (25).  The
+# slowest shapes it admits, 1x25 and 25x1 (33,554,432 diagrams each), took
+# 283 s and 392 s for count --method enum, and 743 s and 1992 s for a
+# lookup that walks the whole stream, on the same box.
 
 FORMATS = ("text", "json", "csv")
 
@@ -118,7 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="count strata by dimension",
         description=(
             f"Count strata by dimension. --method series needs max(m, n) <= {SERIES_MAX_ORDER} "
-            "(about 45 s at the cap on a 2-CPU box)."
+            "(about 45 s at the cap on a 2-CPU box). --max-cells is at most "
+            f"{DEFAULT_CELL_LIMIT}: --method enum took about 6.5 min at 25x1 "
+            "(33,554,432 diagrams) on the same box."
         ),
     )
     p.add_argument("m", type=int)
@@ -142,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about a "
-            "minute at the cap on a 2-CPU box)."
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 40 s "
+            "at the cap on a 2-CPU box)."
         ),
     )
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
@@ -165,7 +171,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_asymptotics)
 
     p = sub.add_parser(
-        "lookup", parents=[common, cells], help="diagram for a restricted permutation"
+        "lookup",
+        parents=[common, cells],
+        help="diagram for a restricted permutation",
+        description=(
+            "Find the Cauchon diagram whose pipes trace the permutation by walking the "
+            f"enumeration. --max-cells is at most {DEFAULT_CELL_LIMIT}: a lookup that walks "
+            "the whole 25x1 stream (33,554,432 diagrams) took about 33 min on a 2-CPU box."
+        ),
     )
     p.add_argument("permutation", help="one-line images, e.g. '[3,4,1,2]'")
     p.add_argument("m", type=int)
@@ -223,10 +236,18 @@ def _cmd_dim(args) -> dict:
     return report
 
 
-def _method_counts(m: int, n: int, method: str, args) -> dict[int, int]:
+def _enum_cell_limit(args) -> int:
+    """--max-cells of count and lookup: at most DEFAULT_CELL_LIMIT, the default."""
+    if args.max_cells is None:
+        return DEFAULT_CELL_LIMIT
+    if args.max_cells > DEFAULT_CELL_LIMIT:
+        raise ValueError(f"--max-cells capped at {DEFAULT_CELL_LIMIT} for {args.command}")
+    return args.max_cells
+
+
+def _method_counts(m: int, n: int, method: str, limit: int, cache_dir) -> dict[int, int]:
     if method == "enum":
-        limit = args.max_cells if args.max_cells is not None else DEFAULT_CELL_LIMIT
-        return dict(tally_dimensions(m, n, max_cells=limit, cache_dir=args.cache_dir).counts)
+        return dict(tally_dimensions(m, n, max_cells=limit, cache_dir=cache_dir).counts)
     if method == "formula":
         poly = stratum_poly(m, n)
     else:
@@ -246,7 +267,10 @@ def _cmd_count(args) -> dict:
         raise ValueError("m and n must be positive")
     if "series" in methods and max(args.m, args.n) > SERIES_MAX_ORDER:
         raise ValueError(f"--method series is capped at max(m, n) <= {SERIES_MAX_ORDER}")
-    counts = {meth: _method_counts(args.m, args.n, meth, args) for meth in methods}
+    limit = _enum_cell_limit(args)
+    counts = {
+        meth: _method_counts(args.m, args.n, meth, limit, args.cache_dir) for meth in methods
+    }
     first = counts[methods[0]]
     agree = all(counts[meth] == first for meth in methods)
     return {
@@ -296,6 +320,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     fault_pending = inject_fault
     diagrams = 0
     for m, n in shapes:
+        omega = all_black_permutation(m, n)
         tally: dict[int, int] = {}
         for d in cauchon_diagrams(m, n, max_cells=max_cells):
             diagrams += 1
@@ -309,9 +334,9 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             tau = toric_permutation(d)
             cycles = cycle_decomposition(tau)
             odd = odd_cycle_count(cycles)
-            kdim = kernel_dim(mat)
-            pp = perm_matrix_sum(trace_permutation(d), all_black_permutation(m, n))
-            record("dimension_equality", odd == kdim == kernel_dim(pp))
+            basis = kernel_basis(mat)
+            pp = perm_matrix_sum(trace_permutation(d), omega)
+            record("dimension_equality", odd == len(basis) == kernel_dim(pp))
             tally[odd] = tally.get(odd, 0) + 1
 
             endpoints = toric_endpoint_table(d)
@@ -326,19 +351,23 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
                     glue_ok &= endpoints[i].top == endpoints[index[next_r, c]].left
             record("gluing_identity", glue_ok)
 
-            iso_ok = True
-            try:
-                for v in cycle_kernel_basis(cycles):
-                    w = to_square_kernel(d, v)
-                    iso_ok &= in_white_kernel(d, w)
-                    iso_ok &= to_boundary_kernel(d, w) == tuple(-2 * x for x in v)
-                for w in kernel_basis(mat):
-                    v = to_boundary_kernel(d, w)
-                    iso_ok &= all(x == 0 for x in matvec(pp, v))
-                    iso_ok &= to_square_kernel(d, v) == tuple(-2 * x for x in w)
-            except ValueError:
-                iso_ok = False
-            record("iso_maps", iso_ok)
+            # the two kernel maps, on data derived once per diagram; every
+            # vector is checked in its source kernel before it is mapped
+            in_boundary = lambda v: all(x == 0 for x in matvec(pp, v))
+            in_white = lambda w: _in_white_kernel(squares, w)
+            to_square = lambda v: _square_image(endpoints, v)
+            to_boundary = lambda w: _boundary_image(m, n, squares, w)
+            record(
+                "iso_maps",
+                all(
+                    _round_trip(v, in_boundary, to_square, in_white, to_boundary)
+                    for v in cycle_kernel_basis(cycles)
+                )
+                and all(
+                    _round_trip(w, in_white, to_boundary, in_boundary, to_square)
+                    for w in basis
+                ),
+            )
 
         formula_tally = {dd: c for dd, c in enumerate(stratum_poly(m, n).coeffs) if c}
         record(
@@ -356,6 +385,14 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
         "failures": failures,
         "status": "ok" if failures == 0 else "fail",
     }
+
+
+def _round_trip(x, in_source, forward, in_target, back) -> bool:
+    """x and its image lie in their kernels, and mapping back gives -2 x."""
+    if not in_source(x):
+        return False
+    y = forward(x)
+    return in_target(y) and back(y) == tuple(-2 * e for e in x)
 
 
 def _next_white(d: Diagram, r: int, c: int, direction: str) -> int | None:
@@ -421,8 +458,7 @@ def _cmd_asymptotics(args) -> dict:
 
 def _cmd_lookup(args) -> dict:
     perm = Permutation.from_one_line(args.permutation)
-    limit = args.max_cells if args.max_cells is not None else DEFAULT_CELL_LIMIT
-    found = diagram_from_permutation(perm, args.m, args.n, max_cells=limit)
+    found = diagram_from_permutation(perm, args.m, args.n, max_cells=_enum_cell_limit(args))
     return {
         "command": "lookup",
         "m": args.m,

@@ -1,11 +1,18 @@
 """Exhaustive generation of Cauchon diagrams and stratum tallies.
 
-The generator walks the grid cells in row-major order and colors a cell black
-only when every cell above it in its column, or every cell to its left in its
-row, is already black.  Because the Cauchon condition for a black square only
-involves cells that precede it in row-major order, this prunes exactly the
-non-Cauchon partial colorings and yields every Cauchon diagram once, in
-lexicographic order of the row-major cell string with white before black.
+One row-by-row sweep drives every enumeration.  Whether a row may follow
+the rows above it depends only on which columns are still all black, so
+the sweep keeps that column mask and, for each mask, generates the allowed
+rows lazily: k black squares, a white one, then black squares only in
+columns of the mask.  Rows come white before black, so the diagrams come in
+lexicographic order of their row-major cells with white before black, each
+exactly once.  A per-row step is folded into a state that all children of a
+prefix share, so the work on a prefix is done once for its whole subtree:
+cauchon_diagrams collects the rows and yields a Diagram per leaf, and the
+two tally routes carry the pipe exits (cycles) or the white matrix
+(kernel) down the rows and read a dimension off each leaf without building
+a Diagram, Permutation or cycle tuple.  Those per-diagram objects stay the
+path of dim, verify and lookup, and the tests use them as the tally oracle.
 
 Counts grow like poly-Bernoulli numbers, so enumeration is capped by a cell
 limit and the closed-form counting routes should be used beyond it.  Tallies
@@ -17,22 +24,26 @@ from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 from math import factorial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .diagrams import Diagram
-from .exactlinalg import kernel_dim, white_adjacency_matrix
+from .exactlinalg import _eliminate, _white_matrix_step
 from .genfunc import stirling2
 from .pipedreams import (
     Permutation,
-    cycle_decomposition,
+    _even_cycle_count,
+    _pipe_row,
     is_restricted,
-    odd_cycle_count,
-    toric_permutation,
     trace_permutation,
 )
+
+S = TypeVar("S")
 
 DEFAULT_CELL_LIMIT = 25
 CACHE_VERSION = 1
@@ -106,32 +117,94 @@ def _check_shape(m: int, n: int, max_cells: int) -> None:
         raise EnumerationLimitError(m, n, max_cells)
 
 
+# Rows allowed under one column-black mask are kept for widths up to this:
+# all masks of width n together allow under 2 * 3^n rows (4,246 at n = 7).
+# Wider rows are generated afresh each time, so no 2^n table is ever built.
+_ROW_MEMO_MAX_N = 7
+
+
+def _row_choices(n: int, col_black: int) -> Iterator[tuple[bool, ...]]:
+    """Rows that may follow rows whose all-black columns are the bits of col_black.
+
+    Yields the rows in lexicographic order, white before black.  A row is k
+    black squares, then (when k < n) a white square, then squares that may
+    be black only in columns of col_black: past the white square the row is
+    no longer all black to the left.
+    """
+    for k in range(n):
+        after = [(False, True) if col_black >> c & 1 else (False,) for c in range(k + 1, n)]
+        yield from product(*[(True,)] * k, (False,), *after)
+    yield (True,) * n
+
+
+@lru_cache(maxsize=None)
+def _memo_rows(n: int, col_black: int) -> tuple[tuple[bool, ...], ...]:
+    return tuple(_row_choices(n, col_black))
+
+
+def _allowed_rows(n: int, col_black: int) -> Iterable[tuple[bool, ...]]:
+    if n <= _ROW_MEMO_MAX_N:
+        return _memo_rows(n, col_black)
+    return _row_choices(n, col_black)
+
+
+def _sweep(m: int, n: int, root: S, step: Callable[[S, tuple[bool, ...], int], S]) -> Iterator[S]:
+    """Fold step over the rows of every m x n Cauchon diagram, in order.
+
+    step(state, cells, r) gives the state after row r (0-based from the top);
+    the children of a prefix all start from the prefix's state, so step must
+    leave its argument unchanged.  Yields one final state per diagram.
+    """
+    last = m - 1
+
+    def descend(state: S, r: int, col_black: int) -> Iterator[S]:
+        rows = _allowed_rows(n, col_black)
+        if r == last:
+            for cells in rows:
+                yield step(state, cells, r)
+        else:
+            for cells in rows:
+                below = sum(1 << c for c, black in enumerate(cells) if black) & col_black
+                yield from descend(step(state, cells, r), r + 1, below)
+
+    return descend(root, 0, (1 << n) - 1)
+
+
 def cauchon_diagrams(m: int, n: int, max_cells: int = DEFAULT_CELL_LIMIT) -> Iterator[Diagram]:
     """Yield every m x n Cauchon diagram exactly once, deterministically."""
     _check_shape(m, n, max_cells)
-    cells = [False] * (m * n)
-    col_black_above = [True] * n
+    prefixes = _sweep(m, n, (), lambda rows, cells, r: rows + (cells,))
+    return map(Diagram, prefixes)
 
-    def gen(k: int, row_black_left: bool) -> Iterator[Diagram]:
-        if k == m * n:
-            yield Diagram(tuple(cells[i * n : (i + 1) * n] for i in range(m)))
-            return
-        c = k % n
-        if c == 0:
-            row_black_left = True
-        # white branch
-        cells[k] = False
-        was = col_black_above[c]
-        col_black_above[c] = False
-        yield from gen(k + 1, False)
-        col_black_above[c] = was
-        if col_black_above[c] or row_black_left:
-            # black branch, allowed only when the Cauchon condition holds
-            cells[k] = True
-            yield from gen(k + 1, row_black_left)
-            cells[k] = False
 
-    return gen(0, True)
+def _cycle_dims(m: int, n: int) -> Iterator[int]:
+    """Odd-cycle count of each Cauchon diagram's toric permutation, in sweep order.
+
+    The state is the exit labels of pipes entering each column from below
+    (0-based toric labels: column c is m+c, row r from the top is m-1-r) and
+    the exits of the pipes entering each row from the right.
+    """
+    # up + rights holds the exits by entry side (columns, then rows top down);
+    # reading it in toric label order composes with the inverse all-black
+    # permutation: label j < m is row m-1-j, at index n+m-1-j, and m+c is column c
+    toric_order = [n + m - 1 - j for j in range(m)] + list(range(n))
+
+    def step(state, cells, r):
+        up, rights = state
+        up, right = _pipe_row(up, cells, m - 1 - r)
+        return up, rights + [right]
+
+    for up, rights in _sweep(m, n, (list(range(m, m + n)), []), step):
+        flat = up + rights
+        yield _even_cycle_count([flat[i] for i in toric_order])
+
+
+def _kernel_dims(m: int, n: int) -> Iterator[int]:
+    """Kernel dimension of each Cauchon diagram's white matrix, in sweep order."""
+    step = lambda state, cells, r: _white_matrix_step(state, cells)
+    for rows, _ in _sweep(m, n, ([], ()), step):
+        # each leaf's rows are fresh lists, so they can be eliminated in place
+        yield len(rows) - len(_eliminate(rows, len(rows)))
 
 
 def tally_dimensions(
@@ -145,7 +218,8 @@ def tally_dimensions(
 
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
     computes the kernel dimension of the white adjacency matrix.  The two
-    agree on every diagram.  Results are cached as JSON when a cache
+    agree on every diagram.  Both run on the row sweep and build no Diagram
+    or Permutation per diagram.  Results are cached as JSON when a cache
     directory is configured (argument or HSTRATA_CACHE_DIR).  A cached file is
     trusted only when it parses, is for this m x n and totals
     poly_bernoulli(m, n); otherwise the tally is recomputed and the file
@@ -162,14 +236,8 @@ def tally_dimensions(
         if cached is not None:
             return cached
 
-    counts: dict[int, int] = {}
-    for d in cauchon_diagrams(m, n, max_cells=max_cells):
-        if method == "cycles":
-            dim = odd_cycle_count(cycle_decomposition(toric_permutation(d)))
-        else:
-            dim = kernel_dim(white_adjacency_matrix(d))
-        counts[dim] = counts.get(dim, 0) + 1
-    tally = StratumTally.from_counts(m, n, counts)
+    dims = _cycle_dims(m, n) if method == "cycles" else _kernel_dims(m, n)
+    tally = StratumTally.from_counts(m, n, Counter(dims))
 
     if path is not None:
         _write_cache(path, tally)

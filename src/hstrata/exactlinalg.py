@@ -17,6 +17,7 @@ from typing import Sequence, Union
 from .diagrams import Diagram
 from .pipedreams import (
     Permutation,
+    ToricEndpoints,
     all_black_permutation,
     toric_endpoint_table,
     trace_permutation,
@@ -148,6 +149,30 @@ def kernel_basis(M: Matrix) -> tuple[ExactVector, ...]:
     return tuple(basis)
 
 
+def _white_matrix_step(
+    state: tuple[list[list[int]], tuple[int, ...]], row: Sequence[bool]
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Extend the white matrix of the rows above by one more row of squares.
+
+    state is (matrix, columns of its white squares in label order).  A new
+    square shares no row with the squares above, so it relates to them only
+    through its column, and to the earlier squares of its own row; every row
+    of the result is a fresh list, and the given state is not changed.
+    """
+    rows, cols = state
+    new = [c for c, black in enumerate(row) if not black]
+    k = len(new)
+    zeros = [0] * k
+    # an old square is above every new one: -1 towards the new square in its column
+    towards = {}
+    for p, c in enumerate(new):
+        towards[c] = zeros[:p] + [-1] + zeros[p + 1 :]
+    out = [old + towards.get(cj, zeros) for old, cj in zip(rows, cols)]
+    for p, c in enumerate(new):
+        out.append([1 if cj == c else 0 for cj in cols] + [1] * p + [0] + [-1] * (k - 1 - p))
+    return out, cols + tuple(new)
+
+
 def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     """The N x N skew-symmetric relation matrix of the white squares.
 
@@ -155,21 +180,13 @@ def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     the right of white square j, -1 when strictly above or strictly to the
     left, and 0 otherwise (in particular when the squares share neither row
     nor column).  Each pair is set once as -1 above the diagonal and +1
-    below it, so the matrix is skew-symmetric by construction.
+    below it, so the matrix is skew-symmetric by construction.  The matrix
+    is built row of squares by row of squares (_white_matrix_step).
     """
-    pos = d.white_squares()
-    N = len(pos)
-    entries = [[0] * N for _ in range(N)]
-    for i in range(N):
-        ri, ci = pos[i]
-        row = entries[i]
-        for j in range(i + 1, N):
-            rj, cj = pos[j]
-            if ci == cj or ri == rj:
-                # j is below or right of i (row-major order), so entry (i, j) is -1
-                row[j] = -1
-                entries[j][i] = 1
-    return entries
+    state: tuple[list[list[int]], tuple[int, ...]] = ([], ())
+    for row in d.rows:
+        state = _white_matrix_step(state, row)
+    return state[0]
 
 
 def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:
@@ -212,6 +229,22 @@ def _is_zero(vec: Sequence[Rational]) -> bool:
     return all(x == 0 for x in vec)
 
 
+def _square_image(endpoints: Sequence[ToricEndpoints], v: Sequence[Rational]) -> ExactVector:
+    """Entry i is v[left(i)] - v[top(i)] for the toric endpoints of white square i."""
+    return tuple(v[e.left - 1] - v[e.top - 1] for e in endpoints)
+
+
+def _boundary_image(
+    m: int, n: int, squares: Sequence[tuple[int, int]], w: Sequence[Rational]
+) -> ExactVector:
+    """Minus the row sums and plus the column sums of w, indexed by toric label."""
+    v: list[Rational] = [0] * (m + n)
+    for (r, c), x in zip(squares, w):
+        v[m - r] -= x  # physical row r carries toric label m+1-r
+        v[m + c - 1] += x
+    return tuple(v)
+
+
 def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     """Map a boundary-kernel vector to a white-square-kernel vector.
 
@@ -224,7 +257,7 @@ def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
     if not _is_zero(matvec(_boundary_matrix(d), v)):
         raise ValueError("vector is not in the boundary kernel")
-    return tuple(v[e.left - 1] - v[e.top - 1] for e in toric_endpoint_table(d))
+    return _square_image(toric_endpoint_table(d), v)
 
 
 def to_boundary_kernel(d: Diagram, w: Sequence[Rational]) -> ExactVector:
@@ -236,13 +269,10 @@ def to_boundary_kernel(d: Diagram, w: Sequence[Rational]) -> ExactVector:
     kernel of the white adjacency matrix (checked); the output is then
     guaranteed to lie in the boundary kernel.
     """
-    if not in_white_kernel(d, w):
+    squares = d.white_squares()
+    if not _in_white_kernel(squares, w):
         raise ValueError("vector is not in the white-square kernel")
-    v: list[Rational] = [0] * (d.m + d.n)
-    for (r, c), x in zip(d.white_squares(), w):
-        v[d.m - r] -= x  # physical row r carries toric label m+1-r
-        v[d.m + c - 1] += x
-    return tuple(v)
+    return _boundary_image(d.m, d.n, squares, w)
 
 
 def in_white_kernel(d: Diagram, w: Sequence[Rational]) -> bool:
@@ -253,7 +283,10 @@ def in_white_kernel(d: Diagram, w: Sequence[Rational]) -> bool:
     null space of the white adjacency matrix, but is evaluated directly from
     the geometry rather than through the matrix.
     """
-    pos = d.white_squares()
+    return _in_white_kernel(d.white_squares(), w)
+
+
+def _in_white_kernel(pos: Sequence[tuple[int, int]], w: Sequence[Rational]) -> bool:
     N = len(pos)
     if len(w) != N:
         raise ValueError(f"vector length {len(w)} does not match {N} white squares")

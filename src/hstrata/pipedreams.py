@@ -34,7 +34,7 @@ number of inversions, i.e. even length.  Fixed points are even cycles.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .diagrams import Diagram
 
@@ -148,6 +148,23 @@ def odd_cycle_count(cycles: tuple[tuple[int, ...], ...]) -> int:
     return sum(1 for c in cycles if len(c) % 2 == 0)
 
 
+def _even_cycle_count(images: Sequence[int]) -> int:
+    """Number of even-length cycles of a permutation of 0..k-1 in one-line form."""
+    seen = [False] * len(images)
+    count = 0
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x]
+            length += 1
+        count += not length & 1
+    return count
+
+
 def all_black_permutation(m: int, n: int) -> Permutation:
     """Permutation traced by the all-black m x n diagram.
 
@@ -166,34 +183,43 @@ def is_restricted(p: Permutation, m: int, n: int) -> bool:
     return all(-n <= img - i <= m for i, img in enumerate(p.images, start=1))
 
 
-def _exit_tables(d: Diagram) -> tuple[list[list[int]], list[list[int]]]:
-    """Exit labels for pipes entering each square upward or leftward.
+def _pipe_row(above: Sequence[int], row: Sequence[bool], left: int) -> tuple[list[int], int]:
+    """Pass the pipes of one row: the row rule of the whole package.
 
-    up[r][c] is the left/top exit label of a pipe entering square (r, c)
-    through its bottom edge, and left[r][c] of one entering through its right
-    edge.  Row 0 holds the top-side labels m+c and column 0 the left-side
-    labels m+1-r, which are shared by the standard and toric labelings.
+    above[c] is the exit label reached by a pipe leaving the row upward
+    through column c (0-based), and left the one reached by a pipe leaving
+    through the row's left side.  A black square lets both strands straight
+    through; a white one joins its bottom edge to its left edge and its right
+    edge to its top edge.  Returns the exit labels of pipes entering each
+    column from below, and of the pipe entering the row from the right.
     """
-    m, n = d.m, d.n
-    up = [[0] * (n + 1) for _ in range(m + 1)]
-    left = [[0] * (n + 1) for _ in range(m + 1)]
-    for c in range(1, n + 1):
-        up[0][c] = m + c
-    for r in range(1, m + 1):
-        left[r][0] = m + 1 - r
-    rows = d.rows
-    for r in range(1, m + 1):
-        row = rows[r - 1]
-        up_r, left_r = up[r], left[r]
-        up_above = up[r - 1]
-        for c in range(1, n + 1):
-            if row[c - 1]:  # black: straight through
-                up_r[c] = up_above[c]
-                left_r[c] = left_r[c - 1]
-            else:  # white: bottom->left and right->top arcs
-                up_r[c] = left_r[c - 1]
-                left_r[c] = up_above[c]
+    up = []
+    for black, a in zip(row, above):
+        if black:
+            up.append(a)
+        else:
+            up.append(left)
+            left = a
     return up, left
+
+
+def _exit_tables(d: Diagram) -> tuple[list[list[int]], list[int]]:
+    """Exit labels for pipes entering each row from below and from the right.
+
+    ups[r][c - 1] is the left/top exit label of a pipe entering square (r, c)
+    through its bottom edge; ups[0] holds the top-side labels m+c.
+    rights[r - 1] is the exit label of the pipe entering row r from the
+    right side.  The left-side labels m+1-r and the top-side labels are
+    shared by the standard and toric labelings.
+    """
+    m = d.m
+    ups = [[m + c for c in range(1, d.n + 1)]]
+    rights = []
+    for r, row in enumerate(d.rows, start=1):
+        up, right = _pipe_row(ups[-1], row, m + 1 - r)
+        ups.append(up)
+        rights.append(right)
+    return ups, rights
 
 
 def trace_permutation(d: Diagram) -> Permutation:
@@ -202,13 +228,9 @@ def trace_permutation(d: Diagram) -> Permutation:
     The result is always restricted; a ValueError reports a trace that is not.
     """
     m, n = d.m, d.n
-    up, left = _exit_tables(d)
-    images = [0] * (m + n)
-    for c in range(1, n + 1):
-        images[c - 1] = up[m][c]
-    for r in range(1, m + 1):
-        images[n + (m + 1 - r) - 1] = left[r][n]
-    p = Permutation(images)
+    ups, rights = _exit_tables(d)
+    # bottom entries 1..n, then right entries n+1..n+m from the bottom row up
+    p = Permutation(ups[m] + rights[::-1])
     if not is_restricted(p, m, n):
         raise ValueError(f"pipe trace produced the non-restricted permutation {p.one_line()}")
     return p
@@ -237,9 +259,11 @@ def toric_endpoint_table(d: Diagram) -> tuple[ToricEndpoints, ...]:
     table[i-1].top == table[j-1].left holds (the two exits continue along the
     same pipe).
     """
-    up, left = _exit_tables(d)
+    # the left exit continues the arc from the square's bottom edge, and the
+    # top exit enters the square above through its bottom edge
+    ups = _exit_tables(d)[0]
     return tuple(
-        ToricEndpoints(left=left[r][c - 1], top=up[r - 1][c]) for r, c in d.white_squares()
+        ToricEndpoints(left=ups[r][c - 1], top=ups[r - 1][c - 1]) for r, c in d.white_squares()
     )
 
 

@@ -3,8 +3,9 @@
 The helpers here are deliberately independent re-implementations (plain
 definitions, brute force, a stepwise pipe walker, region sets, the
 inclusion-exclusion Stirling sum, the closed triple sum over Fraction
-polynomials, power-sum series exp/log/inverse) used to validate the
-package's faster or cleverer code paths.
+polynomials, power-sum series exp/log/inverse, tallies through the
+per-diagram object path) used to validate the package's faster or cleverer
+code paths.
 """
 
 from __future__ import annotations
@@ -16,7 +17,22 @@ from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from hstrata import Diagram, Permutation, RatPoly, TruncatedSeries3, stirling2
+from hstrata import (
+    Diagram,
+    Permutation,
+    RatPoly,
+    TruncatedSeries3,
+    cauchon_diagrams,
+    cycle_decomposition,
+    kernel_dim,
+    odd_cycle_count,
+    stirling2,
+    toric_permutation,
+    white_adjacency_matrix,
+)
+
+# every grid shape with at most 12 cells
+SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
 
 
 def all_diagrams(m: int, n: int):
@@ -35,6 +51,22 @@ def cauchon_by_definition(d: Diagram) -> bool:
                 if not (col_above or row_left):
                     return False
     return True
+
+
+def tally_by_objects(m: int, n: int, method: str) -> dict[int, int]:
+    """Diagrams per dimension through the object path, one diagram at a time.
+
+    'cycles' builds the toric Permutation and its cycle tuple, 'kernel' the
+    white matrix and its kernel dimension, for every Cauchon diagram.
+    """
+    counts: dict[int, int] = {}
+    for d in cauchon_diagrams(m, n):
+        if method == "cycles":
+            dim = odd_cycle_count(cycle_decomposition(toric_permutation(d)))
+        else:
+            dim = kernel_dim(white_adjacency_matrix(d))
+        counts[dim] = counts.get(dim, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def count_set_partitions(n: int, k: int) -> int:

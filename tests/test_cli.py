@@ -250,6 +250,33 @@ class TestVerify:
             assert code == 2
             assert "at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "6", "6", "--method", "enum", "--max-cells", "36"],
+            ["count", "2", "2", "--max-cells", "26"],
+            ["lookup", "[2,1]", "1", "1", "--max-cells", "26"],
+        ],
+    )
+    def test_enumeration_cap_on_count_and_lookup(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"capped at {cli.DEFAULT_CELL_LIMIT} for {argv[0]}" in err
+
+    def test_enumeration_cap_itself_is_accepted(self, capsys):
+        cap = str(cli.DEFAULT_CELL_LIMIT)
+        assert run_cli(capsys, "count", "2", "2", "--method", "enum", "--max-cells", cap)[0] == 0
+        assert run_cli(capsys, "lookup", "[2,1]", "1", "1", "--max-cells", cap)[0] == 0
+
+    def test_broken_kernel_map_fails_iso_maps(self, monkeypatch):
+        square_image = cli._square_image
+        doubled = lambda endpoints, v: tuple(2 * x for x in square_image(endpoints, v))
+        monkeypatch.setattr(cli, "_square_image", doubled)
+        report = run_verify(4)
+        assert report["checks"]["iso_maps"]["failures"] > 0
+        assert report["status"] == "fail"
+
 
 class TestAsymptotics:
     def test_limit_and_gap(self, capsys):
@@ -413,6 +440,8 @@ class TestOptionScope:
             ("asymptotics", "ASYMPTOTICS_MAX_N"),
             ("verify", "VERIFY_MAX_CELLS"),
             ("count", "SERIES_MAX_ORDER"),
+            ("count", "DEFAULT_CELL_LIMIT"),
+            ("lookup", "DEFAULT_CELL_LIMIT"),
         ],
     )
     def test_help_states_the_cap(self, capsys, command, cap):

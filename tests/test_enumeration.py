@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -20,7 +22,13 @@ from hstrata import (
     trace_permutation,
 )
 
-from conftest import all_diagrams, cauchon_by_definition, count_set_partitions
+from conftest import (
+    SHAPES_UP_TO_12,
+    all_diagrams,
+    cauchon_by_definition,
+    count_set_partitions,
+    tally_by_objects,
+)
 
 
 class TestCauchonDiagrams:
@@ -28,7 +36,7 @@ class TestCauchonDiagrams:
     def test_counts(self, m, n, count):
         assert sum(1 for _ in cauchon_diagrams(m, n)) == count
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_matches_brute_force(self, m, n):
         expected = {d for d in all_diagrams(m, n) if cauchon_by_definition(d)}
         generated = list(cauchon_diagrams(m, n))
@@ -39,9 +47,28 @@ class TestCauchonDiagrams:
         first = [d.serialize() for d in cauchon_diagrams(2, 3)]
         second = [d.serialize() for d in cauchon_diagrams(2, 3)]
         assert first == second
-        # lexicographic in row-major cells with white before black
+        # lexicographic in row-major cells with white before black, which is
+        # the order all_diagrams walks every coloring in
         key = lambda s: s.replace("\n", "").translate({ord("."): "0", ord("#"): "1"})
         assert first == sorted(first, key=key)
+        for m, n in SHAPES_UP_TO_12:
+            expected = [d for d in all_diagrams(m, n) if cauchon_by_definition(d)]
+            assert list(cauchon_diagrams(m, n)) == expected
+
+    def test_lazy_at_the_cell_limit(self):
+        # 1x25 admits 2^25 rows: a sweep that tabulated the allowed rows of
+        # a column mask, or kept its diagrams, would exceed this bound
+        tracemalloc.start()
+        try:
+            for m, n in [(1, 25), (25, 1)]:
+                stream = cauchon_diagrams(m, n)
+                assert next(stream) == Diagram.all_white(m, n)
+                assert sum(1 for _ in islice(stream, 999)) == 999
+            tally_dimensions(1, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_cell_limit(self):
         with pytest.raises(EnumerationLimitError, match="closed-form"):
@@ -95,6 +122,11 @@ class TestTallyDimensions:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 4), (3, 3), (1, 6)])
     def test_methods_agree(self, m, n):
         assert tally_dimensions(m, n, "cycles") == tally_dimensions(m, n, "kernel")
+
+    @pytest.mark.parametrize("method", ["cycles", "kernel"])
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
+    def test_matches_object_path(self, m, n, method):
+        assert tally_dimensions(m, n, method).counts == tally_by_objects(m, n, method)
 
     @pytest.mark.parametrize("m,n", [(2, 3), (1, 5), (3, 3)])
     def test_transpose_symmetry(self, m, n):

@@ -26,7 +26,7 @@ from hstrata import (
 from hstrata.exactlinalg import is_skew_symmetric, matvec
 from hstrata.pipedreams import Permutation
 
-from conftest import all_diagrams, diagrams, rank_by_minors
+from conftest import all_diagrams, diagrams, rank_by_minors, region_sets
 
 EXAMPLE_4X4 = "..#.\n..##\n#...\n#..#"
 
@@ -132,6 +132,18 @@ class TestWhiteAdjacencyMatrix:
         m = white_adjacency_matrix(d)
         assert is_skew_symmetric(m)
         assert all(e in (-1, 0, 1) for row in m for e in row)
+
+    @given(diagrams())
+    def test_entries_follow_the_regions(self, d):
+        # +1 towards squares above or left, -1 towards squares below or right
+        m = white_adjacency_matrix(d)
+        for i in range(1, len(m) + 1):
+            regions = region_sets(d, i)
+            for j in range(1, len(m) + 1):
+                expected = (j in regions.above or j in regions.left) - (
+                    j in regions.below or j in regions.right
+                )
+                assert m[i - 1][j - 1] == expected
 
     @given(diagrams())
     def test_kernel_parity_matches_white_count(self, d):

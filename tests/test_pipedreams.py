@@ -175,9 +175,9 @@ class TestTrace:
         exit_tables = pipedreams._exit_tables
 
         def corrupted(d):
-            up, left = exit_tables(d)
-            up[d.m][1], left[1][d.n] = left[1][d.n], up[d.m][1]
-            return up, left
+            ups, rights = exit_tables(d)
+            ups[d.m][0], rights[0] = rights[0], ups[d.m][0]
+            return ups, rights
 
         monkeypatch.setattr(pipedreams, "_exit_tables", corrupted)
         d = Diagram.all_white(1, 2)
