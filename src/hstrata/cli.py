@@ -45,10 +45,12 @@ from .genfunc import (
 )
 from .pipedreams import (
     Permutation,
+    _endpoints_from_exits,
+    _exit_tables,
+    _permutation_from_exits,
     all_black_permutation,
     cycle_decomposition,
     odd_cycle_count,
-    toric_endpoint_table,
     toric_permutation,
     trace_permutation,
 )
@@ -321,6 +323,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     diagrams = 0
     for m, n in shapes:
         omega = all_black_permutation(m, n)
+        omega_inv = omega.inverse()
         tally: dict[int, int] = {}
         for d in cauchon_diagrams(m, n, max_cells=max_cells):
             diagrams += 1
@@ -331,15 +334,18 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
                 fault_pending = False
             record("skew_symmetry", is_skew_symmetric(mat))
 
-            tau = toric_permutation(d)
-            cycles = cycle_decomposition(tau)
+            # the pipes are traced once; the permutation, its toric form and
+            # the endpoint table are all read off the same exit tables
+            ups, rights = _exit_tables(d)
+            sigma = _permutation_from_exits(m, n, ups, rights)
+            cycles = cycle_decomposition(sigma * omega_inv)
             odd = odd_cycle_count(cycles)
             basis = kernel_basis(mat)
-            pp = perm_matrix_sum(trace_permutation(d), omega)
+            pp = perm_matrix_sum(sigma, omega)
             record("dimension_equality", odd == len(basis) == kernel_dim(pp))
             tally[odd] = tally.get(odd, 0) + 1
 
-            endpoints = toric_endpoint_table(d)
+            endpoints = _endpoints_from_exits(squares, ups)
             index = {pos: i for i, pos in enumerate(squares)}
             glue_ok = True
             for i, (r, c) in enumerate(squares):

@@ -26,11 +26,10 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import factorial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .diagrams import Diagram
 from .exactlinalg import _eliminate, _white_matrix_step
@@ -117,12 +116,6 @@ def _check_shape(m: int, n: int, max_cells: int) -> None:
         raise EnumerationLimitError(m, n, max_cells)
 
 
-# Rows allowed under one column-black mask are kept for widths up to this:
-# all masks of width n together allow under 2 * 3^n rows (4,246 at n = 7).
-# Wider rows are generated afresh each time, so no 2^n table is ever built.
-_ROW_MEMO_MAX_N = 7
-
-
 def _row_choices(n: int, col_black: int) -> Iterator[tuple[bool, ...]]:
     """Rows that may follow rows whose all-black columns are the bits of col_black.
 
@@ -137,17 +130,6 @@ def _row_choices(n: int, col_black: int) -> Iterator[tuple[bool, ...]]:
     yield (True,) * n
 
 
-@lru_cache(maxsize=None)
-def _memo_rows(n: int, col_black: int) -> tuple[tuple[bool, ...], ...]:
-    return tuple(_row_choices(n, col_black))
-
-
-def _allowed_rows(n: int, col_black: int) -> Iterable[tuple[bool, ...]]:
-    if n <= _ROW_MEMO_MAX_N:
-        return _memo_rows(n, col_black)
-    return _row_choices(n, col_black)
-
-
 def _sweep(m: int, n: int, root: S, step: Callable[[S, tuple[bool, ...], int], S]) -> Iterator[S]:
     """Fold step over the rows of every m x n Cauchon diagram, in order.
 
@@ -158,12 +140,11 @@ def _sweep(m: int, n: int, root: S, step: Callable[[S, tuple[bool, ...], int], S
     last = m - 1
 
     def descend(state: S, r: int, col_black: int) -> Iterator[S]:
-        rows = _allowed_rows(n, col_black)
         if r == last:
-            for cells in rows:
+            for cells in _row_choices(n, col_black):
                 yield step(state, cells, r)
         else:
-            for cells in rows:
+            for cells in _row_choices(n, col_black):
                 below = sum(1 << c for c, black in enumerate(cells) if black) & col_black
                 yield from descend(step(state, cells, r), r + 1, below)
 

@@ -227,8 +227,11 @@ def trace_permutation(d: Diagram) -> Permutation:
 
     The result is always restricted; a ValueError reports a trace that is not.
     """
-    m, n = d.m, d.n
-    ups, rights = _exit_tables(d)
+    return _permutation_from_exits(d.m, d.n, *_exit_tables(d))
+
+
+def _permutation_from_exits(m: int, n: int, ups: list[list[int]], rights: list[int]) -> Permutation:
+    """trace_permutation read off exit tables already built by _exit_tables."""
     # bottom entries 1..n, then right entries n+1..n+m from the bottom row up
     p = Permutation(ups[m] + rights[::-1])
     if not is_restricted(p, m, n):
@@ -259,12 +262,16 @@ def toric_endpoint_table(d: Diagram) -> tuple[ToricEndpoints, ...]:
     table[i-1].top == table[j-1].left holds (the two exits continue along the
     same pipe).
     """
+    return _endpoints_from_exits(d.white_squares(), _exit_tables(d)[0])
+
+
+def _endpoints_from_exits(
+    squares: Sequence[tuple[int, int]], ups: list[list[int]]
+) -> tuple[ToricEndpoints, ...]:
+    """toric_endpoint_table read off the `ups` exit table of _exit_tables."""
     # the left exit continues the arc from the square's bottom edge, and the
     # top exit enters the square above through its bottom edge
-    ups = _exit_tables(d)[0]
-    return tuple(
-        ToricEndpoints(left=ups[r][c - 1], top=ups[r - 1][c - 1]) for r, c in d.white_squares()
-    )
+    return tuple(ToricEndpoints(left=ups[r][c - 1], top=ups[r - 1][c - 1]) for r, c in squares)
 
 
 def stratum_dimension_by_cycles(d: Diagram) -> int:
