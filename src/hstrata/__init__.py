@@ -44,13 +44,11 @@ from .genfunc import (
     stratum_series,
 )
 from .pipedreams import (
-    NonCauchonWarning,
     Permutation,
     all_black_permutation,
     cycle_decomposition,
     is_restricted,
     odd_cycle_count,
-    stratum_dimension_by_cycles,
     toric_endpoint_table,
     toric_permutation,
     trace_permutation,
@@ -64,7 +62,6 @@ __all__ = [
     "Diagram",
     "DiagramParseError",
     "EnumerationLimitError",
-    "NonCauchonWarning",
     "Permutation",
     "RatPoly",
     "StratumTally",
@@ -91,7 +88,6 @@ __all__ = [
     "single_cycle_count",
     "stirling2",
     "stratum_count",
-    "stratum_dimension_by_cycles",
     "stratum_poly",
     "stratum_series",
     "tally_dimensions",

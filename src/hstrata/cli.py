@@ -46,13 +46,10 @@ from .genfunc import (
 from .pipedreams import (
     Permutation,
     _endpoints_from_exits,
-    _exit_tables,
-    _permutation_from_exits,
+    _trace,
     all_black_permutation,
     cycle_decomposition,
     odd_cycle_count,
-    toric_permutation,
-    trace_permutation,
 )
 
 VERIFY_DEFAULT_CELLS = 9
@@ -63,8 +60,8 @@ VERIFY_MAX_CELLS = 14
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
 # dim's exact elimination is cubic in the white squares N: an all-white grid
-# took 1.0 s at N = 256, 12 s at 576, 49 s at 900 and 71 s at 1024 on the
-# same box, so 900 (30x30) is the largest that finishes in about a minute.
+# took 0.65 s at N = 256, 6.8 s at 576 and 31 s at 900 (30x30) on the same
+# box, so the cap keeps dim well under a minute.
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
@@ -112,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze one diagram file",
         description=(
             f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
-            "(about 50 s at the cap on a 2-CPU box)."
+            "(about 30 s at the cap on a 2-CPU box)."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -140,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir",
         default=None,
-        help="tally cache directory (overrides HSTRATA_CACHE_DIR)",
+        help="directory caching --method enum tallies (default: no cache)",
     )
     p.set_defaults(handler=_cmd_count)
 
@@ -208,8 +205,7 @@ def _cmd_dim(args) -> dict:
     white = len(d.white_squares())
     if white > DIM_MAX_WHITE:
         raise ValueError(f"dim is capped at {DIM_MAX_WHITE} white squares, got {white}")
-    sigma = trace_permutation(d)
-    tau = toric_permutation(d)
+    sigma, tau, _ = _trace(d)
     cycles = cycle_decomposition(tau)
     odd = odd_cycle_count(cycles)
     kdim = kernel_dim(white_adjacency_matrix(d))
@@ -323,7 +319,6 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     diagrams = 0
     for m, n in shapes:
         omega = all_black_permutation(m, n)
-        omega_inv = omega.inverse()
         tally: dict[int, int] = {}
         for d in cauchon_diagrams(m, n, max_cells=max_cells):
             diagrams += 1
@@ -336,25 +331,26 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
 
             # the pipes are traced once; the permutation, its toric form and
             # the endpoint table are all read off the same exit tables
-            ups, rights = _exit_tables(d)
-            sigma = _permutation_from_exits(m, n, ups, rights)
-            cycles = cycle_decomposition(sigma * omega_inv)
+            sigma, tau, ups = _trace(d)
+            cycles = cycle_decomposition(tau)
             odd = odd_cycle_count(cycles)
             basis = kernel_basis(mat)
             pp = perm_matrix_sum(sigma, omega)
             record("dimension_equality", odd == len(basis) == kernel_dim(pp))
             tally[odd] = tally.get(odd, 0) + 1
 
+            # squares come row-major from the top, so square i-1 is the next
+            # white square left of i when they share a row, and above[c] the
+            # next one above i in its column
             endpoints = _endpoints_from_exits(squares, ups)
-            index = {pos: i for i, pos in enumerate(squares)}
+            above: dict[int, int] = {}
             glue_ok = True
             for i, (r, c) in enumerate(squares):
-                next_c = _next_white(d, r, c, "right")
-                if next_c is not None:
-                    glue_ok &= endpoints[i].top == endpoints[index[r, next_c]].left
-                next_r = _next_white(d, r, c, "up")
-                if next_r is not None:
-                    glue_ok &= endpoints[i].top == endpoints[index[next_r, c]].left
+                if i and squares[i - 1][0] == r:
+                    glue_ok &= endpoints[i - 1].top == endpoints[i].left
+                if c in above:
+                    glue_ok &= endpoints[i].top == endpoints[above[c]].left
+                above[c] = i
             record("gluing_identity", glue_ok)
 
             # the two kernel maps, on data derived once per diagram; every
@@ -399,19 +395,6 @@ def _round_trip(x, in_source, forward, in_target, back) -> bool:
         return False
     y = forward(x)
     return in_target(y) and back(y) == tuple(-2 * e for e in x)
-
-
-def _next_white(d: Diagram, r: int, c: int, direction: str) -> int | None:
-    """Next white square's moving coordinate, rightward or upward, if any."""
-    if direction == "right":
-        for cc in range(c + 1, d.n + 1):
-            if d.is_white(r, cc):
-                return cc
-    else:
-        for rr in range(r - 1, 0, -1):
-            if d.is_white(rr, c):
-                return rr
-    return None
 
 
 def _cmd_verify(args) -> dict:

@@ -46,7 +46,6 @@ S = TypeVar("S")
 
 DEFAULT_CELL_LIMIT = 25
 CACHE_VERSION = 1
-CACHE_ENV_VAR = "HSTRATA_CACHE_DIR"
 
 TALLY_METHODS = ("cycles", "kernel")
 
@@ -165,19 +164,15 @@ def _cycle_dims(m: int, n: int) -> Iterator[int]:
     (0-based toric labels: column c is m+c, row r from the top is m-1-r) and
     the exits of the pipes entering each row from the right.
     """
-    # up + rights holds the exits by entry side (columns, then rows top down);
-    # reading it in toric label order composes with the inverse all-black
-    # permutation: label j < m is row m-1-j, at index n+m-1-j, and m+c is column c
-    toric_order = [n + m - 1 - j for j in range(m)] + list(range(n))
 
     def step(state, cells, r):
         up, rights = state
         up, right = _pipe_row(up, cells, m - 1 - r)
         return up, rights + [right]
 
+    # in toric label order the rows come first, from the bottom up
     for up, rights in _sweep(m, n, (list(range(m, m + n)), []), step):
-        flat = up + rights
-        yield _even_cycle_count([flat[i] for i in toric_order])
+        yield _even_cycle_count(rights[::-1] + up)
 
 
 def _kernel_dims(m: int, n: int) -> Iterator[int]:
@@ -200,8 +195,8 @@ def tally_dimensions(
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
     computes the kernel dimension of the white adjacency matrix.  The two
     agree on every diagram.  Both run on the row sweep and build no Diagram
-    or Permutation per diagram.  Results are cached as JSON when a cache
-    directory is configured (argument or HSTRATA_CACHE_DIR).  A cached file is
+    or Permutation per diagram.  Results are cached as JSON in cache_dir
+    when one is given; nothing else turns the cache on.  A cached file is
     trusted only when it parses, is for this m x n and totals
     poly_bernoulli(m, n); otherwise the tally is recomputed and the file
     replaced.  Files are written to a temporary name and then renamed, so a
@@ -250,8 +245,6 @@ def _write_cache(path: Path, tally: StratumTally) -> None:
 def _cache_path(
     cache_dir: str | os.PathLike | None, m: int, n: int, method: str
 ) -> Path | None:
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV_VAR)
     if not cache_dir:
         return None
     return Path(cache_dir) / f"tally-v{CACHE_VERSION}-{m}x{n}-{method}.json"

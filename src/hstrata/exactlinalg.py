@@ -18,9 +18,9 @@ from .diagrams import Diagram
 from .pipedreams import (
     Permutation,
     ToricEndpoints,
+    _endpoints_from_exits,
+    _trace,
     all_black_permutation,
-    toric_endpoint_table,
-    trace_permutation,
 )
 
 Rational = Union[int, Fraction]
@@ -70,8 +70,9 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     """In-place integer row echelon; returns the pivot column list.
 
     Pivot is the first nonzero entry in column order.  Row updates use the
-    division-free combination p*row - f*pivot_row, with gcd renormalization
-    once entries grow past _GCD_REDUCE_BOUND, so everything stays exact.
+    division-free combination p*row - f*pivot_row, with p and f first divided
+    by their gcd and the row renormalized by its gcd once entries grow past
+    _GCD_REDUCE_BOUND, so everything stays exact.
     """
     pivot_cols: list[int] = []
     nrows = len(rows)
@@ -92,9 +93,11 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
             f = row[c]
             if not f:
                 continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
             big = 0
             for j in range(c + 1, cols):
-                v = p * row[j] - f * prow[j]
+                v = a * row[j] - b * prow[j]
                 row[j] = v
                 big |= abs(v)
             row[c] = 0
@@ -221,14 +224,6 @@ def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector
     return tuple(basis)
 
 
-def _boundary_matrix(d: Diagram) -> list[list[int]]:
-    return perm_matrix_sum(trace_permutation(d), all_black_permutation(d.m, d.n))
-
-
-def _is_zero(vec: Sequence[Rational]) -> bool:
-    return all(x == 0 for x in vec)
-
-
 def _square_image(endpoints: Sequence[ToricEndpoints], v: Sequence[Rational]) -> ExactVector:
     """Entry i is v[left(i)] - v[top(i)] for the toric endpoints of white square i."""
     return tuple(v[e.left - 1] - v[e.top - 1] for e in endpoints)
@@ -255,9 +250,10 @@ def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     """
     if len(v) != d.m + d.n:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
-    if not _is_zero(matvec(_boundary_matrix(d), v)):
+    sigma, _, ups = _trace(d)
+    if any(matvec(perm_matrix_sum(sigma, all_black_permutation(d.m, d.n)), v)):
         raise ValueError("vector is not in the boundary kernel")
-    return _square_image(toric_endpoint_table(d), v)
+    return _square_image(_endpoints_from_exits(d.white_squares(), ups), v)
 
 
 def to_boundary_kernel(d: Diagram, w: Sequence[Rational]) -> ExactVector:

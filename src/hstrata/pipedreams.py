@@ -21,10 +21,12 @@ Boundary labels come in two flavours:
 * toric: each row carries one label on both of its sides (bottom row 1 up to
   top row m) and column c carries m+c on both of its sides, so a pipe can be
   followed around the grid as if it were drawn on a torus.  The resulting
-  permutation is the toric permutation; it equals the standard permutation
-  composed with the inverse of the all-black diagram's permutation
-  (toric_permutation).  The exits of white squares under these labels are
-  their toric endpoints (toric_endpoint_table).
+  permutation is the toric permutation (toric_permutation).  The toric labels
+  are the standard ones with the bottom and right entry sides swapped, so the
+  toric permutation is the standard one-line form with its two blocks
+  swapped, i.e. the standard permutation composed with the inverse of the
+  all-black diagram's permutation.  The exits of white squares under these
+  labels are their toric endpoints (toric_endpoint_table).
 
 The dimension of the stratum attached to a Cauchon diagram is the number of
 odd cycles of its toric permutation, where a cycle is odd when it has an odd
@@ -33,14 +35,9 @@ number of inversions, i.e. even length.  Fixed points are even cycles.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, NamedTuple, Sequence
 
 from .diagrams import Diagram
-
-
-class NonCauchonWarning(UserWarning):
-    """Dimension was requested for a diagram that is not Cauchon."""
 
 
 class Permutation:
@@ -222,26 +219,34 @@ def _exit_tables(d: Diagram) -> tuple[list[list[int]], list[int]]:
     return ups, rights
 
 
+def _trace(d: Diagram) -> tuple[Permutation, Permutation, list[list[int]]]:
+    """Trace the pipes once: the standard and toric permutations and `ups`.
+
+    ups is the exit table of _exit_tables.  A ValueError reports a trace
+    that is not restricted.
+    """
+    m = d.m
+    ups, rights = _exit_tables(d)
+    # standard entries: bottom 1..n, then right n+1..n+m from the bottom row
+    # up; the toric labels number the right side first, then the bottom
+    bottom, right = ups[m], rights[::-1]
+    sigma = Permutation(bottom + right)
+    if not is_restricted(sigma, m, d.n):
+        raise ValueError(f"pipe trace produced the non-restricted permutation {sigma.one_line()}")
+    return sigma, Permutation(right + bottom), ups
+
+
 def trace_permutation(d: Diagram) -> Permutation:
     """Permutation of [m+n] traced by the diagram's pipes (standard labels).
 
     The result is always restricted; a ValueError reports a trace that is not.
     """
-    return _permutation_from_exits(d.m, d.n, *_exit_tables(d))
-
-
-def _permutation_from_exits(m: int, n: int, ups: list[list[int]], rights: list[int]) -> Permutation:
-    """trace_permutation read off exit tables already built by _exit_tables."""
-    # bottom entries 1..n, then right entries n+1..n+m from the bottom row up
-    p = Permutation(ups[m] + rights[::-1])
-    if not is_restricted(p, m, n):
-        raise ValueError(f"pipe trace produced the non-restricted permutation {p.one_line()}")
-    return p
+    return _trace(d)[0]
 
 
 def toric_permutation(d: Diagram) -> Permutation:
-    """The traced permutation composed with the inverse all-black permutation."""
-    return trace_permutation(d) * all_black_permutation(d.m, d.n).inverse()
+    """Permutation of [m+n] traced by the diagram's pipes under toric labels."""
+    return _trace(d)[1]
 
 
 class ToricEndpoints(NamedTuple):
@@ -272,18 +277,3 @@ def _endpoints_from_exits(
     # the left exit continues the arc from the square's bottom edge, and the
     # top exit enters the square above through its bottom edge
     return tuple(ToricEndpoints(left=ups[r][c - 1], top=ups[r - 1][c - 1]) for r, c in squares)
-
-
-def stratum_dimension_by_cycles(d: Diagram) -> int:
-    """Stratum dimension of a Cauchon diagram via its toric permutation.
-
-    Computable for any diagram; a NonCauchonWarning is issued when the input
-    is not Cauchon, since only then does the value measure a stratum.
-    """
-    if not d.is_cauchon():
-        warnings.warn(
-            "diagram is not Cauchon; the odd-cycle count is not a stratum dimension",
-            NonCauchonWarning,
-            stacklevel=2,
-        )
-    return odd_cycle_count(cycle_decomposition(toric_permutation(d)))

@@ -109,6 +109,21 @@ class TestDim:
         assert code == 2
         assert "capped at 3 white squares, got 4" in err
 
+    def test_traces_its_diagram_once(self, capsys, diagram_file, monkeypatch):
+        from hstrata import pipedreams
+
+        exit_tables = pipedreams._exit_tables
+        traced = []
+
+        def counted(d):
+            traced.append(d)
+            return exit_tables(d)
+
+        monkeypatch.setattr(pipedreams, "_exit_tables", counted)
+        code, _, _ = run_cli(capsys, "dim", diagram_file("..#\n.##"))
+        assert code == 0
+        assert len(traced) == 1
+
     def test_csv_has_header_row(self, capsys, diagram_file):
         path = diagram_file("..\n..")
         code, out, _ = run_cli(capsys, "dim", path, "--format", "csv")
@@ -275,6 +290,19 @@ class TestVerify:
         monkeypatch.setattr(cli, "_square_image", doubled)
         report = run_verify(4)
         assert report["checks"]["iso_maps"]["failures"] > 0
+        assert report["status"] == "fail"
+
+    def test_swapped_endpoints_fail_gluing(self, monkeypatch):
+        endpoints_from_exits = cli._endpoints_from_exits
+
+        def swapped(squares, ups):
+            table = list(endpoints_from_exits(squares, ups))
+            table[:2] = table[1::-1]  # the first two entries trade places
+            return tuple(table)
+
+        monkeypatch.setattr(cli, "_endpoints_from_exits", swapped)
+        report = run_verify(4)
+        assert report["checks"]["gluing_identity"]["failures"] > 0
         assert report["status"] == "fail"
 
 

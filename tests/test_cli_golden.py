@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -55,8 +54,7 @@ def _recorded() -> dict[str, dict]:
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_output_matches_recording(argv, monkeypatch):
-    monkeypatch.delenv("HSTRATA_CACHE_DIR", raising=False)
+def test_output_matches_recording(argv):
     expected = _recorded()[" ".join(argv)]
     code, stdout = run_case(argv)
     assert stdout == expected["stdout"]
@@ -66,7 +64,6 @@ def test_output_matches_recording(argv, monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    os.environ.pop("HSTRATA_CACHE_DIR", None)
     cases = []
     for argv in CASES:
         code, stdout = run_case(argv)

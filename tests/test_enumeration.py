@@ -201,8 +201,11 @@ class TestTallyDimensions:
         ]
 
     def test_cache_env_var(self, tmp_path, monkeypatch):
+        # the environment does not turn the cache on; only cache_dir does
         monkeypatch.setenv("HSTRATA_CACHE_DIR", str(tmp_path))
         tally_dimensions(2, 1)
+        assert not any(tmp_path.iterdir())
+        tally_dimensions(2, 1, cache_dir=tmp_path)
         assert any("2x1" in p.name for p in tmp_path.iterdir())
 
 

@@ -23,7 +23,7 @@ from hstrata import (
     trace_permutation,
     white_adjacency_matrix,
 )
-from hstrata.exactlinalg import is_skew_symmetric, matvec
+from hstrata.exactlinalg import _eliminate, is_skew_symmetric, matvec
 from hstrata.pipedreams import Permutation
 
 from conftest import all_diagrams, diagrams, rank_by_minors, region_sets
@@ -87,6 +87,14 @@ class TestExactMatrix:
     def test_kernel_dim_requires_square(self):
         with pytest.raises(ValueError):
             kernel_dim([[1, 2, 3]])
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_elimination_keeps_entries_small(self, k):
+        # dividing p and f by their gcd before p*row - f*pivot_row keeps the
+        # entries of these 0/+-1 white matrices to a few bits
+        rows = white_adjacency_matrix(Diagram.all_white(k, k))
+        _eliminate(rows, len(rows))
+        assert max(abs(v).bit_length() for row in rows for v in row) <= 8
 
 
 class TestKernelBasis:

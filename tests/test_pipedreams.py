@@ -6,14 +6,12 @@ from hypothesis import strategies as st
 
 from hstrata import (
     Diagram,
-    NonCauchonWarning,
     Permutation,
     all_black_permutation,
     cycle_decomposition,
     is_restricted,
     odd_cycle_count,
     poly_bernoulli,
-    stratum_dimension_by_cycles,
     toric_endpoint_table,
     toric_permutation,
     trace_permutation,
@@ -189,6 +187,11 @@ class TestTrace:
         assert "non-restricted" in capsys.readouterr().err
 
 
+def rotated_trace(d):
+    """Oracle: the traced permutation composed with the inverse rotation."""
+    return trace_permutation(d) * all_black_permutation(d.m, d.n).inverse()
+
+
 class TestToricPermutation:
     def test_all_black_gives_identity(self):
         assert toric_permutation(Diagram.all_black(3, 2)) == Permutation.identity(5)
@@ -207,11 +210,11 @@ class TestToricPermutation:
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 4)])
     def test_direct_toric_trace_agrees_exhaustively(self, m, n):
         for d in all_diagrams(m, n):
-            assert toric_permutation_traced(d) == toric_permutation(d)
+            assert toric_permutation_traced(d) == toric_permutation(d) == rotated_trace(d)
 
     @given(diagrams())
     def test_direct_toric_trace_agrees(self, d):
-        assert toric_permutation_traced(d) == toric_permutation(d)
+        assert toric_permutation_traced(d) == toric_permutation(d) == rotated_trace(d)
 
     @given(diagrams())
     def test_odd_cycles_match_white_square_parity(self, d):
@@ -282,25 +285,23 @@ class TestToricEndpoints:
                             break
 
 
+def cycle_dimension(d):
+    return odd_cycle_count(cycle_decomposition(toric_permutation(d)))
+
+
 class TestStratumDimension:
     def test_census_2x1(self):
         dims = {
-            text: stratum_dimension_by_cycles(Diagram.parse(text))
+            text: cycle_dimension(Diagram.parse(text))
             for text in (".\n.", ".\n#", "#\n.", "#\n#")
         }
         assert dims == {".\n.": 0, ".\n#": 1, "#\n.": 1, "#\n#": 0}
 
     def test_all_black_dimension_zero(self):
-        assert stratum_dimension_by_cycles(Diagram.all_black(4, 4)) == 0
+        assert cycle_dimension(Diagram.all_black(4, 4)) == 0
 
     def test_all_white_2x2(self):
-        assert stratum_dimension_by_cycles(Diagram.all_white(2, 2)) == 2
-
-    def test_non_cauchon_warns_but_computes(self):
-        d = Diagram.parse("..\n.#")
-        with pytest.warns(NonCauchonWarning):
-            value = stratum_dimension_by_cycles(d)
-        assert value >= 0
+        assert cycle_dimension(Diagram.all_white(2, 2)) == 2
 
 
 class TestReconstructedExamples:
