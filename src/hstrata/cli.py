@@ -29,6 +29,7 @@ from .exactlinalg import (
     _boundary_image,
     _in_white_kernel,
     _square_image,
+    _white_kernel_dim,
     cycle_kernel_basis,
     is_skew_symmetric,
     kernel_basis,
@@ -59,9 +60,13 @@ VERIFY_DEFAULT_CELLS = 9
 VERIFY_MAX_CELLS = 14
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
-# dim's exact elimination is cubic in the white squares N: an all-white grid
-# took 0.65 s at N = 256, 6.8 s at 576 and 31 s at 900 (30x30) on the same
-# box, so the cap keeps dim well under a minute.
+# dim reads the white kernel off the min(m, n)-square column transfer matrix,
+# not the N x N white matrix.  On the same box the whole command took, for
+# all-white grids at N = 900, 0.10 s at 30x30, 0.26 s at 1x900, 0.16 s at
+# 3x300 and 0.14 s at 10x90 (31 s, 28 s, 17 s and 40 s with the full
+# elimination); the slowest diagram found, one white row of 900 squares in a
+# 900x900 grid, took 4.3 s.  The trace and the boundary kernel still grow
+# with the grid, so the cap stays.
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
@@ -109,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze one diagram file",
         description=(
             f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
-            "(about 30 s at the cap on a 2-CPU box)."
+            "(under 5 s at the cap on a 2-CPU box)."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -208,7 +213,7 @@ def _cmd_dim(args) -> dict:
     sigma, tau, _ = _trace(d)
     cycles = cycle_decomposition(tau)
     odd = odd_cycle_count(cycles)
-    kdim = kernel_dim(white_adjacency_matrix(d))
+    kdim = _white_kernel_dim(d)
     pp_dim = kernel_dim(perm_matrix_sum(sigma, all_black_permutation(d.m, d.n)))
     agree = odd == kdim == pp_dim
     cauchon = d.is_cauchon()
@@ -287,9 +292,11 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     """Cross-check suite over every Cauchon diagram with m*n <= max_cells.
 
     Checks, per diagram: the white matrix is skew-symmetric; the odd-cycle
-    count equals both kernel dimensions; the endpoint gluing identity for
-    consecutive white squares; the two kernel maps compose to -2 times the
-    identity on both kernel bases and land in the asserted kernels.  Per
+    count equals both kernel dimensions, the white one taken both by full
+    elimination and through the column transfer matrix; the endpoint
+    gluing identity for consecutive white squares; the two kernel maps
+    compose to -2 times the identity on both kernel bases and land in the
+    asserted kernels.  Per
     shape: the enumerated tally matches the closed form and the total count
     matches the poly-Bernoulli value.  inject_fault flips one sign in one
     matrix to demonstrate the suite's sensitivity.
@@ -336,7 +343,11 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             odd = odd_cycle_count(cycles)
             basis = kernel_basis(mat)
             pp = perm_matrix_sum(sigma, omega)
-            record("dimension_equality", odd == len(basis) == kernel_dim(pp))
+            # the column transfer matrix against the full elimination
+            record(
+                "dimension_equality",
+                odd == len(basis) == kernel_dim(pp) == _white_kernel_dim(d),
+            )
             tally[odd] = tally.get(odd, 0) + 1
 
             # squares come row-major from the top, so square i-1 is the next

@@ -1,18 +1,25 @@
 """Exhaustive generation of Cauchon diagrams and stratum tallies.
 
-One row-by-row sweep drives every enumeration.  Whether a row may follow
-the rows above it depends only on which columns are still all black, so
-the sweep keeps that column mask and, for each mask, generates the allowed
-rows lazily: k black squares, a white one, then black squares only in
-columns of the mask.  Rows come white before black, so the diagrams come in
-lexicographic order of their row-major cells with white before black, each
-exactly once.  A per-row step is folded into a state that all children of a
-prefix share, so the work on a prefix is done once for its whole subtree:
+Whether a row may follow the rows above it depends only on which columns
+are still all black, so every enumeration goes row by row, keeping that
+column mask and, for each mask, generating the allowed rows lazily: k black
+squares, a white one, then black squares only in columns of the mask.
+
+One depth-first sweep drives cauchon_diagrams and the cycles tally.  Rows
+come white before black, so the diagrams come in lexicographic order of
+their row-major cells with white before black, each exactly once.  A
+per-row step is folded into a state that all children of a prefix share,
+so the work on a prefix is done once for its whole subtree:
 cauchon_diagrams collects the rows and yields a Diagram per leaf, and the
-two tally routes carry the pipe exits (cycles) or the white matrix
-(kernel) down the rows and read a dimension off each leaf without building
-a Diagram, Permutation or cycle tuple.  Those per-diagram objects stay the
-path of dim, verify and lookup, and the tests use them as the tally oracle.
+cycles tally carries the pipe exits down the rows and reads a dimension off
+each leaf without building a Diagram, Permutation or cycle tuple.
+
+The kernel tally goes level by level instead.  A prefix's white squares
+meet later rows only through their columns, so the prefix is summed up by
+its mask and an n x n column transfer matrix (exactlinalg._phi_step);
+prefixes with equal states merge and their counts add, and a dimension is
+read once per final state.  The per-diagram objects stay the path of dim,
+verify and lookup, and the tests use them as the tally oracle.
 
 Counts grow like poly-Bernoulli numbers, so enumeration is capped by a cell
 limit and the closed-form counting routes should be used beyond it.  Tallies
@@ -32,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Iterator, TypeVar
 
 from .diagrams import Diagram
-from .exactlinalg import _eliminate, _white_matrix_step
+from .exactlinalg import _identity, _phi_step, _transfer_kernel_dim
 from .genfunc import stirling2
 from .pipedreams import (
     Permutation,
@@ -175,12 +182,38 @@ def _cycle_dims(m: int, n: int) -> Iterator[int]:
         yield _even_cycle_count(rights[::-1] + up)
 
 
-def _kernel_dims(m: int, n: int) -> Iterator[int]:
-    """Kernel dimension of each Cauchon diagram's white matrix, in sweep order."""
-    step = lambda state, cells, r: _white_matrix_step(state, cells)
-    for rows, _ in _sweep(m, n, ([], ()), step):
-        # each leaf's rows are fresh lists, so they can be eliminated in place
-        yield len(rows) - len(_eliminate(rows, len(rows)))
+def _kernel_counts(m: int, n: int) -> Counter:
+    """Kernel dimensions of the white matrices of all m x n Cauchon diagrams, counted.
+
+    A prefix of rows is summed up by its column-black mask and its column
+    transfer matrix phi (exactlinalg._phi_step), so the rows are swept level
+    by level and prefixes with equal states merge, their counts adding.
+    Transposing keeps a diagram Cauchon and its white matrix the same up to
+    relabeling, so the sweep runs along the longer side and phi is
+    min(m, n) square.
+    """
+    if m < n:
+        m, n = n, m
+    frontier = {((1 << n) - 1, _identity(n)): 1}
+    for _ in range(m):
+        nxt: Counter = Counter()
+        moves: dict[int, list] = {}
+        for (col_black, phi), count in frontier.items():
+            if col_black not in moves:
+                moves[col_black] = [
+                    (
+                        sum(1 << c for c, black in enumerate(cells) if black) & col_black,
+                        [c for c, black in enumerate(cells) if not black],
+                    )
+                    for cells in _row_choices(n, col_black)
+                ]
+            for below, cols in moves[col_black]:
+                nxt[below, _phi_step(phi, cols)] += count
+        frontier = nxt
+    dims: Counter = Counter()
+    for (_, phi), count in frontier.items():
+        dims[_transfer_kernel_dim(phi)] += count
+    return dims
 
 
 def tally_dimensions(
@@ -194,10 +227,11 @@ def tally_dimensions(
 
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
     computes the kernel dimension of the white adjacency matrix.  The two
-    agree on every diagram.  Both run on the row sweep and build no Diagram
-    or Permutation per diagram.  Results are cached as JSON in cache_dir
-    when one is given; nothing else turns the cache on.  A cached file is
-    trusted only when it parses, is for this m x n and totals
+    agree on every diagram.  Neither builds a Diagram or Permutation per
+    diagram: 'cycles' folds the pipe exits down the row sweep, and 'kernel'
+    merges prefixes by their column transfer matrix.  Results are cached as
+    JSON in cache_dir when one is given; nothing else turns the cache on.  A
+    cached file is trusted only when it parses, is for this m x n and totals
     poly_bernoulli(m, n); otherwise the tally is recomputed and the file
     replaced.  Files are written to a temporary name and then renamed, so a
     reader never sees a partial one.
@@ -212,8 +246,8 @@ def tally_dimensions(
         if cached is not None:
             return cached
 
-    dims = _cycle_dims(m, n) if method == "cycles" else _kernel_dims(m, n)
-    tally = StratumTally.from_counts(m, n, Counter(dims))
+    counts = Counter(_cycle_dims(m, n)) if method == "cycles" else _kernel_counts(m, n)
+    tally = StratumTally.from_counts(m, n, counts)
 
     if path is not None:
         _write_cache(path, tally)

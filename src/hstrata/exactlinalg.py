@@ -11,6 +11,7 @@ labels for boundary-indexed vectors).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence, Union
 
@@ -72,7 +73,8 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
     Pivot is the first nonzero entry in column order.  Row updates use the
     division-free combination p*row - f*pivot_row, with p and f first divided
     by their gcd and the row renormalized by its gcd once entries grow past
-    _GCD_REDUCE_BOUND, so everything stays exact.
+    _GCD_REDUCE_BOUND, so everything stays exact.  When p divides f the
+    update touches only the pivot row's nonzero columns.
     """
     pivot_cols: list[int] = []
     nrows = len(rows)
@@ -88,6 +90,7 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         p = prow[c]
+        support = [j for j in range(c + 1, cols) if prow[j]]
         for i in range(r + 1, nrows):
             row = rows[i]
             f = row[c]
@@ -95,8 +98,10 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
                 continue
             g = gcd(p, f)
             a, b = p // g, f // g
+            if a < 0:
+                a, b = -a, -b
             big = 0
-            for j in range(c + 1, cols):
+            for j in support if a == 1 else range(c + 1, cols):
                 v = a * row[j] - b * prow[j]
                 row[j] = v
                 big |= abs(v)
@@ -152,30 +157,6 @@ def kernel_basis(M: Matrix) -> tuple[ExactVector, ...]:
     return tuple(basis)
 
 
-def _white_matrix_step(
-    state: tuple[list[list[int]], tuple[int, ...]], row: Sequence[bool]
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """Extend the white matrix of the rows above by one more row of squares.
-
-    state is (matrix, columns of its white squares in label order).  A new
-    square shares no row with the squares above, so it relates to them only
-    through its column, and to the earlier squares of its own row; every row
-    of the result is a fresh list, and the given state is not changed.
-    """
-    rows, cols = state
-    new = [c for c, black in enumerate(row) if not black]
-    k = len(new)
-    zeros = [0] * k
-    # an old square is above every new one: -1 towards the new square in its column
-    towards = {}
-    for p, c in enumerate(new):
-        towards[c] = zeros[:p] + [-1] + zeros[p + 1 :]
-    out = [old + towards.get(cj, zeros) for old, cj in zip(rows, cols)]
-    for p, c in enumerate(new):
-        out.append([1 if cj == c else 0 for cj in cols] + [1] * p + [0] + [-1] * (k - 1 - p))
-    return out, cols + tuple(new)
-
-
 def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     """The N x N skew-symmetric relation matrix of the white squares.
 
@@ -184,12 +165,107 @@ def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     left, and 0 otherwise (in particular when the squares share neither row
     nor column).  Each pair is set once as -1 above the diagonal and +1
     below it, so the matrix is skew-symmetric by construction.  The matrix
-    is built row of squares by row of squares (_white_matrix_step).
+    is built row of squares by row of squares: a new square shares no row
+    with the squares above, so it relates to them only through its column.
     """
-    state: tuple[list[list[int]], tuple[int, ...]] = ([], ())
-    for row in d.rows:
-        state = _white_matrix_step(state, row)
-    return state[0]
+    rows: list[list[int]] = []
+    cols: tuple[int, ...] = ()
+    for cells in d.rows:
+        new = [c for c, black in enumerate(cells) if not black]
+        k = len(new)
+        zeros = [0] * k
+        # an old square is above every new one: -1 towards the new square in its column
+        towards = {c: zeros[:p] + [-1] + zeros[p + 1 :] for p, c in enumerate(new)}
+        rows = [old + towards.get(cj, zeros) for old, cj in zip(rows, cols)]
+        for p, c in enumerate(new):
+            rows.append([1 if cj == c else 0 for cj in cols] + [1] * p + [0] + [-1] * (k - 1 - p))
+        cols += tuple(new)
+    return rows
+
+
+# ------------------------------------------------- column transfer matrices
+#
+# Squares in earlier rows meet a new row only through their columns (-1
+# towards a later square in the same column), so the white matrix can be
+# eliminated one row of squares at a time.  Write a for the column sums of a
+# kernel vector over the rows done so far and T for its full column sums; a
+# row with white columns Q and in-row block C then solves
+# (2a - T)_Q + (I + C) x = 0 for its own squares x, which maps u = 2a - T on
+# Q to (I + C)^-1 (C - I) u and leaves u outside Q alone.  u starts at -T and
+# must end at T, so with Phi the product of the row maps, the kernel vectors
+# correspond one to one to the T with (I + Phi) T = 0.
+
+
+@lru_cache(maxsize=None)
+def _cayley(k: int) -> tuple[tuple[tuple[int, Rational], ...], ...]:
+    """(I + C)^-1 (C - I) for the in-row block C of k white squares, by elimination.
+
+    C is the white matrix of one row of k white squares.  The result is
+    given sparsely: row i lists (j, entry) for its nonzero entries.  C is
+    skew, so I + C is invertible; ZeroDivisionError is raised if it is not.
+    """
+    block = white_adjacency_matrix(Diagram([[False] * k]))
+    rows = [
+        [e + (i == j) for j, e in enumerate(row)] + [e - (i == j) for j, e in enumerate(row)]
+        for i, row in enumerate(block)
+    ]
+    if _eliminate(rows, 2 * k)[:k] != list(range(k)):
+        raise ZeroDivisionError(f"I + C is singular for a row of {k} white squares")
+    solved: list[list[Rational]] = [[] for _ in range(k)]
+    for i in reversed(range(k)):
+        row = rows[i]
+        later = [(j, row[j]) for j in range(i + 1, k) if row[j]]
+        for b in range(k):
+            x = Fraction(row[k + b] - sum(e * solved[j][b] for j, e in later), row[i])
+            solved[i].append(x.numerator if x.denominator == 1 else x)
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in solved)
+
+
+def _phi_step(phi: tuple[tuple[Rational, ...], ...], cols: Sequence[int]) -> tuple:
+    """Left-multiply the transfer matrix phi by the map of a row with white columns cols.
+
+    Rows of phi outside cols stay; row cols[i] becomes the combination of rows
+    cols[j] by the nonzero entries of row i of the row's Cayley transform.
+    """
+    if not cols:
+        return phi
+    out = list(phi)
+    for c, terms in zip(cols, _cayley(len(cols))):
+        if len(terms) == 1:
+            j, x = terms[0]
+            src = phi[cols[j]]
+            out[c] = src if x == 1 else tuple(x * e for e in src)
+        else:
+            out[c] = tuple(
+                sum(x * phi[cols[j]][i] for j, x in terms) for i in range(len(phi))
+            )
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _transfer_kernel_dim(phi: Sequence[Sequence[Rational]]) -> int:
+    """dim ker(I + phi): the white matrix's kernel dimension read off its transfer matrix."""
+    n = len(phi)
+    rows = _integer_rows([[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi)])
+    return n - len(_eliminate(rows, n))
+
+
+def _white_kernel_dim(d: Diagram) -> int:
+    """kernel_dim(white_adjacency_matrix(d)), through the column transfer matrix.
+
+    Transposing swaps "below" and "right", which leaves the white matrix
+    unchanged up to relabeling, so the diagram is swept along its longer
+    side and phi is min(m, n) square.
+    """
+    cells = d.rows if d.m >= d.n else tuple(zip(*d.rows))
+    phi = _identity(len(cells[0]))
+    for row in cells:
+        phi = _phi_step(phi, [c for c, black in enumerate(row) if not black])
+    return _transfer_kernel_dim(phi)
 
 
 def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:

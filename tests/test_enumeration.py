@@ -15,11 +15,14 @@ from hstrata import (
     cauchon_diagrams,
     cycle_decomposition,
     diagram_from_permutation,
+    kernel_dim,
     poly_bernoulli,
     single_cycle_count,
+    stratum_poly,
     tally_dimensions,
     toric_permutation,
     trace_permutation,
+    white_adjacency_matrix,
 )
 
 from conftest import (
@@ -147,6 +150,38 @@ class TestTallyDimensions:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
             tally_dimensions(2, 2, "guess")
+
+    @pytest.mark.parametrize("m,n", [(40, 3), (20, 4), (8, 5)])
+    def test_kernel_tally_past_the_cell_cap(self, m, n):
+        # merged transfer-matrix states keep the cost exponential only in
+        # the short side, so max_cells can go far past enumeration
+        poly = stratum_poly(m, n)
+        expected = {d: int(c) for d, c in enumerate(poly.coeffs) if c}
+        assert tally_dimensions(m, n, "kernel", max_cells=m * n).counts == expected
+
+    def test_kernel_route_reads_no_pipes(self, monkeypatch):
+        # the kernel route must stay independent of the pipe-dream route
+        from hstrata import enumeration, exactlinalg, pipedreams
+        from hstrata.exactlinalg import _white_kernel_dim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel route traced a pipe")
+
+        for module, name in [
+            (pipedreams, "_trace"),
+            (pipedreams, "_exit_tables"),
+            (pipedreams, "_pipe_row"),
+            (exactlinalg, "_trace"),
+            (enumeration, "_pipe_row"),
+        ]:
+            monkeypatch.setattr(module, name, refuse)
+        with pytest.raises(AssertionError, match="traced a pipe"):
+            tally_dimensions(2, 2, "cycles")
+        expected = {d: int(c) for d, c in enumerate(stratum_poly(4, 4).coeffs) if c}
+        assert tally_dimensions(4, 4, "kernel").counts == expected
+        assert _white_kernel_dim(Diagram.parse("..#.\n..##\n#...\n#..#")) == 2
+        for d in [Diagram.all_white(3, 5), Diagram.parse("#..\n.#.\n..#\n#..")]:
+            assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
 
     def test_cache_round_trip(self, tmp_path):
         tally = tally_dimensions(2, 2, cache_dir=tmp_path)

@@ -23,10 +23,24 @@ from hstrata import (
     trace_permutation,
     white_adjacency_matrix,
 )
-from hstrata.exactlinalg import _eliminate, is_skew_symmetric, matvec
+from hstrata import exactlinalg
+from hstrata.exactlinalg import (
+    _cayley,
+    _eliminate,
+    _white_kernel_dim,
+    is_skew_symmetric,
+    matvec,
+)
 from hstrata.pipedreams import Permutation
 
-from conftest import all_diagrams, diagrams, rank_by_minors, region_sets
+from conftest import (
+    SHAPES_UP_TO_12,
+    all_diagrams,
+    cauchon_by_definition,
+    diagrams,
+    rank_by_minors,
+    region_sets,
+)
 
 EXAMPLE_4X4 = "..#.\n..##\n#...\n#..#"
 
@@ -210,6 +224,83 @@ class TestKernelEquality:
             assert odd == kernel_dim(boundary_matrix(d))
             checked += 1
         assert checked > 50
+
+
+def cayley_dense(k):
+    """The sparse rows of _cayley(k) as a dense k x k matrix."""
+    out = [[0] * k for _ in range(k)]
+    for i, terms in enumerate(_cayley(k)):
+        for j, x in terms:
+            out[i][j] = x
+    return out
+
+
+def in_row_block(k):
+    return white_adjacency_matrix(Diagram.all_white(1, k))
+
+
+class TestColumnTransfer:
+    """The row map (I + C)^-1 (C - I) and the kernel dimension dim ker(I + Phi)."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cayley_is_a_signed_cyclic_shift(self, k):
+        # the algebraic core of the dimension theorem: a row of k white
+        # squares moves t[c_(i-1)] to c_i and -t[c_k] to c_1, which is the
+        # toric permutation's step along the row; src/ solves it generically
+        shift = [[0] * k for _ in range(k)]
+        shift[0][k - 1] = -1
+        for i in range(1, k):
+            shift[i][i - 1] = 1
+        assert cayley_dense(k) == shift
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_cayley_solves_its_system(self, k):
+        c = in_row_block(k)
+        plus = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(c)]
+        minus = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(c)]
+        cay = cayley_dense(k)
+        product = [[sum(plus[i][t] * cay[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+        assert product == minus
+
+    def test_singular_block_raises(self, monkeypatch):
+        # I + C is never singular for a skew C; a block with eigenvalue -1
+        # shows the typed error instead of a wrong row map
+        monkeypatch.setattr(exactlinalg, "white_adjacency_matrix", lambda d: [[-1]])
+        with pytest.raises(ZeroDivisionError, match="singular"):
+            _cayley.__wrapped__(1)
+
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
+    def test_matches_full_elimination_on_cauchon_diagrams(self, m, n):
+        for d in all_diagrams(m, n):
+            if cauchon_by_definition(d):
+                assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+
+    @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 5)])
+    def test_matches_full_elimination_on_every_coloring(self, m, n):
+        # dim accepts non-Cauchon diagrams, so the identity must hold for all
+        for d in all_diagrams(m, n):
+            assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+
+    @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 5)])
+    def test_transposing_relabels_the_white_matrix(self, m, n):
+        # "below" and "right" swap, so the relation of every pair is kept and
+        # sweeping the longer side gives the same kernel dimension
+        for d in all_diagrams(m, n):
+            t = d.transpose()
+            label = {(c, r): i for i, (r, c) in enumerate(d.white_squares())}
+            order = [label[sq] for sq in t.white_squares()]
+            mat = white_adjacency_matrix(d)
+            assert white_adjacency_matrix(t) == [[mat[i][j] for j in order] for i in order]
+            assert _white_kernel_dim(t) == _white_kernel_dim(d) == kernel_dim(mat)
+
+    @given(diagrams(max_m=6, max_n=6))
+    def test_matches_full_elimination_on_random_diagrams(self, d):
+        assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+
+    def test_all_white_grid_past_desk_scale(self):
+        # an all-white k x k grid has k odd cycles (kernel dimension k)
+        assert _white_kernel_dim(Diagram.all_white(30, 30)) == 30
+        assert _white_kernel_dim(Diagram.all_white(1, 900)) == 0
 
 
 class TestCycleKernelBasis:
