@@ -5,21 +5,21 @@ are still all black, so every enumeration goes row by row, keeping that
 column mask and, for each mask, generating the allowed rows lazily: k black
 squares, a white one, then black squares only in columns of the mask.
 
-One depth-first sweep drives cauchon_diagrams and the cycles tally.  Rows
-come white before black, so the diagrams come in lexicographic order of
-their row-major cells with white before black, each exactly once.  A
-per-row step is folded into a state that all children of a prefix share,
-so the work on a prefix is done once for its whole subtree:
-cauchon_diagrams collects the rows and yields a Diagram per leaf, and the
-cycles tally carries the pipe exits down the rows and reads a dimension off
-each leaf without building a Diagram, Permutation or cycle tuple.
+cauchon_diagrams is one depth-first stream: rows come white before black,
+so the diagrams come in lexicographic order of their row-major cells with
+white before black, each exactly once, and none is kept.
 
-The kernel tally goes level by level instead.  A prefix's white squares
-meet later rows only through their columns, so the prefix is summed up by
-its mask and an n x n column transfer matrix (exactlinalg._phi_step);
-prefixes with equal states merge and their counts add, and a dimension is
-read once per final state.  The per-diagram objects stay the path of dim,
-verify and lookup, and the tests use them as the tally oracle.
+Both tallies run on one level-by-level frontier instead.  A prefix of rows
+meets the later rows only through its mask and a state on the columns, so
+prefixes with equal (mask, state) merge, their counts adding, and a
+dimension is read once per final state.  The cycles tally's state is the
+toric permutation contracted to the columns, with the parity of the row
+labels each pipe passed (pipedreams._even_cycle_count reads it); the
+kernel tally's is the column transfer matrix (exactlinalg._phi_step).
+Transposing keeps a diagram Cauchon and its dimension, so the frontier runs
+along the longer side and costs exponential time only in the shorter one.
+The per-diagram objects stay the path of dim, verify and lookup, and the
+tests use them as the tally oracle.
 
 Counts grow like poly-Bernoulli numbers, so enumeration is capped by a cell
 limit and the closed-form counting routes should be used beyond it.  Tallies
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from .diagrams import Diagram
 from .exactlinalg import _identity, _phi_step, _transfer_kernel_dim
@@ -49,12 +49,8 @@ from .pipedreams import (
     trace_permutation,
 )
 
-S = TypeVar("S")
-
 DEFAULT_CELL_LIMIT = 25
 CACHE_VERSION = 1
-
-TALLY_METHODS = ("cycles", "kernel")
 
 
 class EnumerationLimitError(ValueError):
@@ -122,98 +118,87 @@ def _check_shape(m: int, n: int, max_cells: int) -> None:
         raise EnumerationLimitError(m, n, max_cells)
 
 
-def _row_choices(n: int, col_black: int) -> Iterator[tuple[bool, ...]]:
+def _row_choices(n: int, col_black: int) -> Iterator[tuple[tuple[bool, ...], int]]:
     """Rows that may follow rows whose all-black columns are the bits of col_black.
 
-    Yields the rows in lexicographic order, white before black.  A row is k
-    black squares, then (when k < n) a white square, then squares that may
+    Yields (cells, below) in lexicographic order of the cells, white before
+    black, with below the all-black columns once the row is added.  A row is
+    k black squares, then (when k < n) a white square, then squares that may
     be black only in columns of col_black: past the white square the row is
     no longer all black to the left.
     """
     for k in range(n):
         after = [(False, True) if col_black >> c & 1 else (False,) for c in range(k + 1, n)]
-        yield from product(*[(True,)] * k, (False,), *after)
-    yield (True,) * n
-
-
-def _sweep(m: int, n: int, root: S, step: Callable[[S, tuple[bool, ...], int], S]) -> Iterator[S]:
-    """Fold step over the rows of every m x n Cauchon diagram, in order.
-
-    step(state, cells, r) gives the state after row r (0-based from the top);
-    the children of a prefix all start from the prefix's state, so step must
-    leave its argument unchanged.  Yields one final state per diagram.
-    """
-    last = m - 1
-
-    def descend(state: S, r: int, col_black: int) -> Iterator[S]:
-        if r == last:
-            for cells in _row_choices(n, col_black):
-                yield step(state, cells, r)
-        else:
-            for cells in _row_choices(n, col_black):
-                below = sum(1 << c for c, black in enumerate(cells) if black) & col_black
-                yield from descend(step(state, cells, r), r + 1, below)
-
-    return descend(root, 0, (1 << n) - 1)
+        # the column bits of the black squares past the white one, in step with the cells
+        bits = [(0, 1 << c) if col_black >> c & 1 else (0,) for c in range(k + 1, n)]
+        low = col_black & ((1 << k) - 1)
+        for cells, black in zip(product(*[(True,)] * k, (False,), *after), product(*bits)):
+            yield cells, low | sum(black)
+    yield (True,) * n, col_black
 
 
 def cauchon_diagrams(m: int, n: int, max_cells: int = DEFAULT_CELL_LIMIT) -> Iterator[Diagram]:
     """Yield every m x n Cauchon diagram exactly once, deterministically."""
     _check_shape(m, n, max_cells)
-    prefixes = _sweep(m, n, (), lambda rows, cells, r: rows + (cells,))
-    return map(Diagram, prefixes)
+    last = m - 1
+
+    def descend(rows: tuple, col_black: int) -> Iterator[Diagram]:
+        if len(rows) == last:
+            for cells, _ in _row_choices(n, col_black):
+                yield Diagram(rows + (cells,))
+        else:
+            for cells, below in _row_choices(n, col_black):
+                yield from descend(rows + (cells,), below)
+
+    return descend((), (1 << n) - 1)
 
 
-def _cycle_dims(m: int, n: int) -> Iterator[int]:
-    """Odd-cycle count of each Cauchon diagram's toric permutation, in sweep order.
+def _frontier(m: int, n: int, root: tuple, step: Callable[[tuple, tuple], tuple]) -> Counter:
+    """Final states of the rows of all m x n Cauchon diagrams, counted.
 
-    The state is the exit labels of pipes entering each column from below
-    (0-based toric labels: column c is m+c, row r from the top is m-1-r) and
-    the exits of the pipes entering each row from the right.
-    """
-
-    def step(state, cells, r):
-        up, rights = state
-        up, right = _pipe_row(up, cells, m - 1 - r)
-        return up, rights + [right]
-
-    # in toric label order the rows come first, from the bottom up
-    for up, rights in _sweep(m, n, (list(range(m, m + n)), []), step):
-        yield _even_cycle_count(rights[::-1] + up)
-
-
-def _kernel_counts(m: int, n: int) -> Counter:
-    """Kernel dimensions of the white matrices of all m x n Cauchon diagrams, counted.
-
-    A prefix of rows is summed up by its column-black mask and its column
-    transfer matrix phi (exactlinalg._phi_step), so the rows are swept level
-    by level and prefixes with equal states merge, their counts adding.
-    Transposing keeps a diagram Cauchon and its white matrix the same up to
-    relabeling, so the sweep runs along the longer side and phi is
-    min(m, n) square.
+    The rows are swept level by level along the longer side, so root and
+    each state describe min(m, n) columns.  step(state, cells) gives the
+    state after a row; prefixes with equal column mask and state merge, and
+    their counts add.
     """
     if m < n:
         m, n = n, m
-    frontier = {((1 << n) - 1, _identity(n)): 1}
+    frontier = {((1 << n) - 1, root): 1}
     for _ in range(m):
         nxt: Counter = Counter()
         moves: dict[int, list] = {}
-        for (col_black, phi), count in frontier.items():
+        for (col_black, state), count in frontier.items():
             if col_black not in moves:
-                moves[col_black] = [
-                    (
-                        sum(1 << c for c, black in enumerate(cells) if black) & col_black,
-                        [c for c, black in enumerate(cells) if not black],
-                    )
-                    for cells in _row_choices(n, col_black)
-                ]
-            for below, cols in moves[col_black]:
-                nxt[below, _phi_step(phi, cols)] += count
+                moves[col_black] = list(_row_choices(n, col_black))
+            for cells, below in moves[col_black]:
+                nxt[below, step(state, cells)] += count
         frontier = nxt
-    dims: Counter = Counter()
-    for (_, phi), count in frontier.items():
-        dims[_transfer_kernel_dim(phi)] += count
-    return dims
+    finals: Counter = Counter()
+    for (_, state), count in frontier.items():
+        finals[state] += count
+    return finals
+
+
+def _toric_step(f: tuple[int, ...], cells: tuple[bool, ...]) -> tuple[int, ...]:
+    """Pass the pipes of one row through the contracted toric permutation f.
+
+    f[c] = 2t + p says the pipe entering the rows so far from below column c
+    leaves them at the top of column t after passing p (mod 2) row labels.
+    A pipe leaving the new row on the left re-enters it on the right, so the
+    placeholder exit at the row's first white column is the exit of the
+    pipe entering from the right, one row label further on.
+    """
+    up, right = _pipe_row(f, cells, -1)
+    if right >= 0:
+        up[cells.index(False)] = right ^ 1
+    return tuple(up)
+
+
+# (root for k columns, row step, dimension of a final state) of each method
+_ROUTES = {
+    "cycles": (lambda k: tuple(range(0, 2 * k, 2)), _toric_step, _even_cycle_count),
+    "kernel": (_identity, _phi_step, _transfer_kernel_dim),
+}
 
 
 def tally_dimensions(
@@ -227,17 +212,18 @@ def tally_dimensions(
 
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
     computes the kernel dimension of the white adjacency matrix.  The two
-    agree on every diagram.  Neither builds a Diagram or Permutation per
-    diagram: 'cycles' folds the pipe exits down the row sweep, and 'kernel'
-    merges prefixes by their column transfer matrix.  Results are cached as
+    agree on every diagram.  Both run on one frontier that merges prefixes
+    sharing a column mask and a state, the contracted toric permutation for
+    'cycles' and the column transfer matrix for 'kernel', and neither builds
+    a Diagram or Permutation per diagram.  Results are cached as
     JSON in cache_dir when one is given; nothing else turns the cache on.  A
     cached file is trusted only when it parses, is for this m x n and totals
     poly_bernoulli(m, n); otherwise the tally is recomputed and the file
     replaced.  Files are written to a temporary name and then renamed, so a
     reader never sees a partial one.
     """
-    if method not in TALLY_METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {TALLY_METHODS}")
+    if method not in _ROUTES:
+        raise ValueError(f"unknown method {method!r}, expected one of {tuple(_ROUTES)}")
     _check_shape(m, n, max_cells)
 
     path = _cache_path(cache_dir, m, n, method)
@@ -246,7 +232,10 @@ def tally_dimensions(
         if cached is not None:
             return cached
 
-    counts = Counter(_cycle_dims(m, n)) if method == "cycles" else _kernel_counts(m, n)
+    root, step, read = _ROUTES[method]
+    counts: Counter = Counter()
+    for state, count in _frontier(m, n, root(min(m, n)), step).items():
+        counts[read(state)] += count
     tally = StratumTally.from_counts(m, n, counts)
 
     if path is not None:

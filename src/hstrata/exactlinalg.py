@@ -197,12 +197,15 @@ def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _cayley(k: int) -> tuple[tuple[tuple[int, Rational], ...], ...]:
+def _cayley(k: int) -> tuple[tuple[int, int], ...]:
     """(I + C)^-1 (C - I) for the in-row block C of k white squares, by elimination.
 
-    C is the white matrix of one row of k white squares.  The result is
-    given sparsely: row i lists (j, entry) for its nonzero entries.  C is
-    skew, so I + C is invertible; ZeroDivisionError is raised if it is not.
+    C is the white matrix of one row of k white squares.  The solved map is
+    a signed permutation, so row i is given as (j, +-1) for its one nonzero
+    entry; every transfer matrix is then a signed permutation too, and its
+    entries stay in -1..1.  C is skew, so I + C is invertible;
+    ZeroDivisionError is raised if it is not, and ArithmeticError if the
+    solved map is not a signed permutation.
     """
     block = white_adjacency_matrix(Diagram([[False] * k]))
     rows = [
@@ -216,29 +219,27 @@ def _cayley(k: int) -> tuple[tuple[tuple[int, Rational], ...], ...]:
         row = rows[i]
         later = [(j, row[j]) for j in range(i + 1, k) if row[j]]
         for b in range(k):
-            x = Fraction(row[k + b] - sum(e * solved[j][b] for j, e in later), row[i])
-            solved[i].append(x.numerator if x.denominator == 1 else x)
-    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in solved)
+            solved[i].append(Fraction(row[k + b] - sum(e * solved[j][b] for j, e in later), row[i]))
+    terms = [[(j, x) for j, x in enumerate(row) if x] for row in solved]
+    if any(len(t) != 1 or abs(t[0][1]) != 1 for t in terms) or len({t[0][0] for t in terms}) != k:
+        raise ArithmeticError(f"the row map of {k} white squares is not a signed permutation")
+    return tuple((t[0][0], int(t[0][1])) for t in terms)
 
 
-def _phi_step(phi: tuple[tuple[Rational, ...], ...], cols: Sequence[int]) -> tuple:
-    """Left-multiply the transfer matrix phi by the map of a row with white columns cols.
+def _phi_step(phi: tuple[tuple[int, ...], ...], cells: Sequence[bool]) -> tuple:
+    """Left-multiply the transfer matrix phi by the map of a row of cells.
 
-    Rows of phi outside cols stay; row cols[i] becomes the combination of rows
-    cols[j] by the nonzero entries of row i of the row's Cayley transform.
+    Rows of phi at black columns stay; the row at the i-th white column
+    becomes the signed row at the j-th one, for row i = (j, sign) of the
+    row's Cayley transform.
     """
+    cols = [c for c, black in enumerate(cells) if not black]
     if not cols:
         return phi
     out = list(phi)
-    for c, terms in zip(cols, _cayley(len(cols))):
-        if len(terms) == 1:
-            j, x = terms[0]
-            src = phi[cols[j]]
-            out[c] = src if x == 1 else tuple(x * e for e in src)
-        else:
-            out[c] = tuple(
-                sum(x * phi[cols[j]][i] for j, x in terms) for i in range(len(phi))
-            )
+    for c, (j, sign) in zip(cols, _cayley(len(cols))):
+        src = phi[cols[j]]
+        out[c] = src if sign == 1 else tuple(-e for e in src)
     return tuple(out)
 
 
@@ -247,10 +248,10 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _transfer_kernel_dim(phi: Sequence[Sequence[Rational]]) -> int:
+def _transfer_kernel_dim(phi: Sequence[Sequence[int]]) -> int:
     """dim ker(I + phi): the white matrix's kernel dimension read off its transfer matrix."""
     n = len(phi)
-    rows = _integer_rows([[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi)])
+    rows = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi)]
     return n - len(_eliminate(rows, n))
 
 
@@ -264,7 +265,7 @@ def _white_kernel_dim(d: Diagram) -> int:
     cells = d.rows if d.m >= d.n else tuple(zip(*d.rows))
     phi = _identity(len(cells[0]))
     for row in cells:
-        phi = _phi_step(phi, [c for c, black in enumerate(row) if not black])
+        phi = _phi_step(phi, row)
     return _transfer_kernel_dim(phi)
 
 

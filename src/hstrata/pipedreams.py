@@ -146,7 +146,13 @@ def odd_cycle_count(cycles: tuple[tuple[int, ...], ...]) -> int:
 
 
 def _even_cycle_count(images: Sequence[int]) -> int:
-    """Number of even-length cycles of a permutation of 0..k-1 in one-line form."""
+    """Number of even-length cycles of a toric permutation contracted to its columns.
+
+    images[c] = 2t + p says the pipe from the bottom of column c (0-based)
+    reaches the top of column t after passing p (mod 2) row labels.  A
+    cycle's length is its number of columns plus the row labels it passed;
+    cycles of row labels alone are all-black rows, fixed points of odd length.
+    """
     seen = [False] * len(images)
     count = 0
     for start in range(len(images)):
@@ -156,8 +162,8 @@ def _even_cycle_count(images: Sequence[int]) -> int:
         x = start
         while not seen[x]:
             seen[x] = True
-            x = images[x]
-            length += 1
+            length += 1 + (images[x] & 1)
+            x = images[x] >> 1
         count += not length & 1
     return count
 

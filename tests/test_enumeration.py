@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -13,6 +14,7 @@ from hstrata import (
     StratumTally,
     all_black_permutation,
     cauchon_diagrams,
+    closed_form_coeffs,
     cycle_decomposition,
     diagram_from_permutation,
     kernel_dim,
@@ -32,6 +34,21 @@ from conftest import (
     count_set_partitions,
     tally_by_objects,
 )
+
+
+def solve_exactly(augmented):
+    """The solution of a nonsingular square system given as augmented rows."""
+    rows = [[Fraction(x) for x in row] for row in augmented]
+    size = len(rows)
+    for c in range(size):
+        piv = next(i for i in range(c, size) if rows[i][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for i in range(size):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return [row[size] for row in rows]
 
 
 class TestCauchonDiagrams:
@@ -151,13 +168,28 @@ class TestTallyDimensions:
         with pytest.raises(ValueError, match="method"):
             tally_dimensions(2, 2, "guess")
 
+    @pytest.mark.parametrize("method", ["cycles", "kernel"])
     @pytest.mark.parametrize("m,n", [(40, 3), (20, 4), (8, 5)])
-    def test_kernel_tally_past_the_cell_cap(self, m, n):
-        # merged transfer-matrix states keep the cost exponential only in
-        # the short side, so max_cells can go far past enumeration
+    def test_kernel_tally_past_the_cell_cap(self, m, n, method):
+        # merged frontier states keep the cost exponential only in the short
+        # side, so max_cells can go far past enumeration
         poly = stratum_poly(m, n)
         expected = {d: int(c) for d, c in enumerate(poly.coeffs) if c}
-        assert tally_dimensions(m, n, "kernel", max_cells=m * n).counts == expected
+        assert tally_dimensions(m, n, method, max_cells=m * n).counts == expected
+
+    @pytest.mark.parametrize("method", ["cycles", "kernel"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_vandermonde_fit_gives_the_closed_form(self, n, method):
+        # h(m, n, d) = sum_k c_k k^m over the bases 1-n..n+1 (k != 0): fit
+        # the c_k exactly to the tallies at m = 1..2n, with no Stirling sums
+        bases = [k for k in range(1 - n, n + 2) if k]
+        tallies = {m: tally_dimensions(m, n, method, max_cells=m * n) for m in range(1, 2 * n + 2)}
+        for d in range(n + 1):
+            system = [[k**m for k in bases] + [tallies[m].count(d)] for m in range(1, 2 * n + 1)]
+            c = dict(zip(bases, solve_exactly(system)))
+            assert {k: v for k, v in c.items() if v} == closed_form_coeffs(n, d).coeffs
+            predicted = sum(v * k ** (2 * n + 1) for k, v in c.items())
+            assert predicted == tallies[2 * n + 1].count(d)
 
     def test_kernel_route_reads_no_pipes(self, monkeypatch):
         # the kernel route must stay independent of the pipe-dream route

@@ -227,11 +227,10 @@ class TestKernelEquality:
 
 
 def cayley_dense(k):
-    """The sparse rows of _cayley(k) as a dense k x k matrix."""
+    """The (column, sign) rows of _cayley(k) as a dense k x k matrix."""
     out = [[0] * k for _ in range(k)]
-    for i, terms in enumerate(_cayley(k)):
-        for j, x in terms:
-            out[i][j] = x
+    for i, (j, sign) in enumerate(_cayley(k)):
+        out[i][j] = sign
     return out
 
 
@@ -268,6 +267,13 @@ class TestColumnTransfer:
         monkeypatch.setattr(exactlinalg, "white_adjacency_matrix", lambda d: [[-1]])
         with pytest.raises(ZeroDivisionError, match="singular"):
             _cayley.__wrapped__(1)
+
+    def test_row_map_that_is_no_signed_permutation_raises(self, monkeypatch):
+        # this block solves to (3 4; -4 3) / 5: transfer matrices built from
+        # such a map would grow without bound, so it must fail at once
+        monkeypatch.setattr(exactlinalg, "white_adjacency_matrix", lambda d: [[0, 2], [-2, 0]])
+        with pytest.raises(ArithmeticError, match="signed permutation"):
+            _cayley.__wrapped__(2)
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_matches_full_elimination_on_cauchon_diagrams(self, m, n):
