@@ -71,11 +71,10 @@ DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
 ASYMPTOTICS_MAX_N = 1000
-# count and lookup take --max-cells up to DEFAULT_CELL_LIMIT (25).  count
-# --method enum merges prefixes on a frontier whose cost grows only with the
-# shorter side: the whole command took 0.1 s at 1x25 and 25x1 (33,554,432
-# diagrams each) and 0.2 s at 5x5, on the same box.  A lookup walks the
-# whole stream: 743 s at 1x25 and 1992 s at 25x1.
+# count takes --max-cells up to DEFAULT_CELL_LIMIT (25).  count --method
+# enum merges prefixes on a frontier whose cost grows only with the shorter
+# side: the whole command took 0.1 s at 1x25 and 25x1 (33,554,432 diagrams
+# each) and 0.2 s at 5x5, on the same box.
 
 FORMATS = ("text", "json", "csv")
 
@@ -175,16 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=10)
     p.set_defaults(handler=_cmd_asymptotics)
 
-    p = sub.add_parser(
-        "lookup",
-        parents=[common, cells],
-        help="diagram for a restricted permutation",
-        description=(
-            "Find the Cauchon diagram whose pipes trace the permutation by walking the "
-            f"enumeration. --max-cells is at most {DEFAULT_CELL_LIMIT}: a lookup that walks "
-            "the whole 25x1 stream (33,554,432 diagrams) took about 33 min on a 2-CPU box."
-        ),
-    )
+    p = sub.add_parser("lookup", parents=[common], help="diagram for a restricted permutation")
     p.add_argument("permutation", help="one-line images, e.g. '[3,4,1,2]'")
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
@@ -240,15 +230,6 @@ def _cmd_dim(args) -> dict:
     return report
 
 
-def _enum_cell_limit(args) -> int:
-    """--max-cells of count and lookup: at most DEFAULT_CELL_LIMIT, the default."""
-    if args.max_cells is None:
-        return DEFAULT_CELL_LIMIT
-    if args.max_cells > DEFAULT_CELL_LIMIT:
-        raise ValueError(f"--max-cells capped at {DEFAULT_CELL_LIMIT} for {args.command}")
-    return args.max_cells
-
-
 def _method_counts(m: int, n: int, method: str, limit: int, cache_dir) -> dict[int, int]:
     if method == "enum":
         return dict(tally_dimensions(m, n, max_cells=limit, cache_dir=cache_dir).counts)
@@ -271,7 +252,9 @@ def _cmd_count(args) -> dict:
         raise ValueError("m and n must be positive")
     if "series" in methods and max(args.m, args.n) > SERIES_MAX_ORDER:
         raise ValueError(f"--method series is capped at max(m, n) <= {SERIES_MAX_ORDER}")
-    limit = _enum_cell_limit(args)
+    limit = DEFAULT_CELL_LIMIT if args.max_cells is None else args.max_cells
+    if limit > DEFAULT_CELL_LIMIT:
+        raise ValueError(f"--max-cells capped at {DEFAULT_CELL_LIMIT} for count")
     counts = {
         meth: _method_counts(args.m, args.n, meth, limit, args.cache_dir) for meth in methods
     }
@@ -459,7 +442,7 @@ def _cmd_asymptotics(args) -> dict:
 
 def _cmd_lookup(args) -> dict:
     perm = Permutation.from_one_line(args.permutation)
-    found = diagram_from_permutation(perm, args.m, args.n, max_cells=_enum_cell_limit(args))
+    found = diagram_from_permutation(perm, args.m, args.n)
     return {
         "command": "lookup",
         "m": args.m,

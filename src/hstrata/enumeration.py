@@ -18,8 +18,8 @@ labels each pipe passed (pipedreams._even_cycle_count reads it); the
 kernel tally's is the column transfer matrix (exactlinalg._phi_step).
 Transposing keeps a diagram Cauchon and its dimension, so the frontier runs
 along the longer side and costs exponential time only in the shorter one.
-The per-diagram objects stay the path of dim, verify and lookup, and the
-tests use them as the tally oracle.
+The per-diagram objects stay the path of dim and verify, and the tests use
+them as the tally oracle; lookup reads its diagram off a reduced word.
 
 Counts grow like poly-Bernoulli numbers, so enumeration is capped by a cell
 limit and the closed-form counting routes should be used beyond it.  Tallies
@@ -302,20 +302,36 @@ def single_cycle_count(m: int, n: int) -> int:
     )
 
 
-def diagram_from_permutation(
-    p: Permutation, m: int, n: int, max_cells: int = DEFAULT_CELL_LIMIT
-) -> Diagram | None:
+def diagram_from_permutation(p: Permutation, m: int, n: int) -> Diagram | None:
     """The unique Cauchon diagram tracing to p, or None if there is none.
 
-    Realized by searching the enumeration stream; only restricted
-    permutations can occur, so others return None immediately.
+    Only restricted permutations occur, so others return None at once.  The
+    trace is the product of s_j, j = c + m - r, over the black squares (r, c)
+    in row-major order, and on a Cauchon diagram this word is reduced, so it
+    is read back left to right in O(mn): a square is black exactly when its
+    letter is a left descent of what remains of p, and is then divided off.
+    The diagram is traced once to confirm it; an ArithmeticError reports
+    one that is not Cauchon or does not trace to p.
     """
-    _check_shape(m, n, max_cells)
-    if p.size != m + n:
-        raise ValueError(f"permutation size {p.size} does not match m+n = {m + n}")
-    if not is_restricted(p, m, n):
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+    if not is_restricted(p, m, n):  # a ValueError when p.size != m + n
         return None
-    for d in cauchon_diagrams(m, n, max_cells=max_cells):
-        if trace_permutation(d) == p:
-            return d
-    return None
+    # at[v] is the position of the value v in what remains of p; j is a left
+    # descent when j + 1 stands left of j, and s_j w swaps the two values
+    at = [0] * (m + n + 1)
+    for i, v in enumerate(p.images):
+        at[v] = i
+    rows = []
+    for r in range(1, m + 1):
+        row = []
+        for j in range(m + 1 - r, m + n + 1 - r):
+            black = at[j + 1] < at[j]
+            if black:
+                at[j], at[j + 1] = at[j + 1], at[j]
+            row.append(black)
+        rows.append(row)
+    d = Diagram(rows)
+    if not d.is_cauchon() or trace_permutation(d) != p:
+        raise ArithmeticError(f"the word read off {p.one_line()} gives no Cauchon diagram for it")
+    return d

@@ -1,11 +1,11 @@
 """Shared oracles and strategies for the test suite.
 
 The helpers here are deliberately independent re-implementations (plain
-definitions, brute force, a stepwise pipe walker, region sets, the
-inclusion-exclusion Stirling sum, the closed triple sum over Fraction
-polynomials, power-sum series exp/log/inverse, tallies through the
-per-diagram object path) used to validate the package's faster or cleverer
-code paths.
+definitions, brute force, a stepwise pipe walker, the word product of the
+black squares, region sets, the inclusion-exclusion Stirling sum, the closed
+triple sum over Fraction polynomials, power-sum series exp/log/inverse,
+tallies through the per-diagram object path) used to validate the package's
+faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -39,6 +39,40 @@ def all_diagrams(m: int, n: int):
     """Every one of the 2^(m*n) diagrams, black cells free."""
     for bits in product((False, True), repeat=m * n):
         yield Diagram([bits[i * n : (i + 1) * n] for i in range(m)])
+
+
+def random_cauchon(rng, m: int, n: int, p: float) -> Diagram:
+    """A random m x n Cauchon diagram: each square the condition allows to be
+    black is black with probability p."""
+    col_black = [True] * n
+    rows = []
+    for _ in range(m):
+        row_black = True
+        row = []
+        for c in range(n):
+            black = (col_black[c] or row_black) and rng.random() < p
+            col_black[c] &= black
+            row_black &= black
+            row.append(black)
+        rows.append(row)
+    return Diagram(rows)
+
+
+def word_permutation(d: Diagram) -> Permutation:
+    """The trace as a word: s_j, j = c + m - r, for each black square (r, c)
+    in row-major order, multiplied on the right.
+
+    Starts from the identity's one-line form and swaps the entries at
+    positions j and j+1 per black square; a fourth route to
+    trace_permutation, sharing nothing with the pipe rules.
+    """
+    images = list(range(1, d.m + d.n + 1))
+    for r, row in enumerate(d.rows, start=1):
+        for c, black in enumerate(row, start=1):
+            if black:
+                j = c + d.m - r
+                images[j - 1], images[j] = images[j], images[j - 1]
+    return Permutation(images)
 
 
 def cauchon_by_definition(d: Diagram) -> bool:

@@ -270,7 +270,6 @@ class TestVerify:
         [
             ["count", "6", "6", "--method", "enum", "--max-cells", "36"],
             ["count", "2", "2", "--max-cells", "26"],
-            ["lookup", "[2,1]", "1", "1", "--max-cells", "26"],
         ],
     )
     def test_enumeration_cap_on_count_and_lookup(self, capsys, argv):
@@ -282,7 +281,6 @@ class TestVerify:
     def test_enumeration_cap_itself_is_accepted(self, capsys):
         cap = str(cli.DEFAULT_CELL_LIMIT)
         assert run_cli(capsys, "count", "2", "2", "--method", "enum", "--max-cells", cap)[0] == 0
-        assert run_cli(capsys, "lookup", "[2,1]", "1", "1", "--max-cells", cap)[0] == 0
 
     def test_broken_kernel_map_fails_iso_maps(self, monkeypatch):
         square_image = cli._square_image
@@ -371,6 +369,19 @@ class TestLookup:
         assert code == 2
         assert "error" in err
 
+    def test_rotation_past_the_old_cap(self, capsys):
+        # the all-black 30x30 diagram traces to the rotation i -> m + i
+        rotation = list(range(31, 61)) + list(range(1, 31))
+        code, out, _ = run_cli(capsys, "lookup", str(rotation).replace(" ", ""), "30", "30")
+        assert code == 0
+        assert out == "\n".join(["#" * 30] * 30) + "\nstatus: ok"
+
+    def test_positive_sizes_required(self, capsys):
+        code, out, err = run_cli(capsys, "lookup", "[1]", "0", "1")
+        assert code == 2
+        assert out == ""
+        assert "m and n must be positive" in err
+
 
 class TestCoeffs:
     def test_golden_row(self, capsys):
@@ -440,6 +451,7 @@ class TestOptionScope:
             ["coeffs", "2", "0", "--max-cells", "3"],
             ["verify", "--cache-dir", "x"],
             ["lookup", "[1,2]", "1", "1", "--cache-dir", "x"],
+            ["lookup", "[1,2]", "1", "1", "--max-cells", "3"],
         ],
     )
     def test_unread_option_is_rejected(self, capsys, argv):
@@ -457,9 +469,6 @@ class TestOptionScope:
         assert "agree: True" in out
         code, _, _ = run_cli(capsys, "verify", "--max-cells", "2")
         assert code == 0
-        code, out, _ = run_cli(capsys, "lookup", "[3,4,1,2]", "2", "2", "--max-cells", "4")
-        assert code == 0
-        assert "##\n##" in out
 
     @pytest.mark.parametrize(
         "command,cap",
@@ -469,7 +478,6 @@ class TestOptionScope:
             ("verify", "VERIFY_MAX_CELLS"),
             ("count", "SERIES_MAX_ORDER"),
             ("count", "DEFAULT_CELL_LIMIT"),
-            ("lookup", "DEFAULT_CELL_LIMIT"),
         ],
     )
     def test_help_states_the_cap(self, capsys, command, cap):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 import tracemalloc
 from fractions import Fraction
 from itertools import islice
@@ -26,12 +27,15 @@ from hstrata import (
     trace_permutation,
     white_adjacency_matrix,
 )
+from hstrata import enumeration
+from hstrata.cli import main
 
 from conftest import (
     SHAPES_UP_TO_12,
     all_diagrams,
     cauchon_by_definition,
     count_set_partitions,
+    random_cauchon,
     tally_by_objects,
 )
 
@@ -193,7 +197,7 @@ class TestTallyDimensions:
 
     def test_kernel_route_reads_no_pipes(self, monkeypatch):
         # the kernel route must stay independent of the pipe-dream route
-        from hstrata import enumeration, exactlinalg, pipedreams
+        from hstrata import exactlinalg, pipedreams
         from hstrata.exactlinalg import _white_kernel_dim
 
         def refuse(*args, **kwargs):
@@ -344,28 +348,59 @@ class TestDiagramFromPermutation:
 
     def test_every_restricted_permutation_is_realized(self):
         # the trace is a bijection between Cauchon diagrams and restricted
-        # permutations, so lookups succeed exactly on the restricted ones
+        # permutations, so lookups succeed exactly on the restricted ones,
+        # poly_bernoulli(m, n) of them, for every shape with m + n <= 7
         from itertools import permutations as iperm
 
         from hstrata import is_restricted
 
-        realized = {trace_permutation(d).images for d in cauchon_diagrams(2, 3)}
-        for images in iperm(range(1, 6)):
-            p = Permutation(images)
-            if is_restricted(p, 2, 3):
-                assert images in realized
-            else:
-                assert diagram_from_permutation(p, 2, 3) is None
+        for m in range(1, 7):
+            for n in range(1, 8 - m):
+                found = 0
+                for images in iperm(range(1, m + n + 1)):
+                    p = Permutation(images)
+                    d = diagram_from_permutation(p, m, n)
+                    if is_restricted(p, m, n):
+                        assert d.is_cauchon() and trace_permutation(d) == p
+                        found += 1
+                    else:
+                        assert d is None
+                assert found == poly_bernoulli(m, n)
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (2, 3)])
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_round_trip(self, m, n):
         for d in cauchon_diagrams(m, n):
             assert diagram_from_permutation(trace_permutation(d), m, n) == d
 
+    @pytest.mark.parametrize("m,n", [(30, 30), (5, 200), (200, 5)])
+    def test_round_trip_past_the_old_cap(self, m, n):
+        rng = random.Random(m * 1000 + n)
+        cases = [random_cauchon(rng, m, n, p) for p in (0.3, 0.6, 0.9)]
+        if m == n:
+            cases += [Diagram.all_black(100, 100), Diagram.all_white(100, 100)]
+        for d in cases:
+            assert d.is_cauchon()
+            assert diagram_from_permutation(trace_permutation(d), d.m, d.n) == d
+
+    def test_walks_no_enumeration(self, monkeypatch):
+        def walked(*args, **kwargs):
+            raise AssertionError("lookup walked the enumeration")
+
+        monkeypatch.setattr(enumeration, "cauchon_diagrams", walked)
+        assert diagram_from_permutation(all_black_permutation(3, 4), 3, 4) == Diagram.all_black(3, 4)
+        assert diagram_from_permutation(Permutation([1, 3, 2]), 2, 1) == Diagram.parse("#\n.")
+
+    def test_wrong_trace_is_an_error(self, monkeypatch, capsys):
+        # a diagram that does not trace to the permutation is a gap in the
+        # reading, not a not-found
+        monkeypatch.setattr(enumeration, "trace_permutation", lambda d: Permutation.identity(d.m + d.n))
+        with pytest.raises(ArithmeticError):
+            diagram_from_permutation(all_black_permutation(2, 2), 2, 2)
+        assert main(["lookup", "[3,4,1,2]", "2", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             diagram_from_permutation(Permutation.identity(3), 2, 2)
-
-    def test_limit_applies(self):
-        with pytest.raises(EnumerationLimitError):
-            diagram_from_permutation(Permutation.identity(12), 6, 6)

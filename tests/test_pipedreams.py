@@ -25,6 +25,7 @@ from conftest import (
     diagrams,
     toric_permutation_traced,
     traced_permutation,
+    word_permutation,
 )
 
 # Two regression diagrams recovered by exhaustive search from frozen pipe
@@ -164,7 +165,14 @@ class TestTrace:
     @given(diagrams())
     def test_table_tracer_matches_stepwise_walker(self, d):
         walked = traced_permutation(d, BoundaryLabeling.standard(d.m, d.n))
-        assert walked == trace_permutation(d)
+        assert walked == trace_permutation(d) == word_permutation(d)
+
+    def test_word_product_matches_trace_on_every_colouring(self):
+        # 7,306 diagrams, Cauchon or not: every shape with m * n <= 10
+        for m in range(1, 11):
+            for n in range(1, 10 // m + 1):
+                for d in all_diagrams(m, n):
+                    assert word_permutation(d) == trace_permutation(d)
 
     def test_non_restricted_trace_is_an_error(self, monkeypatch, tmp_path, capsys):
         # a corrupted exit table sends the bottom pipe of a 1x2 grid to the
