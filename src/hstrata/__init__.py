@@ -8,13 +8,9 @@ and closed-form / generating-function counting.  All arithmetic is exact.
 
 from .diagrams import Diagram, DiagramParseError
 from .enumeration import (
-    DEFAULT_CELL_LIMIT,
-    EnumerationLimitError,
     StratumTally,
     cauchon_diagrams,
     diagram_from_permutation,
-    poly_bernoulli,
-    single_cycle_count,
     tally_dimensions,
 )
 from .exactlinalg import (
@@ -36,8 +32,10 @@ from .genfunc import (
     closed_form_coeffs,
     double_factorial_coeff,
     double_factorial_poly,
+    poly_bernoulli,
     poly_bernoulli_series,
     series_pipeline_check,
+    single_cycle_count,
     stirling2,
     stratum_count,
     stratum_poly,
@@ -58,10 +56,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClosedForm",
-    "DEFAULT_CELL_LIMIT",
     "Diagram",
     "DiagramParseError",
-    "EnumerationLimitError",
     "Permutation",
     "RatPoly",
     "StratumTally",

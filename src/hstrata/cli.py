@@ -18,13 +18,7 @@ import sys
 from fractions import Fraction
 
 from .diagrams import Diagram
-from .enumeration import (
-    DEFAULT_CELL_LIMIT,
-    cauchon_diagrams,
-    diagram_from_permutation,
-    poly_bernoulli,
-    tally_dimensions,
-)
+from .enumeration import cauchon_diagrams, diagram_from_permutation, tally_dimensions
 from .exactlinalg import (
     _boundary_image,
     _in_white_kernel,
@@ -41,6 +35,7 @@ from .exactlinalg import (
 from .genfunc import (
     asymptotic_proportion,
     closed_form_coeffs,
+    poly_bernoulli,
     stratum_poly,
     stratum_series,
 )
@@ -71,10 +66,12 @@ DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
 ASYMPTOTICS_MAX_N = 1000
-# count takes --max-cells up to DEFAULT_CELL_LIMIT (25).  count --method
-# enum merges prefixes on a frontier whose cost grows only with the shorter
-# side: the whole command took 0.1 s at 1x25 and 25x1 (33,554,432 diagrams
-# each) and 0.2 s at 5x5, on the same box.
+# count --method enum tallies on a frontier whose cost is exponential only
+# in min(m, n) and polynomial in the longer side, so only the shorter side
+# is capped.  On the same box (shared, medians of 5 runs) the whole command
+# took 0.2 s at 5x5, 0.4 s at 300x3, 1.0 s at 100x4, 2.5 s at 25x5 and 11 s
+# at 100x5; with --method formula as well, 100x5 took 13 s (7.5 to 17 s).
+ENUM_MAX_SIDE = 5
 
 FORMATS = ("text", "json", "csv")
 
@@ -94,13 +91,6 @@ def main(argv: list[str] | None = None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text", help="output format")
-    cells = argparse.ArgumentParser(add_help=False)
-    cells.add_argument(
-        "--max-cells",
-        type=int,
-        default=None,
-        help="enumeration cell limit (defaults per command)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="hstrata",
@@ -122,13 +112,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "count",
-        parents=[common, cells],
+        parents=[common],
         help="count strata by dimension",
         description=(
             f"Count strata by dimension. --method series needs max(m, n) <= {SERIES_MAX_ORDER} "
-            "(about 45 s at the cap on a 2-CPU box). --max-cells is at most "
-            f"{DEFAULT_CELL_LIMIT}: --method enum took 0.2 s at 5x5 and 0.1 s at 25x1 "
-            "(33,554,432 diagrams) on the same box."
+            "(about 45 s at the cap on a 2-CPU box). --method enum needs min(m, n) <= "
+            f"{ENUM_MAX_SIDE} and takes any longer side (2.5 s at 25x5 and about 13 s for "
+            "100x5 with --method formula on the same box); past it use --method formula."
         ),
     )
     p.add_argument("m", type=int)
@@ -137,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         action="append",
         choices=("enum", "formula", "series"),
-        help="counting method; may be repeated, methods are cross-checked",
+        help="counting method; may be repeated, each runs once and all are cross-checked",
     )
     p.add_argument(
         "--cache-dir",
@@ -148,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify",
-        parents=[common, cells],
+        parents=[common],
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
@@ -156,6 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "at the cap on a 2-CPU box)."
         ),
     )
+    p.add_argument("--max-cells", type=int, default=VERIFY_DEFAULT_CELLS, help="largest m*n swept")
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
@@ -230,9 +221,9 @@ def _cmd_dim(args) -> dict:
     return report
 
 
-def _method_counts(m: int, n: int, method: str, limit: int, cache_dir) -> dict[int, int]:
+def _method_counts(m: int, n: int, method: str, cache_dir) -> dict[int, int]:
     if method == "enum":
-        return dict(tally_dimensions(m, n, max_cells=limit, cache_dir=cache_dir).counts)
+        return dict(tally_dimensions(m, n, cache_dir=cache_dir).counts)
     if method == "formula":
         poly = stratum_poly(m, n)
     else:
@@ -247,17 +238,17 @@ def _method_counts(m: int, n: int, method: str, limit: int, cache_dir) -> dict[i
 
 
 def _cmd_count(args) -> dict:
-    methods = args.method or ["formula"]
+    methods = list(dict.fromkeys(args.method or ["formula"]))
     if args.m < 1 or args.n < 1:
         raise ValueError("m and n must be positive")
     if "series" in methods and max(args.m, args.n) > SERIES_MAX_ORDER:
         raise ValueError(f"--method series is capped at max(m, n) <= {SERIES_MAX_ORDER}")
-    limit = DEFAULT_CELL_LIMIT if args.max_cells is None else args.max_cells
-    if limit > DEFAULT_CELL_LIMIT:
-        raise ValueError(f"--max-cells capped at {DEFAULT_CELL_LIMIT} for count")
-    counts = {
-        meth: _method_counts(args.m, args.n, meth, limit, args.cache_dir) for meth in methods
-    }
+    if "enum" in methods and min(args.m, args.n) > ENUM_MAX_SIDE:
+        raise ValueError(
+            f"--method enum is capped at min(m, n) <= {ENUM_MAX_SIDE}; "
+            "use --method formula for larger grids"
+        )
+    counts = {meth: _method_counts(args.m, args.n, meth, args.cache_dir) for meth in methods}
     first = counts[methods[0]]
     agree = all(counts[meth] == first for meth in methods)
     return {
@@ -280,10 +271,9 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     elimination and through the column transfer matrix; the endpoint
     gluing identity for consecutive white squares; the two kernel maps
     compose to -2 times the identity on both kernel bases and land in the
-    asserted kernels.  Per
-    shape: the enumerated tally matches the closed form and the total count
-    matches the poly-Bernoulli value.  inject_fault flips one sign in one
-    matrix to demonstrate the suite's sensitivity.
+    asserted kernels.  Per shape: the enumerated tally matches the closed
+    form and the total count matches the poly-Bernoulli value.  inject_fault
+    flips one sign in one matrix to demonstrate the suite's sensitivity.
     """
     checks = {
         name: {"checked": 0, "failures": 0}
@@ -311,7 +301,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     for m, n in shapes:
         omega = all_black_permutation(m, n)
         tally: dict[int, int] = {}
-        for d in cauchon_diagrams(m, n, max_cells=max_cells):
+        for d in cauchon_diagrams(m, n):
             diagrams += 1
             squares = d.white_squares()
             mat = white_adjacency_matrix(d)
@@ -393,12 +383,11 @@ def _round_trip(x, in_source, forward, in_target, back) -> bool:
 
 
 def _cmd_verify(args) -> dict:
-    limit = args.max_cells if args.max_cells is not None else VERIFY_DEFAULT_CELLS
-    if limit < 1:
+    if args.max_cells < 1:
         raise ValueError("--max-cells must be at least 1 for verify")
-    if limit > VERIFY_MAX_CELLS:
+    if args.max_cells > VERIFY_MAX_CELLS:
         raise ValueError(f"--max-cells capped at {VERIFY_MAX_CELLS} for verify")
-    return run_verify(limit, inject_fault=args.inject_fault)
+    return run_verify(args.max_cells, inject_fault=args.inject_fault)
 
 
 def _cmd_asymptotics(args) -> dict:

@@ -21,10 +21,12 @@ along the longer side and costs exponential time only in the shorter one.
 The per-diagram objects stay the path of dim and verify, and the tests use
 them as the tally oracle; lookup reads its diagram off a reduced word.
 
-Counts grow like poly-Bernoulli numbers, so enumeration is capped by a cell
-limit and the closed-form counting routes should be used beyond it.  Tallies
-by dimension can be cached on disk as JSON; a cached tally is checked against
-its shape and the poly-Bernoulli total before it is used.
+Nothing here bounds the shape.  The stream yields all poly_bernoulli(m, n)
+diagrams, while a tally's cost grows only polynomially in the longer side at
+a fixed shorter one, so the command line bounds each caller by its own cost:
+verify by cells, count --method enum by min(m, n).  Tallies by dimension
+can be cached on disk as JSON; a cached tally is checked against its shape
+and the poly-Bernoulli total before it is used.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .diagrams import Diagram
 from .exactlinalg import _identity, _phi_step, _transfer_kernel_dim
-from .genfunc import stirling2
+from .genfunc import poly_bernoulli
 from .pipedreams import (
     Permutation,
     _even_cycle_count,
@@ -49,18 +50,7 @@ from .pipedreams import (
     trace_permutation,
 )
 
-DEFAULT_CELL_LIMIT = 25
 CACHE_VERSION = 1
-
-
-class EnumerationLimitError(ValueError):
-    """Grid has too many cells to enumerate; closed-form counts still work."""
-
-    def __init__(self, m: int, n: int, limit: int):
-        super().__init__(
-            f"{m}x{n} = {m * n} cells exceeds the enumeration limit of {limit}; "
-            "use the closed-form counts (stratum_count / poly_bernoulli) instead"
-        )
 
 
 @dataclass
@@ -111,13 +101,6 @@ class StratumTally:
         return tally
 
 
-def _check_shape(m: int, n: int, max_cells: int) -> None:
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    if m * n > max_cells:
-        raise EnumerationLimitError(m, n, max_cells)
-
-
 def _row_choices(n: int, col_black: int) -> Iterator[tuple[tuple[bool, ...], int]]:
     """Rows that may follow rows whose all-black columns are the bits of col_black.
 
@@ -137,9 +120,14 @@ def _row_choices(n: int, col_black: int) -> Iterator[tuple[tuple[bool, ...], int
     yield (True,) * n, col_black
 
 
-def cauchon_diagrams(m: int, n: int, max_cells: int = DEFAULT_CELL_LIMIT) -> Iterator[Diagram]:
+def _check_shape(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be positive")
+
+
+def cauchon_diagrams(m: int, n: int) -> Iterator[Diagram]:
     """Yield every m x n Cauchon diagram exactly once, deterministically."""
-    _check_shape(m, n, max_cells)
+    _check_shape(m, n)
     last = m - 1
 
     def descend(rows: tuple, col_black: int) -> Iterator[Diagram]:
@@ -205,7 +193,6 @@ def tally_dimensions(
     m: int,
     n: int,
     method: str = "cycles",
-    max_cells: int = DEFAULT_CELL_LIMIT,
     cache_dir: str | os.PathLike | None = None,
 ) -> StratumTally:
     """Count Cauchon diagrams by stratum dimension.
@@ -215,8 +202,10 @@ def tally_dimensions(
     agree on every diagram.  Both run on one frontier that merges prefixes
     sharing a column mask and a state, the contracted toric permutation for
     'cycles' and the column transfer matrix for 'kernel', and neither builds
-    a Diagram or Permutation per diagram.  Results are cached as
-    JSON in cache_dir when one is given; nothing else turns the cache on.  A
+    a Diagram or Permutation per diagram.  The frontier runs along the
+    longer side, so the cost is exponential only in min(m, n), and no shape
+    is refused here; the count command bounds min(m, n).  Results are cached
+    as JSON in cache_dir when one is given; nothing else turns the cache on.  A
     cached file is trusted only when it parses, is for this m x n and totals
     poly_bernoulli(m, n); otherwise the tally is recomputed and the file
     replaced.  Files are written to a temporary name and then renamed, so a
@@ -224,7 +213,7 @@ def tally_dimensions(
     """
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}, expected one of {tuple(_ROUTES)}")
-    _check_shape(m, n, max_cells)
+    _check_shape(m, n)
 
     path = _cache_path(cache_dir, m, n, method)
     if path is not None:
@@ -273,35 +262,6 @@ def _cache_path(
     return Path(cache_dir) / f"tally-v{CACHE_VERSION}-{m}x{n}-{method}.json"
 
 
-def poly_bernoulli(m: int, n: int) -> int:
-    """The poly-Bernoulli number counting all m x n Cauchon diagrams.
-
-    Equals the sum over k of (k!)^2 S(n+1, k+1) S(m+1, k+1) with S the
-    Stirling numbers of the second kind; symmetric in m and n.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("m and n must be nonnegative")
-    return sum(
-        factorial(k) ** 2 * stirling2(n + 1, k + 1) * stirling2(m + 1, k + 1)
-        for k in range(m + 1)
-    )
-
-
-def single_cycle_count(m: int, n: int) -> int:
-    """Number of m x n diagrams whose toric permutation is one (m+n)-cycle.
-
-    Computed as the sum over k of k! (k-1)! S(m, k) S(n, k) with S the
-    Stirling numbers of the second kind; cross-checked against enumeration
-    in the test suite.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
-    return sum(
-        factorial(k) * factorial(k - 1) * stirling2(m, k) * stirling2(n, k)
-        for k in range(1, min(m, n) + 1)
-    )
-
-
 def diagram_from_permutation(p: Permutation, m: int, n: int) -> Diagram | None:
     """The unique Cauchon diagram tracing to p, or None if there is none.
 
@@ -313,8 +273,7 @@ def diagram_from_permutation(p: Permutation, m: int, n: int) -> Diagram | None:
     The diagram is traced once to confirm it; an ArithmeticError reports
     one that is not Cauchon or does not trace to p.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    _check_shape(m, n)
     if not is_restricted(p, m, n):  # a ValueError when p.size != m + n
         return None
     # at[v] is the position of the value v in what remains of p; j is a left

@@ -167,10 +167,51 @@ class TestCount:
         assert lines[2] == "1,2"
         assert lines[3] == "total,4"
 
-    def test_enum_respects_cell_limit(self, capsys):
-        code, _, err = run_cli(capsys, "count", "6", "5", "--method", "enum")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "6", "7", "--method", "enum"],
+            ["count", "7", "6", "--method", "formula", "--method", "enum"],
+            ["count", "6", "6", "--method", "series", "--method", "enum"],
+        ],
+    )
+    def test_enum_side_cap(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2
-        assert "closed-form" in err
+        assert out == ""
+        assert f"min(m, n) <= {cli.ENUM_MAX_SIDE}" in err
+        assert "--method formula" in err
+
+    def test_enum_past_the_old_cell_cap(self, capsys):
+        # only the shorter side is capped, so 30 and 120 cells pass; the
+        # formula route has no cap at all
+        for argv in (["6", "5"], ["40", "3"], ["3", "40"]):
+            code, out, _ = run_cli(capsys, "count", *argv, "--method", "enum", "--method", "formula")
+            assert code == 0
+            assert "agree: True" in out
+        code, out, _ = run_cli(capsys, "count", "6", "6", "--method", "formula")
+        assert code == 0
+
+    def test_repeated_method_is_computed_once(self, capsys, monkeypatch):
+        calls = []
+        tally_dimensions = cli.tally_dimensions
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tally_dimensions(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "tally_dimensions", counted)
+        code, out, _ = run_cli(
+            capsys, "count", "2", "2", "--method", "enum", "--method", "formula",
+            "--method", "enum", "--format", "json",
+        )
+        assert code == 0
+        assert calls == [(2, 2)]
+        report = json.loads(out)
+        assert report["methods"] == ["enum", "formula"]
+        assert list(report["counts"]) == ["enum", "formula"]
+        code, out, _ = run_cli(capsys, "count", "2", "2", "--method", "enum", "--method", "enum")
+        assert out.splitlines()[1].split() == ["dimension", "enum"]
 
     def test_series_order_cap(self, capsys):
         cap = cli.SERIES_MAX_ORDER
@@ -265,22 +306,11 @@ class TestVerify:
             assert code == 2
             assert "at least 1" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["count", "6", "6", "--method", "enum", "--max-cells", "36"],
-            ["count", "2", "2", "--max-cells", "26"],
-        ],
-    )
-    def test_enumeration_cap_on_count_and_lookup(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert f"capped at {cli.DEFAULT_CELL_LIMIT} for {argv[0]}" in err
-
     def test_enumeration_cap_itself_is_accepted(self, capsys):
-        cap = str(cli.DEFAULT_CELL_LIMIT)
-        assert run_cli(capsys, "count", "2", "2", "--method", "enum", "--max-cells", cap)[0] == 0
+        cap = str(cli.ENUM_MAX_SIDE)
+        code, out, _ = run_cli(capsys, "count", cap, cap, "--method", "enum", "--method", "formula")
+        assert code == 0
+        assert "agree: True" in out
 
     def test_broken_kernel_map_fails_iso_maps(self, monkeypatch):
         square_image = cli._square_image
@@ -452,6 +482,7 @@ class TestOptionScope:
             ["verify", "--cache-dir", "x"],
             ["lookup", "[1,2]", "1", "1", "--cache-dir", "x"],
             ["lookup", "[1,2]", "1", "1", "--max-cells", "3"],
+            ["count", "2", "2", "--method", "enum", "--max-cells", "3"],
         ],
     )
     def test_unread_option_is_rejected(self, capsys, argv):
@@ -462,8 +493,7 @@ class TestOptionScope:
 
     def test_read_options_are_accepted(self, capsys, tmp_path):
         code, out, _ = run_cli(
-            capsys, "count", "2", "2", "--method", "enum", "--max-cells", "4",
-            "--cache-dir", str(tmp_path),
+            capsys, "count", "2", "2", "--method", "enum", "--cache-dir", str(tmp_path),
         )
         assert code == 0
         assert "agree: True" in out
@@ -477,7 +507,7 @@ class TestOptionScope:
             ("asymptotics", "ASYMPTOTICS_MAX_N"),
             ("verify", "VERIFY_MAX_CELLS"),
             ("count", "SERIES_MAX_ORDER"),
-            ("count", "DEFAULT_CELL_LIMIT"),
+            ("count", "ENUM_MAX_SIDE"),
         ],
     )
     def test_help_states_the_cap(self, capsys, command, cap):

@@ -10,7 +10,6 @@ import pytest
 
 from hstrata import (
     Diagram,
-    EnumerationLimitError,
     Permutation,
     StratumTally,
     all_black_permutation,
@@ -95,12 +94,9 @@ class TestCauchonDiagrams:
         assert peak < 1 << 20
 
     def test_cell_limit(self):
-        with pytest.raises(EnumerationLimitError, match="closed-form"):
-            cauchon_diagrams(5, 6)
-        # explicit limit override works both ways
-        assert sum(1 for _ in cauchon_diagrams(2, 2, max_cells=4)) == 14
-        with pytest.raises(EnumerationLimitError):
-            cauchon_diagrams(2, 3, max_cells=5)
+        # the stream refuses no shape: its callers bound what they walk
+        for m, n in [(5, 6), (30, 30)]:
+            assert next(cauchon_diagrams(m, n)) == Diagram.all_white(m, n)
 
     def test_positive_sizes_required(self):
         with pytest.raises(ValueError):
@@ -176,10 +172,10 @@ class TestTallyDimensions:
     @pytest.mark.parametrize("m,n", [(40, 3), (20, 4), (8, 5)])
     def test_kernel_tally_past_the_cell_cap(self, m, n, method):
         # merged frontier states keep the cost exponential only in the short
-        # side, so max_cells can go far past enumeration
+        # side, so the tallies reach shapes far past any walk over their diagrams
         poly = stratum_poly(m, n)
         expected = {d: int(c) for d, c in enumerate(poly.coeffs) if c}
-        assert tally_dimensions(m, n, method, max_cells=m * n).counts == expected
+        assert tally_dimensions(m, n, method).counts == expected
 
     @pytest.mark.parametrize("method", ["cycles", "kernel"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -187,7 +183,7 @@ class TestTallyDimensions:
         # h(m, n, d) = sum_k c_k k^m over the bases 1-n..n+1 (k != 0): fit
         # the c_k exactly to the tallies at m = 1..2n, with no Stirling sums
         bases = [k for k in range(1 - n, n + 2) if k]
-        tallies = {m: tally_dimensions(m, n, method, max_cells=m * n) for m in range(1, 2 * n + 2)}
+        tallies = {m: tally_dimensions(m, n, method) for m in range(1, 2 * n + 2)}
         for d in range(n + 1):
             system = [[k**m for k in bases] + [tallies[m].count(d)] for m in range(1, 2 * n + 1)]
             c = dict(zip(bases, solve_exactly(system)))

@@ -1,0 +1,35 @@
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hstrata"
+# each module imports only from modules before it; the package entry points
+# (__init__, __main__) sit above all of them
+LAYERS = ("diagrams", "pipedreams", "exactlinalg", "genfunc", "enumeration", "cli")
+
+
+def relative_imports(path: Path) -> list[str]:
+    """The sibling modules a file imports, at any depth in its body."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.append(node.module.split(".")[0])
+            else:  # from . import x
+                found.extend(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_follow_the_layers(module):
+    below = LAYERS[: LAYERS.index(module)]
+    imported = relative_imports(SRC / f"{module}.py")
+    assert [m for m in imported if m not in below] == []
