@@ -49,10 +49,10 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: 12 cells took 9.8 s, 13 took
-# 17 s and 14 took 38 s on a 2-CPU box (Python 3.11), so 14 is the largest
-# run that finishes in under a minute.
-VERIFY_MAX_CELLS = 14
+# run_verify grows about 2x per extra cell: the whole command took 4.0 s at
+# 12 cells, 15 to 18 s at 14, 31 to 33 s at 15 (3 runs each) and 67 s at 16
+# on a 2-CPU box (Python 3.11), so 15 is the largest that takes under a minute.
+VERIFY_MAX_CELLS = 15
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the min(m, n)-square column transfer matrix,
@@ -142,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 40 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 33 s "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -225,7 +225,7 @@ def _method_counts(m: int, n: int, method: str, cache_dir) -> dict[int, int]:
     if method == "enum":
         return dict(tally_dimensions(m, n, cache_dir=cache_dir).counts)
     if method == "formula":
-        poly = stratum_poly(m, n)
+        poly = stratum_poly(min(m, n), max(m, n))  # the table is built on the shorter side
     else:
         poly = stratum_series(m, n).egf_coeff(m, n)
     counts = {}
@@ -271,9 +271,11 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     elimination and through the column transfer matrix; the endpoint
     gluing identity for consecutive white squares; the two kernel maps
     compose to -2 times the identity on both kernel bases and land in the
-    asserted kernels.  Per shape: the enumerated tally matches the closed
-    form and the total count matches the poly-Bernoulli value.  inject_fault
-    flips one sign in one matrix to demonstrate the suite's sensitivity.
+    asserted kernels.  Both bases hold int vectors and every check is
+    linear, so the per-diagram loop does no Fraction arithmetic.  Per shape:
+    the enumerated tally matches the closed form and the total count matches
+    the poly-Bernoulli value.  inject_fault flips one sign in one matrix to
+    demonstrate the suite's sensitivity.
     """
     checks = {
         name: {"checked": 0, "failures": 0}

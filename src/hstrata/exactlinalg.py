@@ -3,8 +3,9 @@
 A matrix is a plain sequence of equal-length rows of Python ints or
 fractions.Fraction; rank is computed by integer-preserving elimination, and
 no floating point is used anywhere.  Vectors are plain tuples of exact
-numbers; entry i-1 of a vector corresponds to label i (white-square labels,
-i.e. Diagram.white_squares() order, for square-indexed vectors; toric boundary
+numbers, and kernel_basis returns primitive int tuples (entries with gcd 1);
+entry i-1 of a vector corresponds to label i (white-square labels, i.e.
+Diagram.white_squares() order, for square-indexed vectors; toric boundary
 labels for boundary-indexed vectors).
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .diagrams import Diagram
@@ -55,14 +56,10 @@ def _integer_rows(rows: Matrix) -> list[list[int]]:
     for row in rows:
         if len(row) != width:
             raise ValueError("matrix rows must all have the same length")
-        scale = 1
-        for e in row:
-            den = e.denominator
-            if den != 1:
-                scale = scale * den // gcd(scale, den)
-        if scale == 1:
-            out.append([int(e) for e in row])
+        if set(map(type, row)) <= {int}:
+            out.append(list(row))  # a copy: _eliminate works in place
         else:
+            scale = lcm(*(e.denominator for e in row))
             out.append([int(e * scale) for e in row])
     return out
 
@@ -107,9 +104,7 @@ def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
                 big |= abs(v)
             row[c] = 0
             if big > _GCD_REDUCE_BOUND:
-                g = 0
-                for v in row:
-                    g = gcd(g, v)
+                g = gcd(*row)
                 if g > 1:
                     rows[i] = [v // g for v in row]
         pivot_cols.append(c)
@@ -132,27 +127,34 @@ def kernel_dim(M: Matrix) -> int:
     return len(M) - rank(M)
 
 
-def kernel_basis(M: Matrix) -> tuple[ExactVector, ...]:
-    """A basis of the rational null space, one vector per free column.
+def kernel_basis(M: Matrix) -> tuple[tuple[int, ...], ...]:
+    """A basis of the rational null space, one primitive int vector per free column.
 
-    Each basis vector has a 1 in its free coordinate and 0 in the others, so
-    the basis is deterministic and visibly independent.
+    Each vector is positive at its free column, 0 at the other free columns,
+    and its entries have gcd 1.  Back-substitution stays in the integers:
+    where a pivot p does not divide the partial sum s, the vector is first
+    scaled by |p| / gcd(s, p), which is prime to the new entry s / gcd(s, p),
+    so the vector stays primitive.
     """
     cols = len(M[0]) if M else 0
     rows = _integer_rows(M)
     pivot_cols = _eliminate(rows, cols)
-    pivot_set = set(pivot_cols)
+    # pivot column, pivot and the nonzero entries right of it, last row first
+    pivots = [
+        (pc, row[pc], [(j, row[j]) for j in range(pc + 1, cols) if row[j]])
+        for pc, row in zip(pivot_cols, rows)
+    ][::-1]
     basis = []
-    for free in range(cols):
-        if free in pivot_set:
-            continue
-        x: list[Rational] = [Fraction(0)] * cols
-        x[free] = Fraction(1)
-        for i in reversed(range(len(pivot_cols))):
-            pc = pivot_cols[i]
-            row = rows[i]
-            s = sum(row[j] * x[j] for j in range(pc + 1, cols) if row[j] and x[j])
-            x[pc] = Fraction(-s, row[pc])
+    for free in sorted(set(range(cols)) - set(pivot_cols)):
+        x = [0] * cols
+        x[free] = 1
+        for pc, p, tail in pivots:
+            s = sum(e * x[j] for j, e in tail)
+            if s:
+                g = gcd(s, p)
+                if abs(p) != g:
+                    x = [v * (abs(p) // g) for v in x]
+                x[pc] = -s // g if p > 0 else s // g
         basis.append(tuple(x))
     return tuple(basis)
 
@@ -214,13 +216,9 @@ def _cayley(k: int) -> tuple[tuple[int, int], ...]:
     ]
     if _eliminate(rows, 2 * k)[:k] != list(range(k)):
         raise ZeroDivisionError(f"I + C is singular for a row of {k} white squares")
-    solved: list[list[Rational]] = [[] for _ in range(k)]
-    for i in reversed(range(k)):
-        row = rows[i]
-        later = [(j, row[j]) for j in range(i + 1, k) if row[j]]
-        for b in range(k):
-            solved[i].append(Fraction(row[k + b] - sum(e * solved[j][b] for j, e in later), row[i]))
-    terms = [[(j, x) for j, x in enumerate(row) if x] for row in solved]
+    # column b of the map is minus the kernel vector free at k + b, scaled to 1 there
+    sols = kernel_basis(rows)
+    terms = [[(b, Fraction(-v[i], v[k + b])) for b, v in enumerate(sols) if v[i]] for i in range(k)]
     if any(len(t) != 1 or abs(t[0][1]) != 1 for t in terms) or len({t[0][0] for t in terms}) != k:
         raise ArithmeticError(f"the row map of {k} white squares is not a signed permutation")
     return tuple((t[0][0], int(t[0][1])) for t in terms)

@@ -4,8 +4,8 @@ The helpers here are deliberately independent re-implementations (plain
 definitions, brute force, a stepwise pipe walker, the word product of the
 black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
-tallies through the per-diagram object path) used to validate the package's
-faster or cleverer code paths.
+tallies through the per-diagram object path, kernel bases back-substituted
+in Fraction) used to validate the package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from hstrata import (
     toric_permutation,
     white_adjacency_matrix,
 )
+from hstrata.exactlinalg import _eliminate, _integer_rows
 
 # every grid shape with at most 12 cells
 SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
@@ -151,6 +152,31 @@ def rank_by_minors(entries) -> int:
                 if det_fraction(sub) != 0:
                     return size
     return 0
+
+
+def kernel_basis_by_fractions(entries) -> tuple[tuple[Fraction, ...], ...]:
+    """The null space basis with a 1 at each free column and 0 at the others.
+
+    The package's integer elimination followed by back-substitution in
+    Fraction, with no rescaling; each vector of kernel_basis must be a
+    positive multiple of the matching one here.
+    """
+    cols = len(entries[0]) if entries else 0
+    rows = _integer_rows(entries)
+    pivot_cols = _eliminate(rows, cols)
+    basis = []
+    for free in range(cols):
+        if free in pivot_cols:
+            continue
+        x = [Fraction(0)] * cols
+        x[free] = Fraction(1)
+        for i in reversed(range(len(pivot_cols))):
+            pc = pivot_cols[i]
+            row = rows[i]
+            s = sum(row[j] * x[j] for j in range(pc + 1, cols) if row[j] and x[j])
+            x[pc] = Fraction(-s, row[pc])
+        basis.append(tuple(x))
+    return tuple(basis)
 
 
 class BoundaryLabeling:

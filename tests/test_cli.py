@@ -153,6 +153,16 @@ class TestCount:
             assert report["counts"][meth] == {"0": "5", "1": "7", "2": "2"}
             assert report["totals"][meth] == "14"
 
+    def test_formula_on_the_longer_side_first(self, capsys):
+        # the closed-form table is built on the shorter side whichever comes first
+        counts = {}
+        for argv in (("300", "3"), ("3", "300")):
+            code, out, _ = run_cli(capsys, "count", *argv, "--method", "formula", "--format", "json")
+            assert code == 0
+            counts[argv] = json.loads(out)["counts"]["formula"]
+        assert counts[("300", "3")] == counts[("3", "300")]
+        assert len(counts[("3", "300")]) == 4
+
     def test_formula_3x3(self, capsys):
         code, out, _ = run_cli(capsys, "count", "3", "3", "--format", "json")
         report = json.loads(out)
@@ -318,6 +328,27 @@ class TestVerify:
         monkeypatch.setattr(cli, "_square_image", doubled)
         report = run_verify(4)
         assert report["checks"]["iso_maps"]["failures"] > 0
+        assert report["status"] == "fail"
+
+    def test_bad_kernel_vector_fails_iso_maps(self, monkeypatch):
+        # scaled basis vectors pass by design; a vector off by one in one
+        # entry is outside the kernel and must not (a vector of length 1
+        # would only be scaled, so the first longer one is changed)
+        kernel_basis = cli.kernel_basis
+        pending = [True]
+
+        def off_by_one(mat):
+            basis = list(kernel_basis(mat))
+            if basis and len(basis[0]) >= 2 and pending:
+                basis[0] = (basis[0][0] + 1,) + basis[0][1:]
+                pending.clear()
+            return tuple(basis)
+
+        monkeypatch.setattr(cli, "kernel_basis", off_by_one)
+        report = run_verify(4)
+        assert not pending
+        assert report["checks"]["iso_maps"]["failures"] > 0
+        assert report["checks"]["dimension_equality"]["failures"] == 0
         assert report["status"] == "fail"
 
     def test_swapped_endpoints_fail_gluing(self, monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -38,6 +39,7 @@ from conftest import (
     all_diagrams,
     cauchon_by_definition,
     diagrams,
+    kernel_basis_by_fractions,
     rank_by_minors,
     region_sets,
 )
@@ -123,6 +125,55 @@ class TestKernelBasis:
         d = Diagram.all_white(2, 2)
         basis = kernel_basis(white_adjacency_matrix(d))
         assert rank(basis) == len(basis) == 2
+
+    @given(small_matrices())
+    def test_primitive_int_multiples_of_the_fraction_basis(self, m):
+        # the free columns are where a column adds nothing to the rank
+        cols = len(m[0])
+        free = [c for c in range(cols) if rank([r[: c + 1] for r in m]) == rank([r[:c] for r in m])]
+        basis = kernel_basis(m)
+        oracle = kernel_basis_by_fractions(m)
+        assert len(basis) == len(oracle) == len(free)
+        for f, v, o in zip(free, basis, oracle):
+            assert type(v) is tuple and all(type(x) is int for x in v)
+            assert gcd(*v) == 1
+            assert v[f] > 0 and all(v[g] == 0 for g in free if g != f)
+            # o is 1 at f, so v is v[f] times o
+            assert o[f] == 1 and all(x == v[f] * y for x, y in zip(v, o))
+
+    def test_scales_past_a_pivot_that_does_not_divide(self):
+        # x + 2y + 3z = 0 needs no scaling; 2x + 3y = 0 puts -3/2 at the
+        # pivot of the first vector, which is therefore scaled by 2
+        assert kernel_basis([[1, 2, 3]]) == ((-2, 1, 0), (-3, 0, 1))
+        assert kernel_basis([[2, 3, 0]]) == ((-3, 2, 0), (0, 0, 1))
+        assert kernel_basis([[Fraction(1, 2), Fraction(1, 3)]]) == ((-2, 3),)
+
+
+class TestInputsUnchanged:
+    """Elimination works in place, so every entry point must copy its rows."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda k: st.lists(
+                st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k
+            )
+        )
+    )
+    def test_int_matrix_is_not_mutated(self, m):
+        before = [list(row) for row in m]
+        rank(m)
+        assert m == before
+        kernel_dim(m)
+        assert m == before
+        kernel_basis(m)
+        assert m == before
+
+    def test_white_matrix_is_not_mutated(self):
+        m = white_adjacency_matrix(Diagram.all_white(3, 3))
+        before = [list(row) for row in m]
+        assert kernel_dim(m) == len(kernel_basis(m)) == 3
+        assert rank(m) == 6
+        assert m == before
 
 
 class TestWhiteAdjacencyMatrix:
