@@ -18,7 +18,6 @@ from .exactlinalg import (
     in_white_kernel,
     kernel_basis,
     kernel_dim,
-    perm_matrix_sum,
     rank,
     to_boundary_kernel,
     to_square_kernel,
@@ -76,7 +75,6 @@ __all__ = [
     "kernel_basis",
     "kernel_dim",
     "odd_cycle_count",
-    "perm_matrix_sum",
     "poly_bernoulli",
     "poly_bernoulli_series",
     "rank",

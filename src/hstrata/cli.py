@@ -21,15 +21,14 @@ from .diagrams import Diagram
 from .enumeration import cauchon_diagrams, diagram_from_permutation, tally_dimensions
 from .exactlinalg import (
     _boundary_image,
+    _boundary_kernel_dim,
+    _in_boundary_kernel,
     _in_white_kernel,
     _square_image,
     _white_kernel_dim,
     cycle_kernel_basis,
     is_skew_symmetric,
     kernel_basis,
-    kernel_dim,
-    matvec,
-    perm_matrix_sum,
     white_adjacency_matrix,
 )
 from .genfunc import (
@@ -49,19 +48,22 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 4.0 s at
-# 12 cells, 15 to 18 s at 14, 31 to 33 s at 15 (3 runs each) and 67 s at 16
-# on a 2-CPU box (Python 3.11), so 15 is the largest that takes under a minute.
-VERIFY_MAX_CELLS = 15
+# run_verify grows about 2x per extra cell: the whole command took 6.9 s at
+# 14 cells, 13.5 to 13.9 s at 15 and 29.6 to 30.3 s at 16 (3 runs each) on a
+# 2-CPU box (Python 3.11), so 16, which covers the acceptance sweep, is the
+# largest that takes under a minute.
+VERIFY_MAX_CELLS = 16
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the min(m, n)-square column transfer matrix,
-# not the N x N white matrix.  On the same box the whole command took, for
-# all-white grids at N = 900, 0.10 s at 30x30, 0.26 s at 1x900, 0.16 s at
-# 3x300 and 0.14 s at 10x90 (31 s, 28 s, 17 s and 40 s with the full
-# elimination); the slowest diagram found, one white row of 900 squares in a
-# 900x900 grid, took 4.3 s.  The trace and the boundary kernel still grow
-# with the grid, so the cap stays.
+# not the N x N white matrix, and eliminates the boundary matrix on sparse
+# rows.  On the same box the whole command took, for all-white grids at
+# N = 900, 0.08 s at 30x30, 0.09 s at 1x900 and 0.08 s at 3x300 and 10x90
+# (31 s, 28 s, 17 s and 40 s with the full elimination of the white
+# matrix); the slowest diagram found, one white row of 900 squares in a
+# 900x900 grid, took 1.0 s, most of it solving that row's 900 x 1800 Cayley
+# system.  That solve and the trace still grow with the grid, so the cap
+# stays.
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
@@ -142,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 33 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 30 s "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -196,7 +198,7 @@ def _cmd_dim(args) -> dict:
     cycles = cycle_decomposition(tau)
     odd = odd_cycle_count(cycles)
     kdim = _white_kernel_dim(d)
-    pp_dim = kernel_dim(perm_matrix_sum(sigma, all_black_permutation(d.m, d.n)))
+    pp_dim = _boundary_kernel_dim(sigma, all_black_permutation(d.m, d.n))
     agree = odd == kdim == pp_dim
     cauchon = d.is_cauchon()
     report = {
@@ -300,6 +302,10 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     ]
     fault_pending = inject_fault
     diagrams = 0
+    # few white matrices are distinct (152 among the 2,670 diagrams of 9
+    # cells), so each kernel basis is computed once per run; a reused basis
+    # still goes through every check below on every diagram
+    bases: dict[tuple, tuple] = {}
     for m, n in shapes:
         omega = all_black_permutation(m, n)
         tally: dict[int, int] = {}
@@ -317,12 +323,14 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             sigma, tau, ups = _trace(d)
             cycles = cycle_decomposition(tau)
             odd = odd_cycle_count(cycles)
-            basis = kernel_basis(mat)
-            pp = perm_matrix_sum(sigma, omega)
+            key = tuple(map(tuple, mat))  # after the fault, which thus stays on one diagram
+            basis = bases.get(key)
+            if basis is None:
+                basis = bases[key] = kernel_basis(mat)
             # the column transfer matrix against the full elimination
             record(
                 "dimension_equality",
-                odd == len(basis) == kernel_dim(pp) == _white_kernel_dim(d),
+                odd == len(basis) == _boundary_kernel_dim(sigma, omega) == _white_kernel_dim(d),
             )
             tally[odd] = tally.get(odd, 0) + 1
 
@@ -342,7 +350,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
 
             # the two kernel maps, on data derived once per diagram; every
             # vector is checked in its source kernel before it is mapped
-            in_boundary = lambda v: all(x == 0 for x in matvec(pp, v))
+            in_boundary = lambda v: _in_boundary_kernel(sigma, omega, v)
             in_white = lambda w: _in_white_kernel(squares, w)
             to_square = lambda v: _square_image(endpoints, v)
             to_boundary = lambda w: _boundary_image(m, n, squares, w)

@@ -42,13 +42,6 @@ def is_skew_symmetric(rows: Matrix) -> bool:
     return all(rows[i][j] == -rows[j][i] for i in range(size) for j in range(i, size))
 
 
-def matvec(rows: Matrix, vec: Sequence[Rational]) -> ExactVector:
-    """The product of the matrix with a column vector."""
-    if any(len(row) != len(vec) for row in rows):
-        raise ValueError(f"vector length {len(vec)} does not match the matrix rows")
-    return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in rows)
-
-
 def _integer_rows(rows: Matrix) -> list[list[int]]:
     """Copy rows as ints, each scaled by the lcm of its denominators (rank is unchanged)."""
     width = len(rows[0]) if rows else 0
@@ -267,16 +260,55 @@ def _white_kernel_dim(d: Diagram) -> int:
     return _transfer_kernel_dim(phi)
 
 
-def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:
-    """Sum P_p + P_q of two permutation matrices, P[i][j] = [j == p(i)]."""
+def _boundary_rows(p: Permutation, q: Permutation) -> list[dict[int, int]]:
+    """The rows of P_p + P_q (P[i][j] = [j == p(i)]) as dicts from 0-based column to entry.
+
+    Row i is e_p(i) + e_q(i), or 2 e_p(i) where p(i) = q(i).
+    """
     if p.size != q.size:
         raise ValueError(f"size mismatch: {p.size} vs {q.size}")
-    k = p.size
-    entries = [[0] * k for _ in range(k)]
-    for i in range(1, k + 1):
-        entries[i - 1][p(i) - 1] += 1
-        entries[i - 1][q(i) - 1] += 1
-    return entries
+    return [{a - 1: 2} if a == b else {a - 1: 1, b - 1: 1} for a, b in zip(p.images, q.images)]
+
+
+def _boundary_kernel_dim(p: Permutation, q: Permutation) -> int:
+    """kernel_dim(P_p + P_q), by fraction-free elimination on the sparse rows.
+
+    Each row is reduced, led by its first nonzero column, against the pivot
+    rows found so far with _eliminate's update p*row - f*pivot_row (p and f
+    divided by their gcd, p made positive); a row that reaches a column with
+    no pivot row becomes its pivot row, and a row that empties is dependent.
+    Two rows of at most two entries that share their leading column combine
+    into one of at most two, with entries +-1 where there are two and +-2
+    where there is one, so no row grows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in _boundary_rows(p, q):
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
+                break
+            f = row.pop(c)
+            g = gcd(prow[c], f)
+            a, b = prow[c] // g, f // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                if j != c:
+                    x = row.get(j, 0) - b * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+    return p.size - len(pivots)
+
+
+def _in_boundary_kernel(p: Permutation, q: Permutation, v: Sequence[Rational]) -> bool:
+    """Whether (P_p + P_q) v = 0, that is v[p(i)] + v[q(i)] = 0 for every i."""
+    return all(v[a - 1] + v[b - 1] == 0 for a, b in zip(p.images, q.images))
 
 
 def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector, ...]:
@@ -326,7 +358,7 @@ def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     if len(v) != d.m + d.n:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
     sigma, _, ups = _trace(d)
-    if any(matvec(perm_matrix_sum(sigma, all_black_permutation(d.m, d.n)), v)):
+    if not _in_boundary_kernel(sigma, all_black_permutation(d.m, d.n), v):
         raise ValueError("vector is not in the boundary kernel")
     return _square_image(_endpoints_from_exits(d.white_squares(), ups), v)
 

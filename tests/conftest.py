@@ -5,7 +5,8 @@ definitions, brute force, a stepwise pipe walker, the word product of the
 black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
 tallies through the per-diagram object path, kernel bases back-substituted
-in Fraction) used to validate the package's faster or cleverer code paths.
+in Fraction, the dense boundary matrix P_p + P_q and the dense matrix-vector
+product) used to validate the package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -177,6 +178,25 @@ def kernel_basis_by_fractions(entries) -> tuple[tuple[Fraction, ...], ...]:
             x[pc] = Fraction(-s, row[pc])
         basis.append(tuple(x))
     return tuple(basis)
+
+
+def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:
+    """Sum P_p + P_q of two permutation matrices, P[i][j] = [j == p(i)], as dense rows."""
+    if p.size != q.size:
+        raise ValueError(f"size mismatch: {p.size} vs {q.size}")
+    k = p.size
+    entries = [[0] * k for _ in range(k)]
+    for i in range(1, k + 1):
+        entries[i - 1][p(i) - 1] += 1
+        entries[i - 1][q(i) - 1] += 1
+    return entries
+
+
+def matvec(rows, vec) -> tuple:
+    """The product of the matrix with a column vector."""
+    if any(len(row) != len(vec) for row in rows):
+        raise ValueError(f"vector length {len(vec)} does not match the matrix rows")
+    return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in rows)
 
 
 class BoundaryLabeling:

@@ -27,7 +27,6 @@ from hstrata import (
     kernel_basis,
     kernel_dim,
     odd_cycle_count,
-    perm_matrix_sum,
     poly_bernoulli,
     poly_bernoulli_series,
     series_pipeline_check,
@@ -40,9 +39,9 @@ from hstrata import (
     trace_permutation,
     white_adjacency_matrix,
 )
-from hstrata.exactlinalg import matvec
+from hstrata.exactlinalg import _boundary_kernel_dim
 
-from conftest import acceptance_lines
+from conftest import acceptance_lines, matvec, perm_matrix_sum
 from test_genfunc import GOLDEN_ROWS
 
 
@@ -84,7 +83,7 @@ def cauchon_sweep():
             if kd is None:
                 kd = kernel_dim(mat)
                 kdim_cache[key] = kd
-            kp = kernel_dim(perm_matrix_sum(sigma, omega))
+            kp = _boundary_kernel_dim(sigma, omega)
             if not (odd == kd == kp):
                 equality_failures += 1
             tally[odd] += 1

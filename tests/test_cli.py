@@ -295,6 +295,47 @@ class TestVerify:
         assert report["status"] == "fail"
         assert report["failures"] >= 1
 
+    @pytest.mark.parametrize(
+        "cells,shapes,diagrams,formula_checks", [(4, 8, 72, 8), (9, 23, 2670, 23)]
+    )
+    def test_injected_fault_report(self, cells, shapes, diagrams, formula_checks):
+        # the flipped sign fails skew symmetry on one diagram and nothing else:
+        # the kernel bases are shared between diagrams with equal white
+        # matrices, which must neither hide the fault nor spread it
+        report = run_verify(cells, inject_fault=True)
+        per_diagram = {"checked": diagrams, "failures": 0}
+        assert report == {
+            "command": "verify",
+            "max_cells": cells,
+            "shapes": shapes,
+            "diagrams": diagrams,
+            "checks": {
+                "skew_symmetry": {"checked": diagrams, "failures": 1},
+                "dimension_equality": per_diagram,
+                "gluing_identity": per_diagram,
+                "iso_maps": per_diagram,
+                "tally_vs_formula": {"checked": formula_checks, "failures": 0},
+            },
+            "failures": 1,
+            "status": "fail",
+        }
+
+    def test_one_kernel_basis_per_distinct_white_matrix(self, monkeypatch):
+        # the faulted matrix is not skew, so it is a key of its own and takes
+        # no other diagram's basis
+        kernel_basis = cli.kernel_basis
+        solved = []
+
+        def recorded(mat):
+            solved.append(tuple(map(tuple, mat)))
+            return kernel_basis(mat)
+
+        monkeypatch.setattr(cli, "kernel_basis", recorded)
+        for inject_fault, distinct in ((False, 152), (True, 153)):
+            solved.clear()
+            assert run_verify(9, inject_fault=inject_fault)["diagrams"] == 2670
+            assert len(solved) == len(set(solved)) == distinct
+
     def test_run_verify_counts(self):
         report = run_verify(2)
         # shapes 1x1, 1x2, 2x1: 2 + 4 + 4 diagrams

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from hstrata import (
     Diagram,
     all_black_permutation,
+    cauchon_diagrams,
     cycle_decomposition,
     cycle_kernel_basis,
     in_white_kernel,
     kernel_basis,
     kernel_dim,
     odd_cycle_count,
-    perm_matrix_sum,
     rank,
     to_boundary_kernel,
     to_square_kernel,
@@ -26,11 +26,12 @@ from hstrata import (
 )
 from hstrata import exactlinalg
 from hstrata.exactlinalg import (
+    _boundary_kernel_dim,
+    _boundary_rows,
     _cayley,
     _eliminate,
     _white_kernel_dim,
     is_skew_symmetric,
-    matvec,
 )
 from hstrata.pipedreams import Permutation
 
@@ -40,6 +41,8 @@ from conftest import (
     cauchon_by_definition,
     diagrams,
     kernel_basis_by_fractions,
+    matvec,
+    perm_matrix_sum,
     rank_by_minors,
     region_sets,
 )
@@ -243,6 +246,48 @@ class TestPermMatrixSum:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             perm_matrix_sum(Permutation.identity(2), Permutation.identity(3))
+
+
+@st.composite
+def permutation_pairs(draw):
+    """(p, q) of size 1..12 with q = p * r, where r fixes a drawn set of points,
+    so rows with p(i) = q(i) are common."""
+    k = draw(st.integers(1, 12))
+    p = draw(st.permutations(range(1, k + 1)))
+    moved = [i for i in range(k) if draw(st.booleans(), label=f"moves {i + 1}")]
+    r = list(range(1, k + 1))
+    for i, j in zip(moved, draw(st.permutations(moved))):
+        r[i] = j + 1
+    return Permutation(p), Permutation(p[j - 1] for j in r)
+
+
+def dense(rows, k):
+    """Sparse rows of (column, entry) dicts as k dense columns."""
+    return [[row.get(j, 0) for j in range(k)] for row in rows]
+
+
+class TestBoundaryKernelDim:
+    """The sparse elimination of P_p + P_q against the dense oracle."""
+
+    @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 10) for n in range(1, 9 // m + 1)])
+    def test_matches_dense_on_cauchon_diagrams(self, m, n):
+        # the all-black diagram traces omega itself, so every row holds a 2
+        omega = all_black_permutation(m, n)
+        for d in cauchon_diagrams(m, n):
+            sigma = trace_permutation(d)
+            assert dense(_boundary_rows(sigma, omega), m + n) == perm_matrix_sum(sigma, omega)
+            assert _boundary_kernel_dim(sigma, omega) == kernel_dim(perm_matrix_sum(sigma, omega))
+
+    @given(permutation_pairs())
+    def test_matches_dense_on_random_pairs(self, pair):
+        p, q = pair
+        # a row with p(i) = q(i) holds 2, and 1 there would not change the rank
+        assert dense(_boundary_rows(p, q), p.size) == perm_matrix_sum(p, q)
+        assert _boundary_kernel_dim(p, q) == kernel_dim(perm_matrix_sum(p, q))
+
+    def test_size_mismatch(self):
+        with pytest.raises(ValueError, match="size mismatch"):
+            _boundary_kernel_dim(Permutation.identity(2), Permutation.identity(3))
 
 
 class TestKernelEquality:
