@@ -524,24 +524,9 @@ def _render_text(report: dict) -> str:
     cmd = report["command"]
     lines = []
     if cmd == "dim":
-        order = (
-            "m",
-            "n",
-            "cauchon",
-            "white_squares",
-            "sigma",
-            "sigma_cycles",
-            "tau",
-            "tau_cycles",
-            "cycle_lengths",
-            "odd_cycles",
-            "kernel_dim",
-            "boundary_kernel_dim",
-            "dimension",
-            "agree",
-        )
-        for k in order:
-            v = report[k]
+        for k, v in report.items():
+            if k in ("command", "warning", "status"):
+                continue
             if isinstance(v, list):
                 v = " ".join(str(x) for x in v)
             lines.append(f"{k}: {v}")

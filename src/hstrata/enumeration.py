@@ -25,8 +25,9 @@ Nothing here bounds the shape.  The stream yields all poly_bernoulli(m, n)
 diagrams, while a tally's cost grows only polynomially in the longer side at
 a fixed shorter one, so the command line bounds each caller by its own cost:
 verify by cells, count --method enum by min(m, n).  Tallies by dimension
-can be cached on disk as JSON; a cached tally is checked against its shape
-and the poly-Bernoulli total before it is used.
+can be cached on disk as JSON.  A cached tally is used only when its shape
+matches, its counts are nonnegative integers at dimensions 0..min(m, n),
+and its total equals both their sum and poly_bernoulli(m, n).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator
@@ -53,52 +53,34 @@ from .pipedreams import (
 CACHE_VERSION = 1
 
 
-@dataclass
 class StratumTally:
     """Per-dimension diagram counts for one grid shape.
 
-    counts maps each occurring dimension to the number of Cauchon diagrams
-    whose stratum has that dimension; total is the sum of all counts.
+    counts maps each occurring dimension, in increasing order, to the number
+    of Cauchon diagrams whose stratum has that dimension; zero counts are
+    dropped and a negative one is a ValueError.  total is derived from them.
     """
 
-    m: int
-    n: int
-    counts: dict[int, int]
-    total: int
+    __slots__ = ("m", "n", "counts")
 
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("tally total does not match the sum of its counts")
+    def __init__(self, m: int, n: int, counts: dict[int, int]):
+        self.m = m
+        self.n = n
+        self.counts = {d: c for d, c in sorted(counts.items()) if c}
         if any(c < 0 for c in self.counts.values()):
             raise ValueError("tally counts must be nonnegative")
 
-    @classmethod
-    def from_counts(cls, m: int, n: int, counts: dict[int, int]) -> "StratumTally":
-        clean = {int(d): int(c) for d, c in sorted(counts.items()) if c}
-        return cls(m=m, n=n, counts=clean, total=sum(clean.values()))
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
-    def count(self, d: int) -> int:
-        return self.counts.get(d, 0)
+    def __eq__(self, other):
+        if not isinstance(other, StratumTally):
+            return NotImplemented
+        return (self.m, self.n, self.counts) == (other.m, other.n, other.counts)
 
-    def dimensions(self) -> tuple[int, ...]:
-        return tuple(sorted(self.counts))
-
-    def to_json_dict(self) -> dict:
-        # counts as decimal strings: these grow past fixed-width integers fast
-        return {
-            "m": self.m,
-            "n": self.n,
-            "counts": {str(d): str(c) for d, c in sorted(self.counts.items())},
-            "total": str(self.total),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StratumTally":
-        counts = {int(d): int(c) for d, c in data["counts"].items()}
-        tally = cls.from_counts(int(data["m"]), int(data["n"]), counts)
-        if tally.total != int(data["total"]):
-            raise ValueError("tally total does not match the sum of its counts")
-        return tally
+    def __repr__(self) -> str:
+        return f"StratumTally(m={self.m}, n={self.n}, counts={self.counts})"
 
 
 def _row_choices(n: int, col_black: int) -> Iterator[tuple[tuple[bool, ...], int]]:
@@ -206,17 +188,18 @@ def tally_dimensions(
     longer side, so the cost is exponential only in min(m, n), and no shape
     is refused here; the count command bounds min(m, n).  Results are cached
     as JSON in cache_dir when one is given; nothing else turns the cache on.  A
-    cached file is trusted only when it parses, is for this m x n and totals
-    poly_bernoulli(m, n); otherwise the tally is recomputed and the file
-    replaced.  Files are written to a temporary name and then renamed, so a
-    reader never sees a partial one.
+    cached file is trusted only when it parses, is for this m x n, has
+    nonnegative integer counts at dimensions 0..min(m, n) and a total equal
+    both to their sum and to poly_bernoulli(m, n); otherwise the tally is
+    recomputed and the file replaced.  Files are written to a temporary name
+    and then renamed, so a reader never sees a partial one.
     """
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}, expected one of {tuple(_ROUTES)}")
     _check_shape(m, n)
 
-    path = _cache_path(cache_dir, m, n, method)
-    if path is not None:
+    if cache_dir:
+        path = Path(cache_dir) / f"tally-v{CACHE_VERSION}-{m}x{n}-{method}.json"
         cached = _read_cache(path, m, n)
         if cached is not None:
             return cached
@@ -225,41 +208,54 @@ def tally_dimensions(
     counts: Counter = Counter()
     for state, count in _frontier(m, n, root(min(m, n)), step).items():
         counts[read(state)] += count
-    tally = StratumTally.from_counts(m, n, counts)
+    tally = StratumTally(m, n, counts)
 
-    if path is not None:
+    if cache_dir:
         _write_cache(path, tally)
     return tally
 
 
 def _read_cache(path: Path, m: int, n: int) -> StratumTally | None:
-    """The tally stored at path, or None if it is absent, corrupt or not for m x n."""
+    """The tally stored at path, or None unless it passes every check.
+
+    The file must parse and be for m x n, each dimension must lie in
+    0..min(m, n) with a nonnegative integer count, and the file's total
+    must equal both the sum of the counts and poly_bernoulli(m, n).
+    """
     try:
-        tally = StratumTally.from_json_dict(json.loads(path.read_text()))
+        data = json.loads(path.read_text())
+        shape = (data["m"], data["n"])
+        # through str so that a float count such as 5.9 fails, not truncates
+        counts = {int(d): int(str(c)) for d, c in data["counts"].items()}
+        total = int(str(data["total"]))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
-    if (tally.m, tally.n) != (m, n) or tally.total != poly_bernoulli(m, n):
+    if (
+        shape != (m, n)
+        or any(not 0 <= d <= min(m, n) or c < 0 for d, c in counts.items())
+        or total != sum(counts.values())
+        or total != poly_bernoulli(m, n)
+    ):
         return None
-    return tally
+    return StratumTally(m, n, counts)
 
 
 def _write_cache(path: Path, tally: StratumTally) -> None:
+    # counts as decimal strings: these grow past fixed-width integers fast
+    data = {
+        "m": tally.m,
+        "n": tally.n,
+        "counts": {str(d): str(c) for d, c in tally.counts.items()},
+        "total": str(tally.total),
+    }
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(tally.to_json_dict()))
+        tmp.write_text(json.dumps(data))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def _cache_path(
-    cache_dir: str | os.PathLike | None, m: int, n: int, method: str
-) -> Path | None:
-    if not cache_dir:
-        return None
-    return Path(cache_dir) / f"tally-v{CACHE_VERSION}-{m}x{n}-{method}.json"
 
 
 def diagram_from_permutation(p: Permutation, m: int, n: int) -> Diagram | None:

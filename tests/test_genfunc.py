@@ -175,14 +175,14 @@ class TestStratumCount:
         tally = tally_dimensions(m, n)
         top = (m + n) // 2
         for d in range(0, top + 2):
-            assert stratum_count(m, n, d) == tally.count(d)
+            assert stratum_count(m, n, d) == tally.counts.get(d, 0)
 
     def test_matches_enumeration_beyond_acceptance_scale(self):
         # 4x5 sits outside the exhaustive acceptance sweeps (20 cells)
         tally = tally_dimensions(4, 5)
         assert tally.total == poly_bernoulli(4, 5)
         for d in range(0, 6):
-            assert stratum_count(4, 5, d) == tally.count(d)
+            assert stratum_count(4, 5, d) == tally.counts.get(d, 0)
 
     def test_symmetry_in_m_and_n(self):
         for m in range(1, 7):
@@ -241,7 +241,7 @@ class TestClosedForm:
     def test_4_0_against_enumeration(self):
         cf = closed_form_coeffs(4, 0)
         for n in range(1, 5):
-            assert cf.evaluate(n) == tally_dimensions(4, n).count(0)
+            assert cf.evaluate(n) == tally_dimensions(4, n).counts.get(0, 0)
 
     def test_evaluate_matches_count(self):
         for m in range(1, 6):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,14 @@ def test_imports_follow_the_layers(module):
     below = LAYERS[: LAYERS.index(module)]
     imported = relative_imports(SRC / f"{module}.py")
     assert [m for m in imported if m not in below] == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every command pays for what `import hstrata.cli` loads; dataclasses
+    # brings inspect and about a dozen more stdlib modules with it
+    probe = "import sys, hstrata.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC.parent)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
