@@ -16,20 +16,24 @@ import io
 import json
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 from .diagrams import Diagram
-from .enumeration import cauchon_diagrams, diagram_from_permutation, tally_dimensions
+from .enumeration import _sweep, diagram_from_permutation, tally_dimensions
 from .exactlinalg import (
     _boundary_image,
     _boundary_kernel_dim,
+    _identity,
     _in_boundary_kernel,
     _in_white_kernel,
+    _phi_step,
     _square_image,
+    _transfer_kernel_dim,
     _white_kernel_dim,
+    _white_rows_step,
     cycle_kernel_basis,
     is_skew_symmetric,
     kernel_basis,
-    white_adjacency_matrix,
 )
 from .genfunc import (
     asymptotic_proportion,
@@ -41,6 +45,8 @@ from .genfunc import (
 from .pipedreams import (
     Permutation,
     _endpoints_from_exits,
+    _permutations,
+    _pipe_row,
     _trace,
     all_black_permutation,
     cycle_decomposition,
@@ -48,10 +54,11 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 6.9 s at
-# 14 cells, 13.5 to 13.9 s at 15 and 29.6 to 30.3 s at 16 (3 runs each) on a
-# 2-CPU box (Python 3.11), so 16, which covers the acceptance sweep, is the
-# largest that takes under a minute.
+# run_verify grows about 2x per extra cell: the whole command took 10.0 to
+# 11.1 s at 14 cells, 21.0 to 23.5 s at 15 and 44.4 to 47.9 s at 16 (3 runs
+# each) on a shared 2-CPU box (Python 3.11) that, the same day, ran the
+# earlier per-diagram verify in 15.6 s, 33.7 s and 63.8 s (1 run each), so
+# 16, which covers the acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
@@ -81,6 +88,20 @@ FORMATS = ("text", "json", "csv")
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # counts pass CPython's limit on int-to-str digits (4300 by default) at
+    # count 1 14500; the arguments were parsed under it, the report is built
+    # and rendered without it (the limit exists from Python 3.10.7 on)
+    digit_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
+
+
+def _run(args) -> int:
     try:
         report = args.handler(args)
     except (ValueError, ArithmeticError, OSError) as exc:
@@ -144,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 30 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: under a minute "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -197,7 +218,7 @@ def _cmd_dim(args) -> dict:
     sigma, tau, _ = _trace(d)
     cycles = cycle_decomposition(tau)
     odd = odd_cycle_count(cycles)
-    kdim = _white_kernel_dim(d)
+    kdim = _white_kernel_dim(d.rows)
     pp_dim = _boundary_kernel_dim(sigma, all_black_permutation(d.m, d.n))
     agree = odd == kdim == pp_dim
     cauchon = d.is_cauchon()
@@ -274,7 +295,11 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     gluing identity for consecutive white squares; the two kernel maps
     compose to -2 times the identity on both kernel bases and land in the
     asserted kernels.  Both bases hold int vectors and every check is
-    linear, so the per-diagram loop does no Fraction arithmetic.  Per shape:
+    linear, so the per-diagram loop does no Fraction arithmetic.  The
+    diagrams come from one depth-first sweep (_verify_sweep) in which each
+    prefix of rows builds its pipe exits, white matrix and transfer matrix
+    once for every diagram below it; each diagram then runs every check on
+    its own data.  Per shape:
     the enumerated tally matches the closed form and the total count matches
     the poly-Bernoulli value.  inject_fault flips one sign in one matrix to
     demonstrate the suite's sensitivity.
@@ -309,18 +334,17 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     for m, n in shapes:
         omega = all_black_permutation(m, n)
         tally: dict[int, int] = {}
-        for d in cauchon_diagrams(m, n):
+        for rows, (ups, rights, squares, mat, _, phi) in _verify_sweep(m, n):
             diagrams += 1
-            squares = d.white_squares()
-            mat = white_adjacency_matrix(d)
+            # every step builds new matrix rows, so mat belongs to this diagram alone
             if fault_pending and len(squares) >= 2:
                 mat[0][1] = -mat[0][1]
                 fault_pending = False
             record("skew_symmetry", is_skew_symmetric(mat))
 
-            # the pipes are traced once; the permutation, its toric form and
-            # the endpoint table are all read off the same exit tables
-            sigma, tau, ups = _trace(d)
+            # the permutation, its toric form and the endpoint table are all
+            # read off the same exit tables
+            sigma, tau = _permutations(m, n, ups, rights)
             cycles = cycle_decomposition(tau)
             odd = odd_cycle_count(cycles)
             key = tuple(map(tuple, mat))  # after the fault, which thus stays on one diagram
@@ -328,9 +352,10 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             if basis is None:
                 basis = bases[key] = kernel_basis(mat)
             # the column transfer matrix against the full elimination
+            transfer_dim = _transfer_kernel_dim(phi) if phi else _white_kernel_dim(rows)
             record(
                 "dimension_equality",
-                odd == len(basis) == _boundary_kernel_dim(sigma, omega) == _white_kernel_dim(d),
+                odd == len(basis) == _boundary_kernel_dim(sigma, omega) == transfer_dim,
             )
             tally[odd] = tally.get(odd, 0) + 1
 
@@ -382,6 +407,28 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
         "failures": failures,
         "status": "ok" if failures == 0 else "fail",
     }
+
+
+def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
+    """(rows, state) for each m x n Cauchon diagram, in cauchon_diagrams order.
+
+    The state holds what the per-diagram objects give: (ups, rights) as
+    pipedreams._exit_tables, the white squares, the white matrix with the
+    0-based columns of its squares, and phi, or None when m < n and phi is
+    folded per diagram along its columns.  Each prefix builds its share once.
+    """
+
+    def step(state: tuple, cells: tuple[bool, ...]) -> tuple:
+        ups, rights, squares, mat, cols, phi = state
+        r = len(ups)
+        up, right = _pipe_row(ups[-1], cells, m + 1 - r)
+        mat, cols = _white_rows_step(mat, cols, cells)
+        new = tuple((r, c) for c, black in enumerate(cells, start=1) if not black)
+        phi = _phi_step(phi, cells) if phi else None
+        return ups + [up], rights + [right], squares + new, mat, cols, phi
+
+    root = ([list(range(m + 1, m + n + 1))], [], (), [], (), _identity(n) if m >= n else None)
+    return _sweep(m, n, root, step)
 
 
 def _round_trip(x, in_source, forward, in_target, back) -> bool:

@@ -5,9 +5,12 @@ are still all black, so every enumeration goes row by row, keeping that
 column mask and, for each mask, generating the allowed rows lazily: k black
 squares, a white one, then black squares only in columns of the mask.
 
-cauchon_diagrams is one depth-first stream: rows come white before black,
-so the diagrams come in lexicographic order of their row-major cells with
-white before black, each exactly once, and none is kept.
+_sweep is the one depth-first walk: rows come white before black, so the
+diagrams come in lexicographic order of their row-major cells with white
+before black, each exactly once, and none is kept.  Each prefix of rows
+computes a caller's state once for all the diagrams below it; verify carries
+its pipe exits, white matrix and column transfer matrix this way, and
+cauchon_diagrams is the walk with no state, one Diagram per leaf.
 
 Both tallies run on one level-by-level frontier instead.  A prefix of rows
 meets the later rows only through its mask and a state on the columns, so
@@ -18,8 +21,9 @@ labels each pipe passed (pipedreams._even_cycle_count reads it); the
 kernel tally's is the column transfer matrix (exactlinalg._phi_step).
 Transposing keeps a diagram Cauchon and its dimension, so the frontier runs
 along the longer side and costs exponential time only in the shorter one.
-The per-diagram objects stay the path of dim and verify, and the tests use
-them as the tally oracle; lookup reads its diagram off a reduced word.
+The per-diagram objects stay the path of dim, and the tests use them as
+the oracle of the tallies and of verify's sweep; lookup reads its diagram
+off a reduced word.
 
 Nothing here bounds the shape.  The stream yields all poly_bernoulli(m, n)
 diagrams, while a tally's cost grows only polynomially in the longer side at
@@ -110,17 +114,36 @@ def _check_shape(m: int, n: int) -> None:
 def cauchon_diagrams(m: int, n: int) -> Iterator[Diagram]:
     """Yield every m x n Cauchon diagram exactly once, deterministically."""
     _check_shape(m, n)
+    return (Diagram(rows) for rows, _ in _sweep(m, n, None, lambda state, cells: None))
+
+
+def _sweep(m: int, n: int, root, step: Callable) -> Iterator[tuple[tuple, object]]:
+    """(rows, state) for every m x n Cauchon diagram, depth first.
+
+    The state of a prefix of rows is step(state of its parent, last row),
+    computed once and shared by every diagram below it, so step must build
+    a new state rather than change the one it is given.  The walk keeps its
+    own stack, so no grid is too tall for the interpreter's recursion limit.
+    """
     last = m - 1
-
-    def descend(rows: tuple, col_black: int) -> Iterator[Diagram]:
-        if len(rows) == last:
-            for cells, _ in _row_choices(n, col_black):
-                yield Diagram(rows + (cells,))
-        else:
-            for cells, below in _row_choices(n, col_black):
-                yield from descend(rows + (cells,), below)
-
-    return descend((), (1 << n) - 1)
+    rows: list[tuple[bool, ...]] = []
+    states = [root]
+    choices = [_row_choices(n, (1 << n) - 1)]
+    while choices:
+        for cells, below in choices[-1]:
+            state = step(states[-1], cells)
+            if len(rows) == last:
+                yield (*rows, cells), state
+            else:
+                rows.append(cells)
+                states.append(state)
+                choices.append(_row_choices(n, below))
+                break
+        else:  # every row at this depth is done: back to the parent prefix
+            choices.pop()
+            states.pop()
+            if rows:
+                rows.pop()
 
 
 def _frontier(m: int, n: int, root: tuple, step: Callable[[tuple, tuple], tuple]) -> Counter:

@@ -160,22 +160,33 @@ def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     left, and 0 otherwise (in particular when the squares share neither row
     nor column).  Each pair is set once as -1 above the diagonal and +1
     below it, so the matrix is skew-symmetric by construction.  The matrix
-    is built row of squares by row of squares: a new square shares no row
-    with the squares above, so it relates to them only through its column.
+    is built row of squares by row of squares (_white_rows_step).
     """
     rows: list[list[int]] = []
     cols: tuple[int, ...] = ()
     for cells in d.rows:
-        new = [c for c, black in enumerate(cells) if not black]
-        k = len(new)
-        zeros = [0] * k
-        # an old square is above every new one: -1 towards the new square in its column
-        towards = {c: zeros[:p] + [-1] + zeros[p + 1 :] for p, c in enumerate(new)}
-        rows = [old + towards.get(cj, zeros) for old, cj in zip(rows, cols)]
-        for p, c in enumerate(new):
-            rows.append([1 if cj == c else 0 for cj in cols] + [1] * p + [0] + [-1] * (k - 1 - p))
-        cols += tuple(new)
+        rows, cols = _white_rows_step(rows, cols, cells)
     return rows
+
+
+def _white_rows_step(
+    rows: list[list[int]], cols: tuple[int, ...], cells: Sequence[bool]
+) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The white matrix and the 0-based square columns after one more row of cells.
+
+    A new square shares no row with the squares above, so it relates to
+    them only through its column.  Every row of the result is a new list,
+    so the matrix passed in is left as it was.
+    """
+    new = [c for c, black in enumerate(cells) if not black]
+    k = len(new)
+    zeros = [0] * k
+    # an old square is above every new one: -1 towards the new square in its column
+    towards = {c: zeros[:p] + [-1] + zeros[p + 1 :] for p, c in enumerate(new)}
+    out = [old + towards.get(cj, zeros) for old, cj in zip(rows, cols)]
+    for p, c in enumerate(new):
+        out.append([1 if cj == c else 0 for cj in cols] + [1] * p + [0] + [-1] * (k - 1 - p))
+    return out, cols + tuple(new)
 
 
 # ------------------------------------------------- column transfer matrices
@@ -246,14 +257,14 @@ def _transfer_kernel_dim(phi: Sequence[Sequence[int]]) -> int:
     return n - len(_eliminate(rows, n))
 
 
-def _white_kernel_dim(d: Diagram) -> int:
-    """kernel_dim(white_adjacency_matrix(d)), through the column transfer matrix.
+def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
+    """kernel_dim of the white matrix of a diagram's rows, through the column transfer matrix.
 
     Transposing swaps "below" and "right", which leaves the white matrix
     unchanged up to relabeling, so the diagram is swept along its longer
     side and phi is min(m, n) square.
     """
-    cells = d.rows if d.m >= d.n else tuple(zip(*d.rows))
+    cells = rows if len(rows) >= len(rows[0]) else tuple(zip(*rows))
     phi = _identity(len(cells[0]))
     for row in cells:
         phi = _phi_step(phi, row)

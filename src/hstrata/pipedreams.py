@@ -231,15 +231,24 @@ def _trace(d: Diagram) -> tuple[Permutation, Permutation, list[list[int]]]:
     ups is the exit table of _exit_tables.  A ValueError reports a trace
     that is not restricted.
     """
-    m = d.m
     ups, rights = _exit_tables(d)
+    return (*_permutations(d.m, d.n, ups, rights), ups)
+
+
+def _permutations(
+    m: int, n: int, ups: list[list[int]], rights: list[int]
+) -> tuple[Permutation, Permutation]:
+    """The standard and toric permutations read off the exit tables of all m rows.
+
+    A ValueError reports a standard permutation that is not restricted.
+    """
     # standard entries: bottom 1..n, then right n+1..n+m from the bottom row
     # up; the toric labels number the right side first, then the bottom
     bottom, right = ups[m], rights[::-1]
     sigma = Permutation(bottom + right)
-    if not is_restricted(sigma, m, d.n):
+    if not is_restricted(sigma, m, n):
         raise ValueError(f"pipe trace produced the non-restricted permutation {sigma.one_line()}")
-    return sigma, Permutation(right + bottom), ups
+    return sigma, Permutation(right + bottom)
 
 
 def trace_permutation(d: Diagram) -> Permutation:

@@ -11,6 +11,11 @@ import pytest
 from hstrata import RatPoly
 from hstrata import cli
 from hstrata.cli import main, run_verify
+from hstrata.enumeration import cauchon_diagrams
+from hstrata.exactlinalg import _identity, _phi_step, white_adjacency_matrix
+from hstrata.pipedreams import _exit_tables
+
+from conftest import SHAPES_UP_TO_12
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +157,22 @@ class TestCount:
         for meth in ("formula", "enum", "series"):
             assert report["counts"][meth] == {"0": "5", "1": "7", "2": "2"}
             assert report["totals"][meth] == "14"
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_total_past_the_int_digit_limit(self, capsys):
+        # 2**14500 has 4,365 digits, past CPython's default limit of 4300
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "count", "1", "14500", "--format", "json")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        total = json.loads(out)["totals"]["formula"]
+        sys.set_int_max_str_digits(0)
+        try:
+            assert total == str(2**14500)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_formula_on_the_longer_side_first(self, capsys):
         # the closed-form table is built on the shorter side whichever comes first
@@ -335,6 +356,43 @@ class TestVerify:
             solved.clear()
             assert run_verify(9, inject_fault=inject_fault)["diagrams"] == 2670
             assert len(solved) == len(set(solved)) == distinct
+
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
+    def test_sweep_state_matches_the_diagram_objects(self, m, n):
+        # each prefix's state is shared by every diagram below it, so a step
+        # that changed its parent's state would show here; all states are
+        # kept before any is compared
+        swept = list(cli._verify_sweep(m, n))
+        diagrams = list(cauchon_diagrams(m, n))
+        assert [rows for rows, _ in swept] == [d.rows for d in diagrams]
+        for d, (_, (ups, rights, squares, mat, cols, phi)) in zip(diagrams, swept):
+            assert (ups, rights) == _exit_tables(d)
+            assert squares == d.white_squares()
+            assert cols == tuple(c - 1 for _, c in squares)
+            assert mat == white_adjacency_matrix(d)
+            if m >= n:
+                folded = _identity(n)
+                for row in d.rows:
+                    folded = _phi_step(folded, row)
+                assert phi == folded
+            else:
+                assert phi is None
+
+    def test_broken_transfer_matrix_fails_dimension_equality(self, monkeypatch):
+        # the swept phi is still checked against the other routes on every diagram
+        phi_step = cli._phi_step
+
+        def negated(phi, cells):
+            out = [list(row) for row in phi_step(phi, cells)]
+            j = next(j for j, e in enumerate(out[0]) if e)
+            out[0][j] = -out[0][j]
+            return tuple(map(tuple, out))
+
+        monkeypatch.setattr(cli, "_phi_step", negated)
+        report = run_verify(6)
+        failed = {name for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"dimension_equality"}
+        assert report["status"] == "fail"
 
     def test_run_verify_counts(self):
         report = run_verify(2)

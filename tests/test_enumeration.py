@@ -96,8 +96,9 @@ class TestCauchonDiagrams:
         assert peak < 1 << 20
 
     def test_cell_limit(self):
-        # the stream refuses no shape: its callers bound what they walk
-        for m, n in [(5, 6), (30, 30)]:
+        # the stream refuses no shape: its callers bound what they walk, and
+        # a grid taller than the recursion limit is walked like any other
+        for m, n in [(5, 6), (30, 30), (2000, 1)]:
             assert next(cauchon_diagrams(m, n)) == Diagram.all_white(m, n)
 
     def test_positive_sizes_required(self):
@@ -216,9 +217,9 @@ class TestTallyDimensions:
             tally_dimensions(2, 2, "cycles")
         expected = {d: int(c) for d, c in enumerate(stratum_poly(4, 4).coeffs) if c}
         assert tally_dimensions(4, 4, "kernel").counts == expected
-        assert _white_kernel_dim(Diagram.parse("..#.\n..##\n#...\n#..#")) == 2
+        assert _white_kernel_dim(Diagram.parse("..#.\n..##\n#...\n#..#").rows) == 2
         for d in [Diagram.all_white(3, 5), Diagram.parse("#..\n.#.\n..#\n#..")]:
-            assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+            assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
 
     def test_cache_round_trip(self, tmp_path):
         tally = tally_dimensions(2, 2, cache_dir=tmp_path)

@@ -375,13 +375,13 @@ class TestColumnTransfer:
     def test_matches_full_elimination_on_cauchon_diagrams(self, m, n):
         for d in all_diagrams(m, n):
             if cauchon_by_definition(d):
-                assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+                assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
 
     @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (2, 5)])
     def test_matches_full_elimination_on_every_coloring(self, m, n):
         # dim accepts non-Cauchon diagrams, so the identity must hold for all
         for d in all_diagrams(m, n):
-            assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+            assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
 
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 5)])
     def test_transposing_relabels_the_white_matrix(self, m, n):
@@ -393,16 +393,16 @@ class TestColumnTransfer:
             order = [label[sq] for sq in t.white_squares()]
             mat = white_adjacency_matrix(d)
             assert white_adjacency_matrix(t) == [[mat[i][j] for j in order] for i in order]
-            assert _white_kernel_dim(t) == _white_kernel_dim(d) == kernel_dim(mat)
+            assert _white_kernel_dim(t.rows) == _white_kernel_dim(d.rows) == kernel_dim(mat)
 
     @given(diagrams(max_m=6, max_n=6))
     def test_matches_full_elimination_on_random_diagrams(self, d):
-        assert _white_kernel_dim(d) == kernel_dim(white_adjacency_matrix(d))
+        assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
 
     def test_all_white_grid_past_desk_scale(self):
         # an all-white k x k grid has k odd cycles (kernel dimension k)
-        assert _white_kernel_dim(Diagram.all_white(30, 30)) == 30
-        assert _white_kernel_dim(Diagram.all_white(1, 900)) == 0
+        assert _white_kernel_dim(Diagram.all_white(30, 30).rows) == 30
+        assert _white_kernel_dim(Diagram.all_white(1, 900).rows) == 0
 
 
 class TestCycleKernelBasis:
