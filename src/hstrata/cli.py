@@ -78,8 +78,8 @@ ASYMPTOTICS_MAX_N = 1000
 # count --method enum tallies on a frontier whose cost is exponential only
 # in min(m, n) and polynomial in the longer side, so only the shorter side
 # is capped.  On the same box (shared, medians of 5 runs) the whole command
-# took 0.2 s at 5x5, 0.4 s at 300x3, 1.0 s at 100x4, 2.5 s at 25x5 and 11 s
-# at 100x5; with --method formula as well, 100x5 took 13 s (7.5 to 17 s).
+# took 0.13 s at 5x5, 0.14 s at 300x3, 0.33 s at 100x4, 1.0 s at 25x5 and
+# 5.1 s at 100x5; at 6, 20x6 took 16 s and 100x6 98 s (1 run), so 5 stays.
 ENUM_MAX_SIDE = 5
 
 FORMATS = ("text", "json", "csv")
@@ -140,7 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             f"Count strata by dimension. --method series needs max(m, n) <= {SERIES_MAX_ORDER} "
             "(about 45 s at the cap on a 2-CPU box). --method enum needs min(m, n) <= "
-            f"{ENUM_MAX_SIDE} and takes any longer side (2.5 s at 25x5 and about 13 s for "
+            f"{ENUM_MAX_SIDE} and takes any longer side (1 s at 25x5 and about 5 s for "
             "100x5 with --method formula on the same box); past it use --method formula."
         ),
     )

@@ -15,10 +15,12 @@ cauchon_diagrams is the walk with no state, one Diagram per leaf.
 Both tallies run on one level-by-level frontier instead.  A prefix of rows
 meets the later rows only through its mask and a state on the columns, so
 prefixes with equal (mask, state) merge, their counts adding, and a
-dimension is read once per final state.  The cycles tally's state is the
-toric permutation contracted to the columns, with the parity of the row
-labels each pipe passed (pipedreams._even_cycle_count reads it); the
-kernel tally's is the column transfer matrix (exactlinalg._phi_step).
+dimension is read once per final state.  Either state is n ints, entry c
+2t + p for column c's image t: for cycles the toric permutation contracted
+to the columns and the parity p of the row labels each pipe passed, for
+kernel the column transfer matrix, a signed permutation, and p the sign
+bit.  A row acts on both as a gather and an xor mask; the cycles plan comes
+from the pipe row rule, the kernel plan from the row's Cayley map alone.
 Transposing keeps a diagram Cauchon and its dimension, so the frontier runs
 along the longer side and costs exponential time only in the shorter one.
 The per-diagram objects stay the path of dim, and the tests use them as
@@ -40,11 +42,12 @@ import json
 import os
 from collections import Counter
 from itertools import product
+from operator import xor
 from pathlib import Path
 from typing import Callable, Iterator
 
 from .diagrams import Diagram
-from .exactlinalg import _identity, _phi_step, _transfer_kernel_dim
+from .exactlinalg import _identity, _phi_plan, _plan, _transfer_kernel_dim
 from .genfunc import poly_bernoulli
 from .pipedreams import (
     Permutation,
@@ -146,25 +149,26 @@ def _sweep(m: int, n: int, root, step: Callable) -> Iterator[tuple[tuple, object
                 rows.pop()
 
 
-def _frontier(m: int, n: int, root: tuple, step: Callable[[tuple, tuple], tuple]) -> Counter:
+def _frontier(m: int, n: int, plan: Callable[[tuple], tuple]) -> Counter:
     """Final states of the rows of all m x n Cauchon diagrams, counted.
 
-    The rows are swept level by level along the longer side, so root and
-    each state describe min(m, n) columns.  step(state, cells) gives the
-    state after a row; prefixes with equal column mask and state merge, and
-    their counts add.
+    The rows are swept level by level along the longer side, so each state
+    is min(m, n) ints, the identity (0, 2, ..) at first.  plan(cells) is a
+    row's exactlinalg._plan, built once per column mask and row; prefixes
+    with equal column mask and state merge, and their counts add.
     """
     if m < n:
         m, n = n, m
-    frontier = {((1 << n) - 1, root): 1}
+    frontier = {((1 << n) - 1, _identity(n)): 1}
+    moves: dict[int, list] = {}
     for _ in range(m):
-        nxt: Counter = Counter()
-        moves: dict[int, list] = {}
+        nxt: dict = {}
         for (col_black, state), count in frontier.items():
             if col_black not in moves:
-                moves[col_black] = list(_row_choices(n, col_black))
-            for cells, below in moves[col_black]:
-                nxt[below, step(state, cells)] += count
+                moves[col_black] = [(b, *plan(cells)) for cells, b in _row_choices(n, col_black)]
+            for below, gather, mask in moves[col_black]:
+                key = below, tuple(map(xor, mask, gather(state)))
+                nxt[key] = nxt.get(key, 0) + count
         frontier = nxt
     finals: Counter = Counter()
     for (_, state), count in frontier.items():
@@ -172,25 +176,27 @@ def _frontier(m: int, n: int, root: tuple, step: Callable[[tuple, tuple], tuple]
     return finals
 
 
-def _toric_step(f: tuple[int, ...], cells: tuple[bool, ...]) -> tuple[int, ...]:
-    """Pass the pipes of one row through the contracted toric permutation f.
+def _toric_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
+    """The _plan of one row's pipes on the contracted toric permutation f.
 
     f[c] = 2t + p says the pipe entering the rows so far from below column c
     leaves them at the top of column t after passing p (mod 2) row labels.
-    A pipe leaving the new row on the left re-enters it on the right, so the
-    placeholder exit at the row's first white column is the exit of the
-    pipe entering from the right, one row label further on.
+    The row rule, run on the column positions, gives the column each pipe
+    continues; the pipe leaving the row on the left re-enters it on the right,
+    so the first white column takes the right one's pipe, one label further on.
     """
-    up, right = _pipe_row(f, cells, -1)
+    src, right = _pipe_row(range(len(cells)), cells, -1)
+    mask = [0] * len(cells)
     if right >= 0:
-        up[cells.index(False)] = right ^ 1
-    return tuple(up)
+        first = cells.index(False)
+        src[first], mask[first] = right, 1
+    return _plan(src, mask)
 
 
-# (root for k columns, row step, dimension of a final state) of each method
+# (row plan, dimension of a final state) of each method
 _ROUTES = {
-    "cycles": (lambda k: tuple(range(0, 2 * k, 2)), _toric_step, _even_cycle_count),
-    "kernel": (_identity, _phi_step, _transfer_kernel_dim),
+    "cycles": (_toric_plan, _even_cycle_count),
+    "kernel": (_phi_plan, _transfer_kernel_dim),
 }
 
 
@@ -206,16 +212,16 @@ def tally_dimensions(
     computes the kernel dimension of the white adjacency matrix.  The two
     agree on every diagram.  Both run on one frontier that merges prefixes
     sharing a column mask and a state, the contracted toric permutation for
-    'cycles' and the column transfer matrix for 'kernel', and neither builds
-    a Diagram or Permutation per diagram.  The frontier runs along the
-    longer side, so the cost is exponential only in min(m, n), and no shape
-    is refused here; the count command bounds min(m, n).  Results are cached
-    as JSON in cache_dir when one is given; nothing else turns the cache on.  A
-    cached file is trusted only when it parses, is for this m x n, has
-    nonnegative integer counts at dimensions 0..min(m, n) and a total equal
-    both to their sum and to poly_bernoulli(m, n); otherwise the tally is
-    recomputed and the file replaced.  Files are written to a temporary name
-    and then renamed, so a reader never sees a partial one.
+    'cycles' and the column transfer matrix for 'kernel', both n ints, and
+    neither builds a Diagram or Permutation per diagram.  The frontier runs
+    along the longer side, so the cost is exponential only in min(m, n), and
+    no shape is refused here; the count command bounds min(m, n).  Results
+    are cached as JSON in cache_dir when one is given; nothing else turns the
+    cache on.  A cached file is trusted only when it parses, is for this
+    m x n, has nonnegative integer counts at dimensions 0..min(m, n) and a
+    total equal both to their sum and to poly_bernoulli(m, n); otherwise the
+    tally is recomputed and the file replaced.  Files are written to a
+    temporary name and then renamed, so a reader never sees a partial one.
     """
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}, expected one of {tuple(_ROUTES)}")
@@ -227,9 +233,9 @@ def tally_dimensions(
         if cached is not None:
             return cached
 
-    root, step, read = _ROUTES[method]
+    plan, read = _ROUTES[method]
     counts: Counter = Counter()
-    for state, count in _frontier(m, n, root(min(m, n)), step).items():
+    for state, count in _frontier(m, n, plan).items():
         counts[read(state)] += count
     tally = StratumTally(m, n, counts)
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Sequence, Union
+from operator import itemgetter, xor
+from typing import Callable, Iterable, Sequence, Union
 
 from .diagrams import Diagram
 from .pipedreams import (
@@ -200,6 +201,11 @@ def _white_rows_step(
 # Q to (I + C)^-1 (C - I) u and leaves u outside Q alone.  u starts at -T and
 # must end at T, so with Phi the product of the row maps, the kernel vectors
 # correspond one to one to the T with (I + Phi) T = 0.
+#
+# _cayley checks that each row map is a signed permutation, so every Phi, a
+# product of them, is one too and is carried as n ints: entry r is 2 * (the
+# column of row r's one nonzero entry), plus 1 when that entry is -1.  A
+# row's map then moves and negates entries: a gather and an xor mask (_plan).
 
 
 @lru_cache(maxsize=None)
@@ -208,10 +214,9 @@ def _cayley(k: int) -> tuple[tuple[int, int], ...]:
 
     C is the white matrix of one row of k white squares.  The solved map is
     a signed permutation, so row i is given as (j, +-1) for its one nonzero
-    entry; every transfer matrix is then a signed permutation too, and its
-    entries stay in -1..1.  C is skew, so I + C is invertible;
-    ZeroDivisionError is raised if it is not, and ArithmeticError if the
-    solved map is not a signed permutation.
+    entry.  C is skew, so I + C is invertible; ZeroDivisionError is raised
+    if it is not, and ArithmeticError if the solved map is not a signed
+    permutation.
     """
     block = white_adjacency_matrix(Diagram([[False] * k]))
     rows = [
@@ -228,33 +233,47 @@ def _cayley(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((t[0][0], int(t[0][1])) for t in terms)
 
 
-def _phi_step(phi: tuple[tuple[int, ...], ...], cells: Sequence[bool]) -> tuple:
-    """Left-multiply the transfer matrix phi by the map of a row of cells.
+def _plan(src: Sequence[int], mask: Sequence[int]) -> tuple[Callable, tuple[int, ...]]:
+    """A row step as (gather, mask): the new state is tuple(map(xor, mask, gather(state))).
 
-    Rows of phi at black columns stay; the row at the i-th white column
-    becomes the signed row at the j-th one, for row i = (j, sign) of the
-    row's Cayley transform.
+    Entry c of it is entry src[c] of the old state xor mask[c]; a one-column
+    gather takes a slice, as itemgetter of one index gives no tuple.
     """
+    gather = itemgetter(*src) if len(src) > 1 else itemgetter(slice(src[0], src[0] + 1))
+    return gather, tuple(mask)
+
+
+@lru_cache(maxsize=1 << 12)
+def _phi_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
+    """The _plan of a row of cells on a compact phi, kept since verify repeats rows.
+
+    Row i = (j, sign) of the row's Cayley map moves the row of phi at the
+    j-th white column to the i-th, negated when sign is -1.
+    """
+    src, mask = list(range(len(cells))), [0] * len(cells)
     cols = [c for c, black in enumerate(cells) if not black]
-    if not cols:
-        return phi
-    out = list(phi)
-    for c, (j, sign) in zip(cols, _cayley(len(cols))):
-        src = phi[cols[j]]
-        out[c] = src if sign == 1 else tuple(-e for e in src)
-    return tuple(out)
+    for c, (j, sign) in zip(cols, _cayley(len(cols)) if cols else ()):
+        src[c], mask[c] = cols[j], int(sign < 0)
+    return _plan(src, mask)
 
 
-@lru_cache(maxsize=None)
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def _phi_step(phi: tuple[int, ...], cells: tuple[bool, ...]) -> tuple[int, ...]:
+    """Left-multiply the compact transfer matrix phi by the map of a row of cells."""
+    gather, mask = _phi_plan(cells)
+    return tuple(map(xor, mask, gather(phi)))
 
 
-def _transfer_kernel_dim(phi: Sequence[Sequence[int]]) -> int:
-    """dim ker(I + phi): the white matrix's kernel dimension read off its transfer matrix."""
-    n = len(phi)
-    rows = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi)]
-    return n - len(_eliminate(rows, n))
+def _identity(n: int) -> tuple[int, ...]:
+    """The n x n identity as a compact transfer matrix."""
+    return tuple(range(0, 2 * n, 2))
+
+
+def _transfer_kernel_dim(phi: Sequence[int]) -> int:
+    """dim ker(I + phi) for a compact phi: the white matrix's kernel dimension."""
+    # row r of I + phi is e_r +- e_c for phi's entry at column c, or 2 e_r or 0 when c = r
+    rows = [{r: 1, e >> 1: -1 if e & 1 else 1} for r, e in enumerate(phi) if e >> 1 != r]
+    rows += [{r: 2} for r, e in enumerate(phi) if e == 2 * r]
+    return len(phi) - _sparse_rank(rows)
 
 
 def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
@@ -282,18 +301,22 @@ def _boundary_rows(p: Permutation, q: Permutation) -> list[dict[int, int]]:
 
 
 def _boundary_kernel_dim(p: Permutation, q: Permutation) -> int:
-    """kernel_dim(P_p + P_q), by fraction-free elimination on the sparse rows.
+    """kernel_dim(P_p + P_q), by fraction-free elimination on the sparse rows."""
+    return p.size - _sparse_rank(_boundary_rows(p, q))
 
-    Each row is reduced, led by its first nonzero column, against the pivot
-    rows found so far with _eliminate's update p*row - f*pivot_row (p and f
+
+def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank of rows of two entries +-1 or one entry +-2, as in P_p + P_q and I + phi.
+
+    Rows are dicts from 0-based column to entry, and are consumed.  Each row
+    is reduced, led by its first nonzero column, against the pivot rows
+    found so far with _eliminate's update p*row - f*pivot_row (p and f
     divided by their gcd, p made positive); a row that reaches a column with
     no pivot row becomes its pivot row, and a row that empties is dependent.
-    Two rows of at most two entries that share their leading column combine
-    into one of at most two, with entries +-1 where there are two and +-2
-    where there is one, so no row grows.
+    Two such rows sharing their leading column give one such row or none.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in _boundary_rows(p, q):
+    for row in rows:
         while row:
             c = min(row)
             prow = pivots.get(c)
@@ -314,7 +337,7 @@ def _boundary_kernel_dim(p: Permutation, q: Permutation) -> int:
                         row[j] = x
                     else:
                         del row[j]
-    return p.size - len(pivots)
+    return len(pivots)
 
 
 def _in_boundary_kernel(p: Permutation, q: Permutation, v: Sequence[Rational]) -> bool:

@@ -5,8 +5,9 @@ definitions, brute force, a stepwise pipe walker, the word product of the
 black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
 tallies through the per-diagram object path, kernel bases back-substituted
-in Fraction, the dense boundary matrix P_p + P_q and the dense matrix-vector
-product) used to validate the package's faster or cleverer code paths.
+in Fraction, the dense boundary matrix P_p + P_q, the dense matrix-vector
+product and the dense column transfer matrix) used to validate the
+package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from hstrata import (
     toric_permutation,
     white_adjacency_matrix,
 )
-from hstrata.exactlinalg import _eliminate, _integer_rows
+from hstrata.exactlinalg import _cayley, _eliminate, _integer_rows
 
 # every grid shape with at most 12 cells
 SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
@@ -197,6 +198,48 @@ def matvec(rows, vec) -> tuple:
     if any(len(row) != len(vec) for row in rows):
         raise ValueError(f"vector length {len(vec)} does not match the matrix rows")
     return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in rows)
+
+
+def cayley_dense(k: int) -> list[list[int]]:
+    """The (column, sign) rows of _cayley(k) as a dense k x k matrix."""
+    out = [[0] * k for _ in range(k)]
+    for i, (j, sign) in enumerate(_cayley(k)):
+        out[i][j] = sign
+    return out
+
+
+def row_map_dense(cells) -> list[list[int]]:
+    """The dense n x n map of a row of cells: cayley_dense among its white
+    columns, the identity at its black ones."""
+    n = len(cells)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    cols = [c for c, black in enumerate(cells) if not black]
+    if cols:
+        cay = cayley_dense(len(cols))
+        for i, ci in enumerate(cols):
+            out[ci] = [0] * n
+            for j, cj in enumerate(cols):
+                out[ci][cj] = cay[i][j]
+    return out
+
+
+def phi_dense(phi) -> list[list[int]]:
+    """Decode a compact transfer matrix: entry r = 2 * column + (1 if the entry is -1)."""
+    out = [[0] * len(phi) for _ in phi]
+    for r, e in enumerate(phi):
+        out[r][e >> 1] = -1 if e & 1 else 1
+    return out
+
+
+def transfer_matrix_dense(rows, start=None) -> list[list[int]]:
+    """start (the identity by default) left-multiplied by the dense map of
+    each row in turn, as full n x n matrix products."""
+    n = len(rows[0]) if rows else len(start)
+    phi = start if start is not None else [[int(i == j) for j in range(n)] for i in range(n)]
+    for cells in rows:
+        block = row_map_dense(cells)
+        phi = [[sum(block[i][t] * phi[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return phi
 
 
 class BoundaryLabeling:

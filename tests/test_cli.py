@@ -12,10 +12,10 @@ from hstrata import RatPoly
 from hstrata import cli
 from hstrata.cli import main, run_verify
 from hstrata.enumeration import cauchon_diagrams
-from hstrata.exactlinalg import _identity, _phi_step, white_adjacency_matrix
+from hstrata.exactlinalg import white_adjacency_matrix
 from hstrata.pipedreams import _exit_tables
 
-from conftest import SHAPES_UP_TO_12
+from conftest import SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
 
 
 def run_cli(capsys, *argv):
@@ -371,10 +371,7 @@ class TestVerify:
             assert cols == tuple(c - 1 for _, c in squares)
             assert mat == white_adjacency_matrix(d)
             if m >= n:
-                folded = _identity(n)
-                for row in d.rows:
-                    folded = _phi_step(folded, row)
-                assert phi == folded
+                assert phi_dense(phi) == transfer_matrix_dense(d.rows)
             else:
                 assert phi is None
 
@@ -382,13 +379,11 @@ class TestVerify:
         # the swept phi is still checked against the other routes on every diagram
         phi_step = cli._phi_step
 
-        def negated(phi, cells):
-            out = [list(row) for row in phi_step(phi, cells)]
-            j = next(j for j, e in enumerate(out[0]) if e)
-            out[0][j] = -out[0][j]
-            return tuple(map(tuple, out))
+        def flipped(phi, cells):
+            out = phi_step(phi, cells)
+            return (out[0] ^ 1, *out[1:])  # row 0 of phi negated
 
-        monkeypatch.setattr(cli, "_phi_step", negated)
+        monkeypatch.setattr(cli, "_phi_step", flipped)
         report = run_verify(6)
         failed = {name for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"dimension_equality"}

@@ -221,6 +221,19 @@ class TestTallyDimensions:
         for d in [Diagram.all_white(3, 5), Diagram.parse("#..\n.#.\n..#\n#..")]:
             assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
 
+    def test_broken_kernel_plan_changes_the_tally(self, monkeypatch):
+        # the frontier's kernel route against the closed form: one row of
+        # phi negated by every row step must show
+        plan, read = enumeration._ROUTES["kernel"]
+
+        def flipped(cells):
+            gather, mask = plan(cells)
+            return gather, (mask[0] ^ 1, *mask[1:])
+
+        monkeypatch.setitem(enumeration._ROUTES, "kernel", (flipped, read))
+        expected = {d: int(c) for d, c in enumerate(stratum_poly(4, 4).coeffs) if c}
+        assert tally_dimensions(4, 4, "kernel").counts != expected
+
     def test_cache_round_trip(self, tmp_path):
         tally = tally_dimensions(2, 2, cache_dir=tmp_path)
         files = list(tmp_path.iterdir())

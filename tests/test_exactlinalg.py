@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -30,6 +32,9 @@ from hstrata.exactlinalg import (
     _boundary_rows,
     _cayley,
     _eliminate,
+    _identity,
+    _phi_step,
+    _transfer_kernel_dim,
     _white_kernel_dim,
     is_skew_symmetric,
 )
@@ -39,12 +44,15 @@ from conftest import (
     SHAPES_UP_TO_12,
     all_diagrams,
     cauchon_by_definition,
+    cayley_dense,
     diagrams,
     kernel_basis_by_fractions,
     matvec,
     perm_matrix_sum,
+    phi_dense,
     rank_by_minors,
     region_sets,
+    transfer_matrix_dense,
 )
 
 EXAMPLE_4X4 = "..#.\n..##\n#...\n#..#"
@@ -322,14 +330,6 @@ class TestKernelEquality:
         assert checked > 50
 
 
-def cayley_dense(k):
-    """The (column, sign) rows of _cayley(k) as a dense k x k matrix."""
-    out = [[0] * k for _ in range(k)]
-    for i, (j, sign) in enumerate(_cayley(k)):
-        out[i][j] = sign
-    return out
-
-
 def in_row_block(k):
     return white_adjacency_matrix(Diagram.all_white(1, k))
 
@@ -370,6 +370,27 @@ class TestColumnTransfer:
         monkeypatch.setattr(exactlinalg, "white_adjacency_matrix", lambda d: [[0, 2], [-2, 0]])
         with pytest.raises(ArithmeticError, match="signed permutation"):
             _cayley.__wrapped__(2)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_phi_step_is_the_dense_product(self, n):
+        # every row of n cells, each from random signed-permutation states
+        rng = random.Random(n)
+        assert phi_dense(_identity(n)) == [[int(i == j) for j in range(n)] for i in range(n)]
+        for cells in product((False, True), repeat=n):
+            for _ in range(4):
+                phi = tuple(2 * c + rng.randrange(2) for c in rng.sample(range(n), n))
+                assert phi_dense(_phi_step(phi, cells)) == transfer_matrix_dense([cells], phi_dense(phi))
+
+    def test_transfer_kernel_dim_on_every_signed_permutation(self):
+        checked = 0
+        for n in range(1, 5):
+            for perm in permutations(range(n)):
+                for signs in product((0, 1), repeat=n):
+                    phi = tuple(2 * c + s for c, s in zip(perm, signs))
+                    plus = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi_dense(phi))]
+                    assert _transfer_kernel_dim(phi) == kernel_dim(plus)
+                    checked += 1
+        assert checked == 442
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_matches_full_elimination_on_cauchon_diagrams(self, m, n):
