@@ -65,10 +65,10 @@ SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the min(m, n)-square column transfer matrix,
 # not the N x N white matrix, and eliminates the boundary matrix on sparse
 # rows.  On the same box the whole command took, for all-white grids at
-# N = 900, 0.08 s at 30x30, 0.09 s at 1x900 and 0.08 s at 3x300 and 10x90
-# (31 s, 28 s, 17 s and 40 s with the full elimination of the white
-# matrix); the slowest diagram found, one white row of 900 squares in a
-# 900x900 grid, took 1.0 s, most of it solving that row's 900 x 1800 Cayley
+# N = 900, 0.06 to 0.09 s at 30x30, 1x900, 3x300 and 10x90 (31 s, 28 s,
+# 17 s and 40 s with the full elimination of the white matrix); the slowest
+# diagram found, one white row of 900 squares in a 900x900 grid, took 1.1
+# to 1.9 s, most of it back-substituting that row's 900 x 1800 Cayley
 # system.  That solve and the trace still grow with the grid, so the cap
 # stays.
 DIM_MAX_WHITE = 900
@@ -334,7 +334,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     for m, n in shapes:
         omega = all_black_permutation(m, n)
         tally: dict[int, int] = {}
-        for rows, (ups, rights, squares, mat, _, phi) in _verify_sweep(m, n):
+        for _, (ups, rights, squares, mat, _, phi) in _verify_sweep(m, n):
             diagrams += 1
             # every step builds new matrix rows, so mat belongs to this diagram alone
             if fault_pending and len(squares) >= 2:
@@ -352,7 +352,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             if basis is None:
                 basis = bases[key] = kernel_basis(mat)
             # the column transfer matrix against the full elimination
-            transfer_dim = _transfer_kernel_dim(phi) if phi else _white_kernel_dim(rows)
+            transfer_dim = _transfer_kernel_dim(phi)
             record(
                 "dimension_equality",
                 odd == len(basis) == _boundary_kernel_dim(sigma, omega) == transfer_dim,
@@ -414,8 +414,8 @@ def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
 
     The state holds what the per-diagram objects give: (ups, rights) as
     pipedreams._exit_tables, the white squares, the white matrix with the
-    0-based columns of its squares, and phi, or None when m < n and phi is
-    folded per diagram along its columns.  Each prefix builds its share once.
+    0-based columns of its squares, and phi.  Each prefix builds its share
+    once.
     """
 
     def step(state: tuple, cells: tuple[bool, ...]) -> tuple:
@@ -424,10 +424,10 @@ def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
         up, right = _pipe_row(ups[-1], cells, m + 1 - r)
         mat, cols = _white_rows_step(mat, cols, cells)
         new = tuple((r, c) for c, black in enumerate(cells, start=1) if not black)
-        phi = _phi_step(phi, cells) if phi else None
+        phi = _phi_step(phi, cells)
         return ups + [up], rights + [right], squares + new, mat, cols, phi
 
-    root = ([list(range(m + 1, m + n + 1))], [], (), [], (), _identity(n) if m >= n else None)
+    root = ([list(range(m + 1, m + n + 1))], [], (), [], (), _identity(n))
     return _sweep(m, n, root, step)
 
 

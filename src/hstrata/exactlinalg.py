@@ -1,8 +1,9 @@
 """Exact rank and kernels of row-list matrices, and the two kernel maps.
 
 A matrix is a plain sequence of equal-length rows of Python ints or
-fractions.Fraction; rank is computed by integer-preserving elimination, and
-no floating point is used anywhere.  Vectors are plain tuples of exact
+fractions.Fraction, and no floating point is used anywhere.  Every rank and
+kernel here comes from one fraction-free elimination on rows held as dicts
+of their nonzero entries (_pivot_rows).  Vectors are plain tuples of exact
 numbers, and kernel_basis returns primitive int tuples (entries with gcd 1);
 entry i-1 of a vector corresponds to label i (white-square labels, i.e.
 Diagram.white_squares() order, for square-indexed vectors; toric boundary
@@ -43,72 +44,92 @@ def is_skew_symmetric(rows: Matrix) -> bool:
     return all(rows[i][j] == -rows[j][i] for i in range(size) for j in range(i, size))
 
 
-def _integer_rows(rows: Matrix) -> list[list[int]]:
-    """Copy rows as ints, each scaled by the lcm of its denominators (rank is unchanged)."""
+def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
+    """Rows as dicts from column to nonzero entry, made ints by the lcm of their denominators."""
     width = len(rows[0]) if rows else 0
     out = []
     for row in rows:
         if len(row) != width:
             raise ValueError("matrix rows must all have the same length")
-        if set(map(type, row)) <= {int}:
-            out.append(list(row))  # a copy: _eliminate works in place
-        else:
+        if not set(map(type, row)) <= {int}:
             scale = lcm(*(e.denominator for e in row))
-            out.append([int(e * scale) for e in row])
+            row = [int(e * scale) for e in row]
+        out.append({j: e for j, e in enumerate(row) if e})
     return out
 
 
-def _eliminate(rows: list[list[int]], cols: int) -> list[int]:
-    """In-place integer row echelon; returns the pivot column list.
+def _pivot_rows(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Fraction-free elimination of sparse rows: {leading column: pivot row}.
 
-    Pivot is the first nonzero entry in column order.  Row updates use the
-    division-free combination p*row - f*pivot_row, with p and f first divided
-    by their gcd and the row renormalized by its gcd once entries grow past
-    _GCD_REDUCE_BOUND, so everything stays exact.  When p divides f the
-    update touches only the pivot row's nonzero columns.
+    Rows are dicts from 0-based column to nonzero int entry, and are
+    consumed.  Each row is reduced, led by its first nonzero column, against
+    the pivot rows found so far with the update a*row - b*pivot_row, where
+    a/b is pivot/entry in lowest terms and a > 0; a row that reaches a
+    column with no pivot row becomes its pivot row, and a row that empties
+    is dependent.  After an update that multiplies (a unit one only adds or
+    subtracts), a row with an entry past _GCD_REDUCE_BOUND is divided by the
+    gcd of its entries, so everything stays exact and small.
     """
-    pivot_cols: list[int] = []
-    nrows = len(rows)
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = row
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        support = [j for j in range(c + 1, cols) if prow[j]]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            f = row[c]
-            if not f:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
+            f = row.pop(c)
+            g = gcd(prow[c], f)
+            a, b = prow[c] // g, f // g
             if a < 0:
                 a, b = -a, -b
-            big = 0
-            for j in support if a == 1 else range(c + 1, cols):
-                v = a * row[j] - b * prow[j]
-                row[j] = v
-                big |= abs(v)
-            row[c] = 0
-            if big > _GCD_REDUCE_BOUND:
-                g = gcd(*row)
-                if g > 1:
-                    rows[i] = [v // g for v in row]
-        pivot_cols.append(c)
-        r += 1
-    return pivot_cols
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                if j != c:
+                    x = row.get(j, 0) - b * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            if (a != 1 or abs(b) != 1) and row and max(map(abs, row.values())) > _GCD_REDUCE_BOUND:
+                g = gcd(*row.values())
+                row = {j: v // g for j, v in row.items()}
+    return pivots
+
+
+def _kernel_vectors(pivots: dict[int, dict[int, int]], cols: int) -> tuple[tuple[int, ...], ...]:
+    """Back-substitute a kernel basis from _pivot_rows, one vector per free column.
+
+    Each vector is positive at its free column, 0 at the other free columns,
+    and its entries have gcd 1.  Back-substitution stays in the integers:
+    where a pivot p does not divide the partial sum s, the vector is first
+    scaled by |p| / gcd(s, p), which is prime to the new entry s / gcd(s, p),
+    so the vector stays primitive.
+    """
+    # pivot column, pivot and the other entries of its row, last pivot column first
+    tails = [
+        (c, row[c], [(j, e) for j, e in row.items() if j != c])
+        for c, row in sorted(pivots.items(), reverse=True)
+    ]
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        x = [0] * cols
+        x[free] = 1
+        for pc, p, tail in tails:
+            s = sum(e * x[j] for j, e in tail)
+            if s:
+                g = gcd(s, p)
+                if abs(p) != g:
+                    x = [v * (abs(p) // g) for v in x]
+                x[pc] = -s // g if p > 0 else s // g
+        basis.append(tuple(x))
+    return tuple(basis)
 
 
 def rank(M: Matrix) -> int:
     """Rank over the rationals by exact integer-preserving elimination."""
-    return len(_eliminate(_integer_rows(M), len(M[0]) if M else 0))
+    return len(_pivot_rows(_integer_rows(M)))
 
 
 def kernel_dim(M: Matrix) -> int:
@@ -122,35 +143,8 @@ def kernel_dim(M: Matrix) -> int:
 
 
 def kernel_basis(M: Matrix) -> tuple[tuple[int, ...], ...]:
-    """A basis of the rational null space, one primitive int vector per free column.
-
-    Each vector is positive at its free column, 0 at the other free columns,
-    and its entries have gcd 1.  Back-substitution stays in the integers:
-    where a pivot p does not divide the partial sum s, the vector is first
-    scaled by |p| / gcd(s, p), which is prime to the new entry s / gcd(s, p),
-    so the vector stays primitive.
-    """
-    cols = len(M[0]) if M else 0
-    rows = _integer_rows(M)
-    pivot_cols = _eliminate(rows, cols)
-    # pivot column, pivot and the nonzero entries right of it, last row first
-    pivots = [
-        (pc, row[pc], [(j, row[j]) for j in range(pc + 1, cols) if row[j]])
-        for pc, row in zip(pivot_cols, rows)
-    ][::-1]
-    basis = []
-    for free in sorted(set(range(cols)) - set(pivot_cols)):
-        x = [0] * cols
-        x[free] = 1
-        for pc, p, tail in pivots:
-            s = sum(e * x[j] for j, e in tail)
-            if s:
-                g = gcd(s, p)
-                if abs(p) != g:
-                    x = [v * (abs(p) // g) for v in x]
-                x[pc] = -s // g if p > 0 else s // g
-        basis.append(tuple(x))
-    return tuple(basis)
+    """A basis of the rational null space, one primitive int vector per free column."""
+    return _kernel_vectors(_pivot_rows(_integer_rows(M)), len(M[0]) if M else 0)
 
 
 def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
@@ -212,21 +206,25 @@ def _white_rows_step(
 def _cayley(k: int) -> tuple[tuple[int, int], ...]:
     """(I + C)^-1 (C - I) for the in-row block C of k white squares, by elimination.
 
-    C is the white matrix of one row of k white squares.  The solved map is
-    a signed permutation, so row i is given as (j, +-1) for its one nonzero
-    entry.  C is skew, so I + C is invertible; ZeroDivisionError is raised
-    if it is not, and ArithmeticError if the solved map is not a signed
-    permutation.
+    C is the white matrix of one row of k white squares.  Every row of
+    [I + C | C - I] but the first is replaced by its difference from the row
+    above, which keeps the kernel and leaves two nonzero entries per row.
+    The solved map is a signed permutation, so row i is given as (j, +-1)
+    for its one nonzero entry.  C is skew, so I + C is invertible;
+    ZeroDivisionError is raised if it is not, and ArithmeticError if the
+    solved map is not a signed permutation.
     """
     block = white_adjacency_matrix(Diagram([[False] * k]))
     rows = [
         [e + (i == j) for j, e in enumerate(row)] + [e - (i == j) for j, e in enumerate(row)]
         for i, row in enumerate(block)
     ]
-    if _eliminate(rows, 2 * k)[:k] != list(range(k)):
+    rows[1:] = [[a - b for a, b in zip(row, above)] for above, row in zip(rows, rows[1:])]
+    pivots = _pivot_rows(_integer_rows(rows))
+    if sorted(pivots) != list(range(k)):
         raise ZeroDivisionError(f"I + C is singular for a row of {k} white squares")
     # column b of the map is minus the kernel vector free at k + b, scaled to 1 there
-    sols = kernel_basis(rows)
+    sols = _kernel_vectors(pivots, 2 * k)
     terms = [[(b, Fraction(-v[i], v[k + b])) for b, v in enumerate(sols) if v[i]] for i in range(k)]
     if any(len(t) != 1 or abs(t[0][1]) != 1 for t in terms) or len({t[0][0] for t in terms}) != k:
         raise ArithmeticError(f"the row map of {k} white squares is not a signed permutation")
@@ -273,7 +271,7 @@ def _transfer_kernel_dim(phi: Sequence[int]) -> int:
     # row r of I + phi is e_r +- e_c for phi's entry at column c, or 2 e_r or 0 when c = r
     rows = [{r: 1, e >> 1: -1 if e & 1 else 1} for r, e in enumerate(phi) if e >> 1 != r]
     rows += [{r: 2} for r, e in enumerate(phi) if e == 2 * r]
-    return len(phi) - _sparse_rank(rows)
+    return len(phi) - len(_pivot_rows(rows))
 
 
 def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
@@ -302,42 +300,7 @@ def _boundary_rows(p: Permutation, q: Permutation) -> list[dict[int, int]]:
 
 def _boundary_kernel_dim(p: Permutation, q: Permutation) -> int:
     """kernel_dim(P_p + P_q), by fraction-free elimination on the sparse rows."""
-    return p.size - _sparse_rank(_boundary_rows(p, q))
-
-
-def _sparse_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank of rows of two entries +-1 or one entry +-2, as in P_p + P_q and I + phi.
-
-    Rows are dicts from 0-based column to entry, and are consumed.  Each row
-    is reduced, led by its first nonzero column, against the pivot rows
-    found so far with _eliminate's update p*row - f*pivot_row (p and f
-    divided by their gcd, p made positive); a row that reaches a column with
-    no pivot row becomes its pivot row, and a row that empties is dependent.
-    Two such rows sharing their leading column give one such row or none.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                break
-            f = row.pop(c)
-            g = gcd(prow[c], f)
-            a, b = prow[c] // g, f // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                row = {j: a * v for j, v in row.items()}
-            for j, v in prow.items():
-                if j != c:
-                    x = row.get(j, 0) - b * v
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-    return len(pivots)
+    return p.size - len(_pivot_rows(_boundary_rows(p, q)))
 
 
 def _in_boundary_kernel(p: Permutation, q: Permutation, v: Sequence[Rational]) -> bool:

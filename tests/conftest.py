@@ -4,10 +4,10 @@ The helpers here are deliberately independent re-implementations (plain
 definitions, brute force, a stepwise pipe walker, the word product of the
 black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
-tallies through the per-diagram object path, kernel bases back-substituted
-in Fraction, the dense boundary matrix P_p + P_q, the dense matrix-vector
-product and the dense column transfer matrix) used to validate the
-package's faster or cleverer code paths.
+tallies through the per-diagram object path, kernel bases by Gauss-Jordan
+elimination in Fraction, the dense boundary matrix P_p + P_q, the dense
+matrix-vector product and the dense column transfer matrix) used to
+validate the package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from hstrata import (
     toric_permutation,
     white_adjacency_matrix,
 )
-from hstrata.exactlinalg import _cayley, _eliminate, _integer_rows
+from hstrata.exactlinalg import _cayley
 
 # every grid shape with at most 12 cells
 SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
@@ -159,24 +159,33 @@ def rank_by_minors(entries) -> int:
 def kernel_basis_by_fractions(entries) -> tuple[tuple[Fraction, ...], ...]:
     """The null space basis with a 1 at each free column and 0 at the others.
 
-    The package's integer elimination followed by back-substitution in
-    Fraction, with no rescaling; each vector of kernel_basis must be a
-    positive multiple of the matching one here.
+    Gauss-Jordan elimination in Fraction to the reduced row echelon form,
+    whose pivot rows give each basis vector minus the free column's entries
+    at the pivot columns.  It shares no code with exactlinalg; each vector
+    of kernel_basis must be a positive multiple of the matching one here.
     """
-    cols = len(entries[0]) if entries else 0
-    rows = _integer_rows(entries)
-    pivot_cols = _eliminate(rows, cols)
+    rows = [[Fraction(e) for e in row] for row in entries]
+    cols = len(rows[0]) if rows else 0
+    pivot_cols: list[int] = []
+    for c in range(cols):
+        r = len(pivot_cols)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [e / rows[r][c] for e in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i] = [e - row[c] * p for e, p in zip(row, rows[r])]
+        pivot_cols.append(c)
     basis = []
     for free in range(cols):
         if free in pivot_cols:
             continue
         x = [Fraction(0)] * cols
         x[free] = Fraction(1)
-        for i in reversed(range(len(pivot_cols))):
-            pc = pivot_cols[i]
-            row = rows[i]
-            s = sum(row[j] * x[j] for j in range(pc + 1, cols) if row[j] and x[j])
-            x[pc] = Fraction(-s, row[pc])
+        for row, pc in zip(rows, pivot_cols):
+            x[pc] = -row[free]
         basis.append(tuple(x))
     return tuple(basis)
 

@@ -370,10 +370,7 @@ class TestVerify:
             assert squares == d.white_squares()
             assert cols == tuple(c - 1 for _, c in squares)
             assert mat == white_adjacency_matrix(d)
-            if m >= n:
-                assert phi_dense(phi) == transfer_matrix_dense(d.rows)
-            else:
-                assert phi is None
+            assert phi_dense(phi) == transfer_matrix_dense(d.rows)
 
     def test_broken_transfer_matrix_fails_dimension_equality(self, monkeypatch):
         # the swept phi is still checked against the other routes on every diagram

@@ -28,12 +28,14 @@ from hstrata import (
 )
 from hstrata import exactlinalg
 from hstrata.exactlinalg import (
+    _GCD_REDUCE_BOUND,
     _boundary_kernel_dim,
     _boundary_rows,
     _cayley,
-    _eliminate,
     _identity,
+    _integer_rows,
     _phi_step,
+    _pivot_rows,
     _transfer_kernel_dim,
     _white_kernel_dim,
     is_skew_symmetric,
@@ -119,9 +121,20 @@ class TestExactMatrix:
     def test_elimination_keeps_entries_small(self, k):
         # dividing p and f by their gcd before p*row - f*pivot_row keeps the
         # entries of these 0/+-1 white matrices to a few bits
-        rows = white_adjacency_matrix(Diagram.all_white(k, k))
-        _eliminate(rows, len(rows))
-        assert max(abs(v).bit_length() for row in rows for v in row) <= 8
+        pivots = _pivot_rows(_integer_rows(white_adjacency_matrix(Diagram.all_white(k, k))))
+        assert max(abs(v).bit_length() for row in pivots.values() for v in row.values()) <= 8
+
+    def test_rows_past_the_bound_are_divided_by_their_gcd(self):
+        # p*row - q*pivot_row is (0, g, 2g) for g = p*v - q*u, about -2^69,
+        # which passes the bound, so the row is divided by gcd(g, 2g) = |g|
+        p, q, u, v = 3**22, 2**35, 5**15, 7**12
+        m = [[p, u, 2 * u], [q, v, 2 * v]]
+        assert max(map(abs, m[0] + m[1])) < _GCD_REDUCE_BOUND < abs(p * v - q * u)
+        assert rank(m) == rank_by_minors(m) == 2
+        assert kernel_basis(m) == kernel_basis_by_fractions(m) == ((0, -2, 1),)
+        pivots = _pivot_rows(_integer_rows(m))
+        assert pivots[1] == {1: -1, 2: -2}
+        assert all(abs(e) < _GCD_REDUCE_BOUND for row in pivots.values() for e in row.values())
 
 
 class TestKernelBasis:

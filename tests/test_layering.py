@@ -47,3 +47,32 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+# the elimination and back-substitution behind every rank and kernel
+ENGINE = {"_integer_rows", "_pivot_rows", "_kernel_vectors"}
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name a file imports, reads or looks up as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+    return found
+
+
+def test_the_kernel_oracle_shares_no_elimination():
+    # kernel_basis_by_fractions checks kernel_basis only while it runs an
+    # elimination of its own
+    defined = {
+        node.name
+        for node in ast.parse((SRC / "exactlinalg.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert ENGINE <= defined
+    assert names_used(Path(__file__).resolve().parent / "conftest.py") & ENGINE == set()
