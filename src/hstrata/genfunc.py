@@ -11,9 +11,10 @@ obtained from two mathematically independent routes:
   coefficient) and closed_form_coeffs reads c_k = C_k[d] / 2^m off it;
 * a truncated bivariate power series in x and y with polynomial-in-t
   coefficients whose exponential coefficient of x^m y^n is the polynomial
-  sum_d h(m, n, d) t^d (stratum_series).  Its powers, exp and reciprocal
-  are solved coefficient by coefficient from first-order recurrences
-  (J.C.P. Miller's power recurrence), never by summing powers of a series.
+  sum_d h(m, n, d) t^d (stratum_series).  Its exp and its powers (the
+  reciprocal is the power -1) are solved coefficient by coefficient from
+  first-order recurrences (J.C.P. Miller's power recurrence), never by
+  summing powers of a series.
 
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
 a rational limit read off the polynomial (t+1)(t+3)...(t+2m-1).
@@ -44,26 +45,14 @@ class RatPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def t(cls) -> "RatPoly":
-        return cls([0, 1])
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
 
     def coeff(self, d: int) -> Fraction:
         if d < 0:
             raise ValueError("coefficient index must be nonnegative")
         return self._coeffs[d] if d < len(self._coeffs) else Fraction(0)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -78,16 +67,11 @@ class RatPoly:
             out[i] += c
         return RatPoly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "RatPoly":
         return RatPoly([-c for c in self._coeffs])
 
     def __sub__(self, other: "RatPoly | Scalar") -> "RatPoly":
         return self + (-_as_poly(other))
-
-    def __rsub__(self, other: "RatPoly | Scalar") -> "RatPoly":
-        return _as_poly(other) + (-self)
 
     def __mul__(self, other: "RatPoly | Scalar") -> "RatPoly":
         if isinstance(other, (int, Fraction)):
@@ -106,11 +90,6 @@ class RatPoly:
                     out[i + j] += ca * cb
         return RatPoly(out)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Scalar) -> "RatPoly":
-        return RatPoly([c / scalar for c in self._coeffs])
-
     def __call__(self, x: Scalar) -> Fraction:
         acc = Fraction(0)
         for c in reversed(self._coeffs):
@@ -127,21 +106,6 @@ class RatPoly:
 
     def __repr__(self) -> str:
         return f"RatPoly({[str(c) for c in self._coeffs]!r})"
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts = []
-        for d, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            if d == 0:
-                parts.append(str(c))
-            elif d == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{d}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def _as_poly(x: "RatPoly | Scalar") -> RatPoly:
@@ -437,12 +401,10 @@ class TruncatedSeries3:
                 rows[i][j] = _as_poly(value(i, j)) * Fraction(1, factorial(i) * factorial(j))
         return cls(max_x, max_y, rows)
 
-    def coeff(self, i: int, j: int) -> RatPoly:
-        """Ordinary coefficient of x^i y^j."""
-        return self._coeffs[i][j]
-
     def egf_coeff(self, i: int, j: int) -> RatPoly:
         """Exponential coefficient: i! * j! times the ordinary one."""
+        if not (0 <= i <= self.max_x and 0 <= j <= self.max_y):
+            raise ValueError(f"x^{i} y^{j} is outside the truncation orders {self.max_x}, {self.max_y}")
         return self._coeffs[i][j] * (factorial(i) * factorial(j))
 
     @property
@@ -453,7 +415,7 @@ class TruncatedSeries3:
         if (self.max_x, self.max_y) != (other.max_x, other.max_y):
             raise ValueError("truncation orders differ")
 
-    def map_coeffs(self, fn: Callable[[int, int, RatPoly], RatPoly]) -> "TruncatedSeries3":
+    def _map_coeffs(self, fn: Callable[[int, int, RatPoly], RatPoly]) -> "TruncatedSeries3":
         rows = [
             [fn(i, j, c) for j, c in enumerate(row)] for i, row in enumerate(self._coeffs)
         ]
@@ -463,24 +425,17 @@ class TruncatedSeries3:
         if not isinstance(other, TruncatedSeries3):
             other = TruncatedSeries3.constant(self.max_x, self.max_y, other)
         self._match(other)
-        return self.map_coeffs(lambda i, j, c: c + other._coeffs[i][j])
-
-    __radd__ = __add__
+        return self._map_coeffs(lambda i, j, c: c + other._coeffs[i][j])
 
     def __neg__(self) -> "TruncatedSeries3":
-        return self.map_coeffs(lambda i, j, c: -c)
+        return self._map_coeffs(lambda i, j, c: -c)
 
     def __sub__(self, other: "TruncatedSeries3 | Scalar | RatPoly") -> "TruncatedSeries3":
-        if not isinstance(other, TruncatedSeries3):
-            other = TruncatedSeries3.constant(self.max_x, self.max_y, other)
         return self + (-other)
-
-    def __rsub__(self, other: "Scalar | RatPoly") -> "TruncatedSeries3":
-        return TruncatedSeries3.constant(self.max_x, self.max_y, other) - self
 
     def scale(self, factor: Scalar | RatPoly) -> "TruncatedSeries3":
         poly = _as_poly(factor)
-        return self.map_coeffs(lambda i, j, c: c * poly)
+        return self._map_coeffs(lambda i, j, c: c * poly)
 
     def __mul__(self, other: "TruncatedSeries3 | Scalar | RatPoly") -> "TruncatedSeries3":
         if not isinstance(other, TruncatedSeries3):
@@ -510,9 +465,6 @@ class TruncatedSeries3:
         ]
         return grid, den
 
-    def __rmul__(self, other: "Scalar | RatPoly") -> "TruncatedSeries3":
-        return self.scale(other)
-
     def exp(self) -> "TruncatedSeries3":
         """exp of a series with zero constant term, truncated exactly.
 
@@ -520,15 +472,9 @@ class TruncatedSeries3:
         i H[i][j] = sum_(a,b) a G[a][b] H[i-a][j-b]; on the first row the
         same recurrence runs along y.
         """
-        if not self.constant_term.is_zero():
+        if self.constant_term:
             raise ValueError("exp needs a zero constant term")
         return self._recurrence(RatPoly([1]), 0)
-
-    def inverse(self) -> "TruncatedSeries3":
-        """Reciprocal of a series with constant term one: the power -1."""
-        if self.constant_term != RatPoly([1]):
-            raise ValueError("inverse needs constant term 1")
-        return self._recurrence(RatPoly(), 1)
 
     def pow_poly(self, exponent: RatPoly | Scalar) -> "TruncatedSeries3":
         """Raise a constant-term-1 series to a polynomial-in-t power.
@@ -574,12 +520,8 @@ class TruncatedSeries3:
                             weighted = weighted + prod * e
                         if q:
                             plain = plain + prod
-                h[i][j] = (p * weighted - plain * (q * n)) / n
+                h[i][j] = (p * weighted - plain * (q * n)) * Fraction(1, n)
         return TruncatedSeries3(self.max_x, self.max_y, h)
-
-    def substitute_negated(self) -> "TruncatedSeries3":
-        """The series with x and y both negated."""
-        return self.map_coeffs(lambda i, j, c: c if (i + j) % 2 == 0 else -c)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -592,10 +534,6 @@ class TruncatedSeries3:
         return f"TruncatedSeries3(max_x={self.max_x}, max_y={self.max_y})"
 
 
-def _exp_xy(max_x: int, max_y: int, cx: Scalar = 1, cy: Scalar = 1) -> TruncatedSeries3:
-    return TruncatedSeries3.exponential(max_x, max_y, cx, cy)
-
-
 def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
     """Trivariate counting series, truncated to the given orders.
 
@@ -604,8 +542,9 @@ def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
     factors (e^-y + e^-x - 1) and (e^x + e^y - 1) raised to the affine
     exponents -(1+t)/2 and (1-t)/2 by the power recurrence of pow_poly.
     """
-    neg_factor = _exp_xy(max_x, max_y, 0, -1) + _exp_xy(max_x, max_y, -1, 0) - 1
-    pos_factor = _exp_xy(max_x, max_y, 1, 0) + _exp_xy(max_x, max_y, 0, 1) - 1
+    exponential = TruncatedSeries3.exponential
+    neg_factor = exponential(max_x, max_y, 0, -1) + exponential(max_x, max_y, -1, 0) - 1
+    pos_factor = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - 1
     alpha_neg = RatPoly([Fraction(-1, 2), Fraction(-1, 2)])  # -(1+t)/2
     alpha_pos = RatPoly([Fraction(1, 2), Fraction(-1, 2)])  # (1-t)/2
     return neg_factor.pow_poly(alpha_neg) * pos_factor.pow_poly(alpha_pos)
@@ -616,9 +555,10 @@ def poly_bernoulli_series(max_x: int, max_y: int) -> TruncatedSeries3:
 
     The closed form e^(x+y) / (e^x + e^y - e^(x+y)), truncated.
     """
-    numerator = _exp_xy(max_x, max_y, 1, 1)
-    denominator = _exp_xy(max_x, max_y, 1, 0) + _exp_xy(max_x, max_y, 0, 1) - numerator
-    return numerator * denominator.inverse()
+    exponential = TruncatedSeries3.exponential
+    numerator = exponential(max_x, max_y, 1, 1)
+    denominator = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - numerator
+    return numerator * denominator.pow_poly(-1)
 
 
 def series_pipeline_check(
@@ -630,23 +570,27 @@ def series_pipeline_check(
 
     Builds the series D whose exponential coefficients are the single-cycle
     diagram counts and checks that (a) exp(x+y) * exp(D) reproduces the
-    closed-form total-count series and (b) exp(x + y + D_even + t*D_odd)
-    reproduces the trivariate counting series, where D_even and D_odd split D
-    by the parity of the cycle (even length versus odd length) and t marks
+    closed-form total-count series and (b) exp(x + y + D_odd-length +
+    t*D_even-length) reproduces the trivariate counting series.  The single
+    cycle of an i x j diagram has length i + j, so D_odd-length and
+    D_even-length keep the terms of D with i + j odd and even, and t marks
     the even-length cycles.  cycle_counts may override the single-cycle
     counting function, e.g. to confirm the check is sensitive to bad counts.
     """
     d_series = TruncatedSeries3.from_egf_values(max_x, max_y, cycle_counts)
-    exp_xy = _exp_xy(max_x, max_y, 1, 1)
+    exp_xy = TruncatedSeries3.exponential(max_x, max_y, 1, 1)
     if exp_xy * d_series.exp() != poly_bernoulli_series(max_x, max_y):
         return False
 
-    d_negated = d_series.substitute_negated()
-    even_part = (d_series - d_negated).scale(Fraction(1, 2))
-    odd_part = (d_series + d_negated).scale(Fraction(1, 2))
+    odd_length = TruncatedSeries3.from_egf_values(
+        max_x, max_y, lambda i, j: cycle_counts(i, j) if (i + j) % 2 else 0
+    )
+    even_length = TruncatedSeries3.from_egf_values(
+        max_x, max_y, lambda i, j: 0 if (i + j) % 2 else cycle_counts(i, j)
+    )
     rows = [[RatPoly() for _ in range(max_y + 1)] for _ in range(max_x + 1)]
     rows[1][0] = RatPoly([1])
     rows[0][1] = RatPoly([1])
     x_plus_y = TruncatedSeries3(max_x, max_y, rows)
-    argument = x_plus_y + even_part + odd_part.scale(RatPoly.t())
+    argument = x_plus_y + odd_length + even_length.scale(RatPoly([0, 1]))
     return argument.exp() == stratum_series(max_x, max_y)

@@ -425,7 +425,7 @@ def closed_form_coeffs_by_triple_sum(m: int, d: int) -> dict[int, Fraction]:
 
 def series_exp_by_powers(s: TruncatedSeries3) -> TruncatedSeries3:
     """exp as the truncated sum of s^k / k!."""
-    if not s.constant_term.is_zero():
+    if s.constant_term:
         raise ValueError("exp needs a zero constant term")
     one = TruncatedSeries3.constant(s.max_x, s.max_y, 1)
     acc = term = one
@@ -452,8 +452,9 @@ def series_inverse_by_geometric_sum(s: TruncatedSeries3) -> TruncatedSeries3:
     """Reciprocal of a constant-term-1 series as the sum of (1 - s)^k."""
     if s.constant_term != RatPoly([1]):
         raise ValueError("inverse needs constant term 1")
-    u = 1 - s
-    acc = power = TruncatedSeries3.constant(s.max_x, s.max_y, 1)
+    one = TruncatedSeries3.constant(s.max_x, s.max_y, 1)
+    u = one - s
+    acc = power = one
     for _ in range(s.max_x + s.max_y):
         power = power * u
         acc = acc + power

@@ -76,3 +76,21 @@ def test_the_kernel_oracle_shares_no_elimination():
     }
     assert ENGINE <= defined
     assert names_used(Path(__file__).resolve().parent / "conftest.py") & ENGINE == set()
+
+
+# the integer closed-form table and the series recurrences behind them
+COUNTING_ENGINE = {
+    "_closed_table", "_affine_products", "_add_product", "_recurrence", "_integer_grid"
+}
+
+
+def test_the_counting_oracles_share_no_engine():
+    # stratum_poly_by_triple_sum and the power-sum series oracles check
+    # genfunc only while they run arithmetic of their own
+    defined = {
+        node.name
+        for node in ast.walk(ast.parse((SRC / "genfunc.py").read_text()))
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert COUNTING_ENGINE <= defined
+    assert names_used(Path(__file__).resolve().parent / "conftest.py") & COUNTING_ENGINE == set()
