@@ -65,12 +65,11 @@ SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the min(m, n)-square column transfer matrix,
 # not the N x N white matrix, and eliminates the boundary matrix on sparse
 # rows.  On the same box the whole command took, for all-white grids at
-# N = 900, 0.06 to 0.09 s at 30x30, 1x900, 3x300 and 10x90 (31 s, 28 s,
-# 17 s and 40 s with the full elimination of the white matrix); the slowest
-# diagram found, one white row of 900 squares in a 900x900 grid, took 1.1
-# to 1.9 s, most of it back-substituting that row's 900 x 1800 Cayley
-# system.  That solve and the trace still grow with the grid, so the cap
-# stays.
+# N = 900, about 0.1 s at 30x30, 1x900, 3x300 and 10x90 (31 s, 28 s, 17 s
+# and 40 s with the full elimination of the white matrix); the slowest
+# diagrams found, 900 white squares on the diagonal or in one row of a
+# 900x900 grid, took 0.4 to 0.5 s, most of it parsing and tracing the
+# 810,000 cells.  The cap bounds outside input, so it stays.
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
 # and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.

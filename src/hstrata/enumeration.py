@@ -20,7 +20,8 @@ dimension is read once per final state.  Either state is n ints, entry c
 to the columns and the parity p of the row labels each pipe passed, for
 kernel the column transfer matrix, a signed permutation, and p the sign
 bit.  A row acts on both as a gather and an xor mask; the cycles plan comes
-from the pipe row rule, the kernel plan from the row's Cayley map alone.
+from the pipe row rule, the kernel plan from the row's white columns alone
+(the negacyclic shift that solves its Cayley system).
 Transposing keeps a diagram Cauchon and its dimension, so the frontier runs
 along the longer side and costs exponential time only in the shorter one.
 The per-diagram objects stay the path of dim, and the tests use them as

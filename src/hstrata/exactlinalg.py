@@ -196,39 +196,11 @@ def _white_rows_step(
 # must end at T, so with Phi the product of the row maps, the kernel vectors
 # correspond one to one to the T with (I + Phi) T = 0.
 #
-# _cayley checks that each row map is a signed permutation, so every Phi, a
-# product of them, is one too and is carried as n ints: entry r is 2 * (the
-# column of row r's one nonzero entry), plus 1 when that entry is -1.  A
-# row's map then moves and negates entries: a gather and an xor mask (_plan).
-
-
-@lru_cache(maxsize=None)
-def _cayley(k: int) -> tuple[tuple[int, int], ...]:
-    """(I + C)^-1 (C - I) for the in-row block C of k white squares, by elimination.
-
-    C is the white matrix of one row of k white squares.  Every row of
-    [I + C | C - I] but the first is replaced by its difference from the row
-    above, which keeps the kernel and leaves two nonzero entries per row.
-    The solved map is a signed permutation, so row i is given as (j, +-1)
-    for its one nonzero entry.  C is skew, so I + C is invertible;
-    ZeroDivisionError is raised if it is not, and ArithmeticError if the
-    solved map is not a signed permutation.
-    """
-    block = white_adjacency_matrix(Diagram([[False] * k]))
-    rows = [
-        [e + (i == j) for j, e in enumerate(row)] + [e - (i == j) for j, e in enumerate(row)]
-        for i, row in enumerate(block)
-    ]
-    rows[1:] = [[a - b for a, b in zip(row, above)] for above, row in zip(rows, rows[1:])]
-    pivots = _pivot_rows(_integer_rows(rows))
-    if sorted(pivots) != list(range(k)):
-        raise ZeroDivisionError(f"I + C is singular for a row of {k} white squares")
-    # column b of the map is minus the kernel vector free at k + b, scaled to 1 there
-    sols = _kernel_vectors(pivots, 2 * k)
-    terms = [[(b, Fraction(-v[i], v[k + b])) for b, v in enumerate(sols) if v[i]] for i in range(k)]
-    if any(len(t) != 1 or abs(t[0][1]) != 1 for t in terms) or len({t[0][0] for t in terms}) != k:
-        raise ArithmeticError(f"the row map of {k} white squares is not a signed permutation")
-    return tuple((t[0][0], int(t[0][1])) for t in terms)
+# Each row map is a signed permutation, the negacyclic shift of the row's
+# white columns (_phi_plan), so every Phi, a product of them, is one too and
+# is carried as n ints: entry r is 2 * (the column of row r's one nonzero
+# entry), plus 1 when that entry is -1.  A row's map then moves and negates
+# entries: a gather and an xor mask (_plan).
 
 
 def _plan(src: Sequence[int], mask: Sequence[int]) -> tuple[Callable, tuple[int, ...]]:
@@ -245,13 +217,20 @@ def _plan(src: Sequence[int], mask: Sequence[int]) -> tuple[Callable, tuple[int,
 def _phi_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
     """The _plan of a row of cells on a compact phi, kept since verify repeats rows.
 
-    Row i = (j, sign) of the row's Cayley map moves the row of phi at the
-    j-th white column to the i-th, negated when sign is -1.
+    For white columns c_0 < ... < c_(k-1) the row map (I + C)^-1 (C - I) is
+    the negacyclic shift S, S e_j = e_(j+1) for j < k - 1 and S e_(k-1) = -e_0:
+    row c_i of phi takes row c_(i-1), and row c_0 takes row c_(k-1) negated.
+    As C[i][j] = sign(i - j), (I + C) S = C - I holds column by column:
+      (I + C) e_(j+1) is -1 at rows i <= j and +1 below, and so is (C - I) e_j;
+      -(I + C) e_0 is -1 at every row, and so is (C - I) e_(k-1).
+    C is skew, so I + C is invertible and S is the only solution.
     """
     src, mask = list(range(len(cells))), [0] * len(cells)
     cols = [c for c, black in enumerate(cells) if not black]
-    for c, (j, sign) in zip(cols, _cayley(len(cols)) if cols else ()):
-        src[c], mask[c] = cols[j], int(sign < 0)
+    if cols:
+        src[cols[0]], mask[cols[0]] = cols[-1], 1
+        for prev, c in zip(cols, cols[1:]):
+            src[c] = prev
     return _plan(src, mask)
 
 

@@ -5,9 +5,10 @@ definitions, brute force, a stepwise pipe walker, the word product of the
 black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
 tallies through the per-diagram object path, kernel bases by Gauss-Jordan
-elimination in Fraction, the dense boundary matrix P_p + P_q, the dense
-matrix-vector product and the dense column transfer matrix) used to
-validate the package's faster or cleverer code paths.
+elimination in Fraction, a row's Cayley map solved by that elimination,
+the dense boundary matrix P_p + P_q, the dense matrix-vector product and
+the dense column transfer matrix) used to validate the package's faster or
+cleverer code paths.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from hstrata import (
     toric_permutation,
     white_adjacency_matrix,
 )
-from hstrata.exactlinalg import _cayley
 
 # every grid shape with at most 12 cells
 SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
@@ -209,12 +209,21 @@ def matvec(rows, vec) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in rows)
 
 
-def cayley_dense(k: int) -> list[list[int]]:
-    """The (column, sign) rows of _cayley(k) as a dense k x k matrix."""
-    out = [[0] * k for _ in range(k)]
-    for i, (j, sign) in enumerate(_cayley(k)):
-        out[i][j] = sign
-    return out
+def cayley_dense(k: int) -> list[list[Fraction]]:
+    """(I + C)^-1 (C - I) for the in-row block C of k white squares, as a
+    dense k x k matrix solved from [I + C | C - I] by kernel_basis_by_fractions:
+    column b is minus the first k entries of the kernel vector that is 1 at
+    column k + b."""
+    block = white_adjacency_matrix(Diagram.all_white(1, k))
+    system = [
+        [e + (i == j) for j, e in enumerate(row)] + [e - (i == j) for j, e in enumerate(row)]
+        for i, row in enumerate(block)
+    ]
+    basis = kernel_basis_by_fractions(system)
+    # the free columns are k..2k-1 exactly when I + C is invertible
+    if [list(v[k:]) for v in basis] != [[int(b == j) for j in range(k)] for b in range(k)]:
+        raise ZeroDivisionError(f"I + C is singular for a row of {k} white squares")
+    return [[-v[i] for v in basis] for i in range(k)]
 
 
 def row_map_dense(cells) -> list[list[int]]:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -233,6 +233,17 @@ class TestTallyDimensions:
         monkeypatch.setitem(enumeration._ROUTES, "kernel", (flipped, read))
         expected = {d: int(c) for d, c in enumerate(stratum_poly(4, 4).coeffs) if c}
         assert tally_dimensions(4, 4, "kernel").counts != expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_kernel_and_cycles_plans_agree(self, n):
+        # the row map of the white matrix, read off the white columns, is the
+        # pipes' step along the row, read off the pipe row rule
+        from hstrata.exactlinalg import _phi_plan
+
+        cols = tuple(range(n))
+        for cells in product((False, True), repeat=n):
+            kernel, cycles = _phi_plan(cells), enumeration._toric_plan(cells)
+            assert (kernel[0](cols), kernel[1]) == (cycles[0](cols), cycles[1])
 
     def test_cache_round_trip(self, tmp_path):
         tally = tally_dimensions(2, 2, cache_dir=tmp_path)

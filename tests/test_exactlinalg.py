@@ -26,12 +26,10 @@ from hstrata import (
     trace_permutation,
     white_adjacency_matrix,
 )
-from hstrata import exactlinalg
 from hstrata.exactlinalg import (
     _GCD_REDUCE_BOUND,
     _boundary_kernel_dim,
     _boundary_rows,
-    _cayley,
     _identity,
     _integer_rows,
     _phi_step,
@@ -40,7 +38,7 @@ from hstrata.exactlinalg import (
     _white_kernel_dim,
     is_skew_symmetric,
 )
-from hstrata.pipedreams import Permutation
+from hstrata.pipedreams import Permutation, _even_cycle_count
 
 from conftest import (
     SHAPES_UP_TO_12,
@@ -354,35 +352,26 @@ class TestColumnTransfer:
     def test_cayley_is_a_signed_cyclic_shift(self, k):
         # the algebraic core of the dimension theorem: a row of k white
         # squares moves t[c_(i-1)] to c_i and -t[c_k] to c_1, which is the
-        # toric permutation's step along the row; src/ solves it generically
+        # toric permutation's step along the row
         shift = [[0] * k for _ in range(k)]
         shift[0][k - 1] = -1
         for i in range(1, k):
             shift[i][i - 1] = 1
-        assert cayley_dense(k) == shift
+        assert cayley_dense(k) == shift == phi_dense(_phi_step(_identity(k), (False,) * k))
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", range(1, 65))
     def test_cayley_solves_its_system(self, k):
+        # (I + C) S = C - I for the map S that _phi_plan writes down, added
+        # up column by column since S has one entry +-1 per row
         c = in_row_block(k)
         plus = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(c)]
         minus = [[e - (i == j) for j, e in enumerate(row)] for i, row in enumerate(c)]
-        cay = cayley_dense(k)
-        product = [[sum(plus[i][t] * cay[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+        product = [[0] * k for _ in range(k)]
+        for t, e in enumerate(_phi_step(_identity(k), (False,) * k)):
+            sign = -1 if e & 1 else 1  # S[t][e >> 1]
+            for i in range(k):
+                product[i][e >> 1] += plus[i][t] * sign
         assert product == minus
-
-    def test_singular_block_raises(self, monkeypatch):
-        # I + C is never singular for a skew C; a block with eigenvalue -1
-        # shows the typed error instead of a wrong row map
-        monkeypatch.setattr(exactlinalg, "white_adjacency_matrix", lambda d: [[-1]])
-        with pytest.raises(ZeroDivisionError, match="singular"):
-            _cayley.__wrapped__(1)
-
-    def test_row_map_that_is_no_signed_permutation_raises(self, monkeypatch):
-        # this block solves to (3 4; -4 3) / 5: transfer matrices built from
-        # such a map would grow without bound, so it must fail at once
-        monkeypatch.setattr(exactlinalg, "white_adjacency_matrix", lambda d: [[0, 2], [-2, 0]])
-        with pytest.raises(ArithmeticError, match="signed permutation"):
-            _cayley.__wrapped__(2)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_phi_step_is_the_dense_product(self, n):
@@ -402,6 +391,7 @@ class TestColumnTransfer:
                     phi = tuple(2 * c + s for c, s in zip(perm, signs))
                     plus = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi_dense(phi))]
                     assert _transfer_kernel_dim(phi) == kernel_dim(plus)
+                    assert _even_cycle_count(phi) == _transfer_kernel_dim(phi)
                     checked += 1
         assert checked == 442
 
@@ -437,6 +427,9 @@ class TestColumnTransfer:
         # an all-white k x k grid has k odd cycles (kernel dimension k)
         assert _white_kernel_dim(Diagram.all_white(30, 30).rows) == 30
         assert _white_kernel_dim(Diagram.all_white(1, 900).rows) == 0
+        # one white row of 2000 squares at the foot of a black 2000x2000 grid
+        d = Diagram([[True] * 2000] * 1999 + [[False] * 2000])
+        assert _white_kernel_dim(d.rows) == odd_cycle_count(cycle_decomposition(toric_permutation(d)))
 
 
 class TestCycleKernelBasis:
