@@ -44,6 +44,7 @@ from .genfunc import (
 )
 from .pipedreams import (
     Permutation,
+    _cycles,
     _endpoints_from_exits,
     _permutations,
     _pipe_row,
@@ -54,11 +55,10 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 10.0 to
-# 11.1 s at 14 cells, 21.0 to 23.5 s at 15 and 44.4 to 47.9 s at 16 (3 runs
-# each) on a shared 2-CPU box (Python 3.11) that, the same day, ran the
-# earlier per-diagram verify in 15.6 s, 33.7 s and 63.8 s (1 run each), so
-# 16, which covers the acceptance sweep, is the largest under a minute.
+# run_verify grows about 2x per extra cell: the whole command took 8.6 to
+# 9.8 s at 14 cells, 16.0 to 20.4 s at 15 and 33.5 to 36.9 s at 16 (3 runs
+# each) on a shared 2-CPU box (Python 3.11), so 16, which covers the
+# acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
 SERIES_MAX_ORDER = 28
@@ -68,7 +68,7 @@ SERIES_MAX_ORDER = 28
 # N = 900, about 0.1 s at 30x30, 1x900, 3x300 and 10x90 (31 s, 28 s, 17 s
 # and 40 s with the full elimination of the white matrix); the slowest
 # diagrams found, 900 white squares on the diagonal or in one row of a
-# 900x900 grid, took 0.4 to 0.5 s, most of it parsing and tracing the
+# 900x900 grid, took 0.33 to 0.48 s, most of it parsing and tracing the
 # 810,000 cells.  The cap bounds outside input, so it stays.
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
@@ -164,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: under a minute "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 35 s "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -218,7 +218,7 @@ def _cmd_dim(args) -> dict:
     cycles = cycle_decomposition(tau)
     odd = odd_cycle_count(cycles)
     kdim = _white_kernel_dim(d.rows)
-    pp_dim = _boundary_kernel_dim(sigma, all_black_permutation(d.m, d.n))
+    pp_dim = _boundary_kernel_dim(sigma.images, all_black_permutation(d.m, d.n).images)
     agree = odd == kdim == pp_dim
     cauchon = d.is_cauchon()
     report = {
@@ -294,7 +294,8 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     gluing identity for consecutive white squares; the two kernel maps
     compose to -2 times the identity on both kernel bases and land in the
     asserted kernels.  Both bases hold int vectors and every check is
-    linear, so the per-diagram loop does no Fraction arithmetic.  The
+    linear, so the per-diagram loop does no Fraction arithmetic; the
+    permutations, cycles and endpoints are plain int tuples.  The
     diagrams come from one depth-first sweep (_verify_sweep) in which each
     prefix of rows builds its pipe exits, white matrix and transfer matrix
     once for every diagram below it; each diagram then runs every check on
@@ -331,7 +332,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     # still goes through every check below on every diagram
     bases: dict[tuple, tuple] = {}
     for m, n in shapes:
-        omega = all_black_permutation(m, n)
+        omega = (*range(m + 1, m + n + 1), *range(1, m + 1))  # all_black_permutation(m, n).images
         tally: dict[int, int] = {}
         for _, (ups, rights, squares, mat, _, phi) in _verify_sweep(m, n):
             diagrams += 1
@@ -344,7 +345,7 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             # the permutation, its toric form and the endpoint table are all
             # read off the same exit tables
             sigma, tau = _permutations(m, n, ups, rights)
-            cycles = cycle_decomposition(tau)
+            cycles = _cycles(tau)
             odd = odd_cycle_count(cycles)
             key = tuple(map(tuple, mat))  # after the fault, which thus stays on one diagram
             basis = bases.get(key)
@@ -366,29 +367,30 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             glue_ok = True
             for i, (r, c) in enumerate(squares):
                 if i and squares[i - 1][0] == r:
-                    glue_ok &= endpoints[i - 1].top == endpoints[i].left
+                    glue_ok &= endpoints[i - 1][1] == endpoints[i][0]
                 if c in above:
-                    glue_ok &= endpoints[i].top == endpoints[above[c]].left
+                    glue_ok &= endpoints[i][1] == endpoints[above[c]][0]
                 above[c] = i
             record("gluing_identity", glue_ok)
 
-            # the two kernel maps, on data derived once per diagram; every
-            # vector is checked in its source kernel before it is mapped
-            in_boundary = lambda v: _in_boundary_kernel(sigma, omega, v)
-            in_white = lambda w: _in_white_kernel(squares, w)
-            to_square = lambda v: _square_image(endpoints, v)
-            to_boundary = lambda w: _boundary_image(m, n, squares, w)
-            record(
-                "iso_maps",
-                all(
-                    _round_trip(v, in_boundary, to_square, in_white, to_boundary)
-                    for v in cycle_kernel_basis(cycles)
+            # the two kernel maps: each basis vector lies in its source kernel,
+            # its image in the other kernel, and mapping back gives -2 times it
+            iso_ok = True
+            for v in cycle_kernel_basis(cycles):
+                w = _square_image(endpoints, v)
+                iso_ok &= (
+                    _in_boundary_kernel(sigma, omega, v)
+                    and _in_white_kernel(squares, w)
+                    and _boundary_image(m, n, squares, w) == tuple(-2 * e for e in v)
                 )
-                and all(
-                    _round_trip(w, in_white, to_boundary, in_boundary, to_square)
-                    for w in basis
-                ),
-            )
+            for w in basis:
+                v = _boundary_image(m, n, squares, w)
+                iso_ok &= (
+                    _in_white_kernel(squares, w)
+                    and _in_boundary_kernel(sigma, omega, v)
+                    and _square_image(endpoints, v) == tuple(-2 * e for e in w)
+                )
+            record("iso_maps", iso_ok)
 
         formula_tally = {dd: c for dd, c in enumerate(stratum_poly(m, n).coeffs) if c}
         record(
@@ -428,14 +430,6 @@ def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
 
     root = ([list(range(m + 1, m + n + 1))], [], (), [], (), _identity(n))
     return _sweep(m, n, root, step)
-
-
-def _round_trip(x, in_source, forward, in_target, back) -> bool:
-    """x and its image lie in their kernels, and mapping back gives -2 x."""
-    if not in_source(x):
-        return False
-    y = forward(x)
-    return in_target(y) and back(y) == tuple(-2 * e for e in x)
 
 
 def _cmd_verify(args) -> dict:

@@ -39,15 +39,19 @@ class Diagram:
     __slots__ = ("_m", "_n", "_rows")
 
     def __init__(self, rows: Iterable[Iterable[bool]]):
-        cells = tuple(tuple(bool(x) for x in row) for row in rows)
+        cells = tuple(tuple(map(bool, row)) for row in rows)
         if not cells or not cells[0]:
             raise ValueError("diagram needs at least one row and one column")
-        n = len(cells[0])
-        if any(len(row) != n for row in cells):
+        if any(len(row) != len(cells[0]) for row in cells):
             raise ValueError("diagram rows must all have the same length")
-        self._m = len(cells)
-        self._n = n
-        self._rows = cells
+        self._m, self._n, self._rows = len(cells), len(cells[0]), cells
+
+    @classmethod
+    def _of_cells(cls, cells: tuple[tuple[bool, ...], ...]) -> "Diagram":
+        """The diagram of nonempty, equal-length tuples of bools, taken as they are."""
+        d = cls.__new__(cls)
+        d._m, d._n, d._rows = len(cells), len(cells[0]), cells
+        return d
 
     @property
     def m(self) -> int:
@@ -103,20 +107,15 @@ class Diagram:
                 raise DiagramParseError(
                     f"ragged rows: row has length {len(line)}, expected {width}", line=i
                 )
-            row = []
-            for j, ch in enumerate(line, start=1):
-                if ch == BLACK_CHAR:
-                    row.append(True)
-                elif ch == WHITE_CHAR:
-                    row.append(False)
-                else:
-                    raise DiagramParseError(
-                        f"illegal character {ch!r} (expected {WHITE_CHAR!r} or {BLACK_CHAR!r})",
-                        line=i,
-                        column=j,
-                    )
-            rows.append(row)
-        return cls(rows)
+            rest = line.lstrip(WHITE_CHAR + BLACK_CHAR)  # from the first illegal character on
+            if rest:
+                raise DiagramParseError(
+                    f"illegal character {rest[0]!r} (expected {WHITE_CHAR!r} or {BLACK_CHAR!r})",
+                    line=i,
+                    column=width - len(rest) + 1,
+                )
+            rows.append(tuple([ch == BLACK_CHAR for ch in line]))
+        return cls._of_cells(tuple(rows))
 
     def serialize(self) -> str:
         """Render as '.'/'#' rows joined by newlines (no trailing newline)."""
@@ -126,7 +125,7 @@ class Diagram:
 
     def transpose(self) -> "Diagram":
         """The n x m diagram with rows and columns exchanged."""
-        return Diagram(zip(*self._rows))
+        return Diagram._of_cells(tuple(zip(*self._rows)))
 
     def is_cauchon(self) -> bool:
         """Check the Cauchon condition for every black square."""

@@ -15,17 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter, xor
+from operator import itemgetter, neg, xor
 from typing import Callable, Iterable, Sequence, Union
 
 from .diagrams import Diagram
-from .pipedreams import (
-    Permutation,
-    ToricEndpoints,
-    _endpoints_from_exits,
-    _trace,
-    all_black_permutation,
-)
+from .pipedreams import _endpoints_from_exits, _trace, all_black_permutation
 
 Rational = Union[int, Fraction]
 ExactVector = tuple[Rational, ...]
@@ -38,10 +32,9 @@ _GCD_REDUCE_BOUND = 1 << 62
 
 def is_skew_symmetric(rows: Matrix) -> bool:
     """Whether the rows form a square matrix equal to minus its transpose."""
-    size = len(rows)
-    if any(len(row) != size for row in rows):
+    if any(len(row) != len(rows) for row in rows):
         return False
-    return all(rows[i][j] == -rows[j][i] for i in range(size) for j in range(i, size))
+    return [list(map(neg, row)) for row in rows] == list(map(list, zip(*rows)))
 
 
 def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
@@ -267,24 +260,25 @@ def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
     return _transfer_kernel_dim(phi)
 
 
-def _boundary_rows(p: Permutation, q: Permutation) -> list[dict[int, int]]:
+def _boundary_rows(p: Sequence[int], q: Sequence[int]) -> list[dict[int, int]]:
     """The rows of P_p + P_q (P[i][j] = [j == p(i)]) as dicts from 0-based column to entry.
 
-    Row i is e_p(i) + e_q(i), or 2 e_p(i) where p(i) = q(i).
+    p and q are one-line forms (p[i - 1] = p(i)).  Row i is e_p(i) + e_q(i),
+    or 2 e_p(i) where p(i) = q(i).
     """
-    if p.size != q.size:
-        raise ValueError(f"size mismatch: {p.size} vs {q.size}")
-    return [{a - 1: 2} if a == b else {a - 1: 1, b - 1: 1} for a, b in zip(p.images, q.images)]
+    if len(p) != len(q):
+        raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
+    return [{a - 1: 2} if a == b else {a - 1: 1, b - 1: 1} for a, b in zip(p, q)]
 
 
-def _boundary_kernel_dim(p: Permutation, q: Permutation) -> int:
-    """kernel_dim(P_p + P_q), by fraction-free elimination on the sparse rows."""
-    return p.size - len(_pivot_rows(_boundary_rows(p, q)))
+def _boundary_kernel_dim(p: Sequence[int], q: Sequence[int]) -> int:
+    """kernel_dim(P_p + P_q) for one-line forms p and q, by elimination on the sparse rows."""
+    return len(p) - len(_pivot_rows(_boundary_rows(p, q)))
 
 
-def _in_boundary_kernel(p: Permutation, q: Permutation, v: Sequence[Rational]) -> bool:
-    """Whether (P_p + P_q) v = 0, that is v[p(i)] + v[q(i)] = 0 for every i."""
-    return all(v[a - 1] + v[b - 1] == 0 for a, b in zip(p.images, q.images))
+def _in_boundary_kernel(p: Sequence[int], q: Sequence[int], v: Sequence[Rational]) -> bool:
+    """Whether (P_p + P_q) v = 0 for one-line forms p and q: v[p(i)] + v[q(i)] = 0 for every i."""
+    return all(v[a - 1] + v[b - 1] == 0 for a, b in zip(p, q))
 
 
 def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector, ...]:
@@ -307,9 +301,9 @@ def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector
     return tuple(basis)
 
 
-def _square_image(endpoints: Sequence[ToricEndpoints], v: Sequence[Rational]) -> ExactVector:
-    """Entry i is v[left(i)] - v[top(i)] for the toric endpoints of white square i."""
-    return tuple(v[e.left - 1] - v[e.top - 1] for e in endpoints)
+def _square_image(endpoints: Sequence[tuple[int, int]], v: Sequence[Rational]) -> ExactVector:
+    """Entry i is v[left(i)] - v[top(i)] for the (left, top) toric endpoints of white square i."""
+    return tuple(v[left - 1] - v[top - 1] for left, top in endpoints)
 
 
 def _boundary_image(
@@ -334,7 +328,7 @@ def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     if len(v) != d.m + d.n:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
     sigma, _, ups = _trace(d)
-    if not _in_boundary_kernel(sigma, all_black_permutation(d.m, d.n), v):
+    if not _in_boundary_kernel(sigma.images, all_black_permutation(d.m, d.n).images, v):
         raise ValueError("vector is not in the boundary kernel")
     return _square_image(_endpoints_from_exits(d.white_squares(), ups), v)
 

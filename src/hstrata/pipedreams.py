@@ -35,6 +35,7 @@ number of inversions, i.e. even length.  Fixed points are even cycles.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .diagrams import Diagram
@@ -120,10 +121,14 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
     Each cycle starts at its minimum element and the cycles are sorted by that
     minimum, so the decomposition is deterministic.
     """
-    seen = [False] * p.size
-    images = p.images
+    return _cycles(p.images)
+
+
+def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """cycle_decomposition of the permutation with one-line form images."""
+    seen = [False] * len(images)
     cycles = []
-    for start in range(1, p.size + 1):
+    for start in range(1, len(images) + 1):
         if seen[start - 1]:
             continue
         cycle = []
@@ -232,23 +237,29 @@ def _trace(d: Diagram) -> tuple[Permutation, Permutation, list[list[int]]]:
     that is not restricted.
     """
     ups, rights = _exit_tables(d)
-    return (*_permutations(d.m, d.n, ups, rights), ups)
+    sigma, tau = _permutations(d.m, d.n, ups, rights)
+    return Permutation(sigma), Permutation(tau), ups
 
 
 def _permutations(
     m: int, n: int, ups: list[list[int]], rights: list[int]
-) -> tuple[Permutation, Permutation]:
-    """The standard and toric permutations read off the exit tables of all m rows.
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One-line forms of the standard and toric permutations of the exit tables of all m rows.
 
-    A ValueError reports a standard permutation that is not restricted.
+    A ValueError reports a standard permutation that is no bijection or not restricted.
     """
     # standard entries: bottom 1..n, then right n+1..n+m from the bottom row
     # up; the toric labels number the right side first, then the bottom
-    bottom, right = ups[m], rights[::-1]
-    sigma = Permutation(bottom + right)
-    if not is_restricted(sigma, m, n):
-        raise ValueError(f"pipe trace produced the non-restricted permutation {sigma.one_line()}")
-    return sigma, Permutation(right + bottom)
+    bottom, right = tuple(ups[m]), tuple(rights[::-1])
+    sigma = bottom + right
+    if sorted(sigma) != list(range(1, m + n + 1)):
+        raise ValueError(f"{sigma!r} is not a bijection of [{m + n}]")
+    shifts = list(map(sub, sigma, range(1, m + n + 1)))
+    if min(shifts) < -n or max(shifts) > m:
+        raise ValueError(
+            "pipe trace produced the non-restricted permutation [" + ",".join(map(str, sigma)) + "]"
+        )
+    return sigma, right + bottom
 
 
 def trace_permutation(d: Diagram) -> Permutation:
@@ -282,13 +293,14 @@ def toric_endpoint_table(d: Diagram) -> tuple[ToricEndpoints, ...]:
     table[i-1].top == table[j-1].left holds (the two exits continue along the
     same pipe).
     """
-    return _endpoints_from_exits(d.white_squares(), _exit_tables(d)[0])
+    pairs = _endpoints_from_exits(d.white_squares(), _exit_tables(d)[0])
+    return tuple(ToricEndpoints(*pair) for pair in pairs)
 
 
 def _endpoints_from_exits(
     squares: Sequence[tuple[int, int]], ups: list[list[int]]
-) -> tuple[ToricEndpoints, ...]:
-    """toric_endpoint_table read off the `ups` exit table of _exit_tables."""
+) -> tuple[tuple[int, int], ...]:
+    """toric_endpoint_table as (left, top) pairs, read off the exit table of _exit_tables."""
     # the left exit continues the arc from the square's bottom edge, and the
     # top exit enters the square above through its bottom edge
-    return tuple(ToricEndpoints(left=ups[r][c - 1], top=ups[r - 1][c - 1]) for r, c in squares)
+    return tuple((ups[r][c - 1], ups[r - 1][c - 1]) for r, c in squares)

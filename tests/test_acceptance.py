@@ -83,7 +83,7 @@ def cauchon_sweep():
             if kd is None:
                 kd = kernel_dim(mat)
                 kdim_cache[key] = kd
-            kp = _boundary_kernel_dim(sigma, omega)
+            kp = _boundary_kernel_dim(sigma.images, omega.images)
             if not (odd == kd == kp):
                 equality_failures += 1
             tally[odd] += 1

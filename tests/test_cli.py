@@ -442,6 +442,44 @@ class TestVerify:
         assert report["checks"]["dimension_equality"]["failures"] == 0
         assert report["status"] == "fail"
 
+    def test_broken_boundary_kernel_fails_dimension_equality(self, monkeypatch):
+        # the elimination of P_sigma + P_omega is one of the compared routes
+        boundary_kernel_dim = cli._boundary_kernel_dim
+        pending = [True]
+
+        def off_by_one(p, q):
+            dim = boundary_kernel_dim(p, q)
+            if pending:
+                pending.clear()
+                return dim + 1
+            return dim
+
+        monkeypatch.setattr(cli, "_boundary_kernel_dim", off_by_one)
+        report = run_verify(4)
+        assert not pending
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"dimension_equality": 1}
+        assert report["status"] == "fail"
+
+    def test_swapped_toric_entries_fail(self, monkeypatch):
+        # trading two images of tau splits one cycle or merges two, which
+        # changes the number of even-length cycles by one
+        permutations = cli._permutations
+        pending = [True]
+
+        def swapped(m, n, ups, rights):
+            sigma, tau = permutations(m, n, ups, rights)
+            if pending:
+                pending.clear()
+                tau = (tau[1], tau[0], *tau[2:])
+            return sigma, tau
+
+        monkeypatch.setattr(cli, "_permutations", swapped)
+        report = run_verify(4)
+        assert not pending
+        assert report["checks"]["dimension_equality"]["failures"] == 1
+        assert report["status"] == "fail"
+
     def test_swapped_endpoints_fail_gluing(self, monkeypatch):
         endpoints_from_exits = cli._endpoints_from_exits
 

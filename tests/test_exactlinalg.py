@@ -294,19 +294,21 @@ class TestBoundaryKernelDim:
         omega = all_black_permutation(m, n)
         for d in cauchon_diagrams(m, n):
             sigma = trace_permutation(d)
-            assert dense(_boundary_rows(sigma, omega), m + n) == perm_matrix_sum(sigma, omega)
-            assert _boundary_kernel_dim(sigma, omega) == kernel_dim(perm_matrix_sum(sigma, omega))
+            rows = _boundary_rows(sigma.images, omega.images)
+            assert dense(rows, m + n) == perm_matrix_sum(sigma, omega)
+            dim = _boundary_kernel_dim(sigma.images, omega.images)
+            assert dim == kernel_dim(perm_matrix_sum(sigma, omega))
 
     @given(permutation_pairs())
     def test_matches_dense_on_random_pairs(self, pair):
         p, q = pair
         # a row with p(i) = q(i) holds 2, and 1 there would not change the rank
-        assert dense(_boundary_rows(p, q), p.size) == perm_matrix_sum(p, q)
-        assert _boundary_kernel_dim(p, q) == kernel_dim(perm_matrix_sum(p, q))
+        assert dense(_boundary_rows(p.images, q.images), p.size) == perm_matrix_sum(p, q)
+        assert _boundary_kernel_dim(p.images, q.images) == kernel_dim(perm_matrix_sum(p, q))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):
-            _boundary_kernel_dim(Permutation.identity(2), Permutation.identity(3))
+            _boundary_kernel_dim(Permutation.identity(2).images, Permutation.identity(3).images)
 
 
 class TestKernelEquality:

@@ -4,9 +4,13 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from hstrata import Diagram, pipedreams
+from hstrata.cli import run_verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hstrata"
 # each module imports only from modules before it; the package entry points
@@ -94,3 +98,29 @@ def test_the_counting_oracles_share_no_engine():
     }
     assert COUNTING_ENGINE <= defined
     assert names_used(Path(__file__).resolve().parent / "conftest.py") & COUNTING_ENGINE == set()
+
+
+def test_verify_builds_no_permutation_or_endpoint_objects(monkeypatch):
+    # run_verify reads sigma, tau, their cycles and the white-square
+    # endpoints as plain int tuples; the counters are first seen to count
+    # what the public wrappers build
+    built: Counter = Counter()
+    init, new = pipedreams.Permutation.__init__, pipedreams.ToricEndpoints.__new__
+
+    def counted_init(self, images):
+        built["Permutation"] += 1
+        init(self, images)
+
+    def counted_new(cls, *args, **kwargs):
+        built["ToricEndpoints"] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(pipedreams.Permutation, "__init__", counted_init)
+    monkeypatch.setattr(pipedreams.ToricEndpoints, "__new__", counted_new)
+    d = Diagram.all_white(2, 2)
+    pipedreams.trace_permutation(d)
+    pipedreams.toric_endpoint_table(d)
+    assert built == Counter(Permutation=2, ToricEndpoints=4)
+    built.clear()
+    assert run_verify(6)["diagrams"] == 356
+    assert built == Counter()

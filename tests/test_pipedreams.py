@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -97,6 +99,14 @@ class TestCycles:
         assert [c[0] for c in cycles] == sorted(c[0] for c in cycles)
         assert all(p(c[i]) == c[(i + 1) % len(c)] for c in cycles for i in range(len(c)))
 
+    def test_cycles_of_the_images_are_the_decomposition(self):
+        # run_verify reads cycles off one-line forms; every permutation of
+        # size <= 6 must decompose the same way through the public wrapper
+        for k in range(1, 7):
+            for images in permutations(range(1, k + 1)):
+                p = Permutation(images)
+                assert pipedreams._cycles(p.images) == cycle_decomposition(p)
+
 
 class TestAllBlackPermutation:
     @pytest.mark.parametrize(
@@ -193,6 +203,13 @@ class TestTrace:
         path.write_text(d.serialize())
         assert main(["dim", str(path)]) == 2
         assert "non-restricted" in capsys.readouterr().err
+
+    def test_exit_tables_that_repeat_a_label_are_an_error(self):
+        # the one-line forms are checked without building a Permutation
+        ups, rights = pipedreams._exit_tables(Diagram.all_white(1, 2))
+        ups[1][0] = ups[1][1]
+        with pytest.raises(ValueError, match=r"^\(2, 2, 3\) is not a bijection of \[3\]$"):
+            pipedreams._permutations(1, 2, ups, rights)
 
 
 def rotated_trace(d):
