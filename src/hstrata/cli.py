@@ -30,10 +30,10 @@ from .exactlinalg import (
     _square_image,
     _transfer_kernel_dim,
     _white_kernel_dim,
-    _white_rows_step,
     cycle_kernel_basis,
     is_skew_symmetric,
     kernel_basis,
+    white_adjacency_matrix,
 )
 from .genfunc import (
     asymptotic_proportion,
@@ -44,6 +44,7 @@ from .genfunc import (
 )
 from .pipedreams import (
     Permutation,
+    _all_black_images,
     _cycles,
     _endpoints_from_exits,
     _permutations,
@@ -55,9 +56,9 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 8.6 to
-# 9.8 s at 14 cells, 16.0 to 20.4 s at 15 and 33.5 to 36.9 s at 16 (3 runs
-# each) on a shared 2-CPU box (Python 3.11), so 16, which covers the
+# run_verify grows about 2x per extra cell: the whole command took 6.8 to
+# 7.9 s at 14 cells and 27.2 to 32.8 s at 16 (3 runs each; 15.1 s at 15 in
+# 1 run) on a shared 2-CPU box (Python 3.11), so 16, which covers the
 # acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
 # stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
@@ -164,7 +165,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 35 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 30 s "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -211,7 +212,7 @@ def _cmd_dim(args) -> dict:
         with open(args.diagram) as handle:
             text = handle.read()
     d = Diagram.parse(text)
-    white = len(d.white_squares())
+    white = sum(row.count(False) for row in d.rows)
     if white > DIM_MAX_WHITE:
         raise ValueError(f"dim is capped at {DIM_MAX_WHITE} white squares, got {white}")
     sigma, tau, _ = _trace(d)
@@ -297,12 +298,14 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     linear, so the per-diagram loop does no Fraction arithmetic; the
     permutations, cycles and endpoints are plain int tuples.  The
     diagrams come from one depth-first sweep (_verify_sweep) in which each
-    prefix of rows builds its pipe exits, white matrix and transfer matrix
-    once for every diagram below it; each diagram then runs every check on
-    its own data.  Per shape:
+    prefix of rows builds its pipe exits, the line pattern of its white
+    squares and its transfer matrix once for every diagram below it; the
+    white matrix of each distinct pattern is built, checked for skew
+    symmetry and solved once per run, and each diagram then runs every
+    check on its own data with that basis.  Per shape:
     the enumerated tally matches the closed form and the total count matches
-    the poly-Bernoulli value.  inject_fault flips one sign in one matrix to
-    demonstrate the suite's sensitivity.
+    the poly-Bernoulli value.  inject_fault flips one sign in one diagram's
+    own matrix to demonstrate the suite's sensitivity.
     """
     checks = {
         name: {"checked": 0, "failures": 0}
@@ -327,30 +330,34 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     ]
     fault_pending = inject_fault
     diagrams = 0
-    # few white matrices are distinct (152 among the 2,670 diagrams of 9
-    # cells), so each kernel basis is computed once per run; a reused basis
-    # still goes through every check below on every diagram
-    bases: dict[tuple, tuple] = {}
+    # the line pattern fixes the white matrix and few patterns are distinct
+    # (152 among the 2,670 diagrams of 9 cells), so each matrix is built,
+    # checked for skew symmetry and solved once per run; every diagram still
+    # records both and puts the basis through every check below
+    solved: dict[tuple[int, ...], tuple[bool, tuple]] = {}
     for m, n in shapes:
-        omega = (*range(m + 1, m + n + 1), *range(1, m + 1))  # all_black_permutation(m, n).images
+        omega = _all_black_images(m, n)
         tally: dict[int, int] = {}
-        for _, (ups, rights, squares, mat, _, phi) in _verify_sweep(m, n):
+        for rows, (ups, rights, squares, lines, _, phi) in _verify_sweep(m, n):
             diagrams += 1
-            # every step builds new matrix rows, so mat belongs to this diagram alone
+            entry = solved.get(lines)
             if fault_pending and len(squares) >= 2:
+                # this diagram's own matrix with one sign flipped, kept out of the memo
+                mat = white_adjacency_matrix(Diagram._of_cells(rows))
                 mat[0][1] = -mat[0][1]
                 fault_pending = False
-            record("skew_symmetry", is_skew_symmetric(mat))
+                entry = is_skew_symmetric(mat), kernel_basis(mat)
+            elif entry is None:
+                mat = white_adjacency_matrix(Diagram._of_cells(rows))
+                entry = solved[lines] = is_skew_symmetric(mat), kernel_basis(mat)
+            skew, basis = entry
+            record("skew_symmetry", skew)
 
             # the permutation, its toric form and the endpoint table are all
             # read off the same exit tables
             sigma, tau = _permutations(m, n, ups, rights)
             cycles = _cycles(tau)
             odd = odd_cycle_count(cycles)
-            key = tuple(map(tuple, mat))  # after the fault, which thus stays on one diagram
-            basis = bases.get(key)
-            if basis is None:
-                basis = bases[key] = kernel_basis(mat)
             # the column transfer matrix against the full elimination
             transfer_dim = _transfer_kernel_dim(phi)
             record(
@@ -414,21 +421,29 @@ def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
     """(rows, state) for each m x n Cauchon diagram, in cauchon_diagrams order.
 
     The state holds what the per-diagram objects give: (ups, rights) as
-    pipedreams._exit_tables, the white squares, the white matrix with the
-    0-based columns of its squares, and phi.  Each prefix builds its share
+    pipedreams._exit_tables, the white squares, their lines, col_bits and
+    phi.  Entry i of lines has bit j set when square j < i shares a row or a
+    column with square i, which is where the white matrix is +1 below its
+    diagonal, so equal lines mean equal white matrices; col_bits[c] has the
+    bits of the squares so far in column c.  Each prefix builds its share
     once.
     """
 
     def step(state: tuple, cells: tuple[bool, ...]) -> tuple:
-        ups, rights, squares, mat, cols, phi = state
+        ups, rights, squares, lines, col_bits, phi = state
         r = len(ups)
         up, right = _pipe_row(ups[-1], cells, m + 1 - r)
-        mat, cols = _white_rows_step(mat, cols, cells)
         new = tuple((r, c) for c, black in enumerate(cells, start=1) if not black)
+        first, col_bits, new_lines = 1 << len(squares), list(col_bits), []
+        for i, (_, c) in enumerate(new):
+            bit = first << i  # bit - first: the squares left of it in its row
+            new_lines.append(col_bits[c - 1] | (bit - first))
+            col_bits[c - 1] |= bit
         phi = _phi_step(phi, cells)
-        return ups + [up], rights + [right], squares + new, mat, cols, phi
+        lines += tuple(new_lines)
+        return ups + [up], rights + [right], squares + new, lines, tuple(col_bits), phi
 
-    root = ([list(range(m + 1, m + n + 1))], [], (), [], (), _identity(n))
+    root = ([list(range(m + 1, m + n + 1))], [], (), (), (0,) * n, _identity(n))
     return _sweep(m, n, root, step)
 
 

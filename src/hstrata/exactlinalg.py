@@ -146,35 +146,14 @@ def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
     Entry (i, j) is +1 when white square i is strictly below or strictly to
     the right of white square j, -1 when strictly above or strictly to the
     left, and 0 otherwise (in particular when the squares share neither row
-    nor column).  Each pair is set once as -1 above the diagonal and +1
-    below it, so the matrix is skew-symmetric by construction.  The matrix
-    is built row of squares by row of squares (_white_rows_step).
+    nor column).  Labels are row-major, so for squares sharing a line i > j
+    exactly when square i is below or right of square j.
     """
-    rows: list[list[int]] = []
-    cols: tuple[int, ...] = ()
-    for cells in d.rows:
-        rows, cols = _white_rows_step(rows, cols, cells)
-    return rows
-
-
-def _white_rows_step(
-    rows: list[list[int]], cols: tuple[int, ...], cells: Sequence[bool]
-) -> tuple[list[list[int]], tuple[int, ...]]:
-    """The white matrix and the 0-based square columns after one more row of cells.
-
-    A new square shares no row with the squares above, so it relates to
-    them only through its column.  Every row of the result is a new list,
-    so the matrix passed in is left as it was.
-    """
-    new = [c for c, black in enumerate(cells) if not black]
-    k = len(new)
-    zeros = [0] * k
-    # an old square is above every new one: -1 towards the new square in its column
-    towards = {c: zeros[:p] + [-1] + zeros[p + 1 :] for p, c in enumerate(new)}
-    out = [old + towards.get(cj, zeros) for old, cj in zip(rows, cols)]
-    for p, c in enumerate(new):
-        out.append([1 if cj == c else 0 for cj in cols] + [1] * p + [0] + [-1] * (k - 1 - p))
-    return out, cols + tuple(new)
+    squares = d.white_squares()
+    return [
+        [(i > j) - (i < j) if r == rj or c == cj else 0 for j, (rj, cj) in enumerate(squares)]
+        for i, (r, c) in enumerate(squares)
+    ]
 
 
 # ------------------------------------------------- column transfer matrices
@@ -360,20 +339,25 @@ def in_white_kernel(d: Diagram, w: Sequence[Rational]) -> bool:
 
 
 def _in_white_kernel(pos: Sequence[tuple[int, int]], w: Sequence[Rational]) -> bool:
-    N = len(pos)
-    if len(w) != N:
-        raise ValueError(f"vector length {len(w)} does not match {N} white squares")
-    for i in range(N):
-        ri, ci = pos[i]
-        acc = 0
-        for j in range(N):
-            if j == i:
-                continue
-            rj, cj = pos[j]
-            if cj == ci:
-                acc += w[j] if rj < ri else -w[j]
-            elif rj == ri:
-                acc += w[j] if cj < ci else -w[j]
-        if acc != 0:
+    """Whether above + left == below + right at every white square, in O(N).
+
+    pos must be in row-major order, so the squares met before one in its row
+    are left of it and those met before it in its column above it: with the
+    running sums left and above and the row and column totals, below + right
+    is row_total + col_total - left - above - 2 w_i.
+    """
+    if len(w) != len(pos):
+        raise ValueError(f"vector length {len(w)} does not match {len(pos)} white squares")
+    row_total: dict[int, Rational] = {}
+    col_total: dict[int, Rational] = {}
+    for (r, c), x in zip(pos, w):
+        row_total[r] = row_total.get(r, 0) + x
+        col_total[c] = col_total.get(c, 0) + x
+    left: dict[int, Rational] = {}
+    above: dict[int, Rational] = {}
+    for (r, c), x in zip(pos, w):
+        lt, ab = left.get(r, 0), above.get(c, 0)
+        if 2 * (lt + ab + x) != row_total[r] + col_total[c]:
             return False
+        left[r], above[c] = lt + x, ab + x
     return True

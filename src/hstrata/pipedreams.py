@@ -181,7 +181,12 @@ def all_black_permutation(m: int, n: int) -> Permutation:
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    return Permutation([m + i for i in range(1, n + 1)] + list(range(1, m + 1)))
+    return Permutation(_all_black_images(m, n))
+
+
+def _all_black_images(m: int, n: int) -> tuple[int, ...]:
+    """The one-line form of all_black_permutation(m, n), built as plain ints."""
+    return (*range(m + 1, m + n + 1), *range(1, m + 1))
 
 
 def is_restricted(p: Permutation, m: int, n: int) -> bool:

@@ -34,8 +34,9 @@ from hstrata import (
     white_adjacency_matrix,
 )
 
-# every grid shape with at most 12 cells
+# every grid shape with at most 12 cells, and with at most 9
 SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
+SHAPES_UP_TO_9 = [(m, n) for m, n in SHAPES_UP_TO_12 if m * n <= 9]
 
 
 def all_diagrams(m: int, n: int):

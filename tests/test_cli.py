@@ -8,14 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from hstrata import RatPoly
+from hstrata import Diagram, RatPoly
 from hstrata import cli
 from hstrata.cli import main, run_verify
 from hstrata.enumeration import cauchon_diagrams
 from hstrata.exactlinalg import white_adjacency_matrix
 from hstrata.pipedreams import _exit_tables
 
-from conftest import SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
+from conftest import SHAPES_UP_TO_9, SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
 
 
 def run_cli(capsys, *argv):
@@ -343,19 +343,26 @@ class TestVerify:
 
     def test_one_kernel_basis_per_distinct_white_matrix(self, monkeypatch):
         # the faulted matrix is not skew, so it is a key of its own and takes
-        # no other diagram's basis
-        kernel_basis = cli.kernel_basis
-        solved = []
+        # no other diagram's basis; each solved matrix is built once, not
+        # once per diagram
+        kernel_basis, white_adjacency_matrix = cli.kernel_basis, cli.white_adjacency_matrix
+        solved, built = [], []
 
         def recorded(mat):
             solved.append(tuple(map(tuple, mat)))
             return kernel_basis(mat)
 
+        def counted(d):
+            built.append(d)
+            return white_adjacency_matrix(d)
+
         monkeypatch.setattr(cli, "kernel_basis", recorded)
+        monkeypatch.setattr(cli, "white_adjacency_matrix", counted)
         for inject_fault, distinct in ((False, 152), (True, 153)):
             solved.clear()
+            built.clear()
             assert run_verify(9, inject_fault=inject_fault)["diagrams"] == 2670
-            assert len(solved) == len(set(solved)) == distinct
+            assert len(solved) == len(set(solved)) == len(built) == distinct
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_sweep_state_matches_the_diagram_objects(self, m, n):
@@ -365,12 +372,32 @@ class TestVerify:
         swept = list(cli._verify_sweep(m, n))
         diagrams = list(cauchon_diagrams(m, n))
         assert [rows for rows, _ in swept] == [d.rows for d in diagrams]
-        for d, (_, (ups, rights, squares, mat, cols, phi)) in zip(diagrams, swept):
+        for d, (_, (ups, rights, squares, lines, col_bits, phi)) in zip(diagrams, swept):
             assert (ups, rights) == _exit_tables(d)
             assert squares == d.white_squares()
-            assert cols == tuple(c - 1 for _, c in squares)
-            assert mat == white_adjacency_matrix(d)
+            # bit j of lines[i]: the white matrix is nonzero at (i, j), j < i
+            mat = white_adjacency_matrix(d)
+            assert lines == tuple(
+                sum(1 << j for j in range(i) if mat[i][j]) for i in range(len(mat))
+            )
+            assert col_bits == tuple(
+                sum(1 << i for i, (_, c) in enumerate(squares) if c == col)
+                for col in range(1, n + 1)
+            )
             assert phi_dense(phi) == transfer_matrix_dense(d.rows)
+
+    def test_equal_lines_mean_equal_white_matrices(self):
+        # run_verify solves one white matrix per distinct lines, so lines must
+        # tell the matrices apart exactly: no two matrices under one key, and
+        # no matrix under two keys
+        matrices: dict[tuple, set] = {}
+        for m, n in SHAPES_UP_TO_9:
+            for rows, (_, _, _, lines, _, _) in cli._verify_sweep(m, n):
+                mat = white_adjacency_matrix(Diagram(rows))
+                matrices.setdefault(lines, set()).add(tuple(map(tuple, mat)))
+        assert all(len(mats) == 1 for mats in matrices.values())
+        distinct = set().union(*matrices.values())
+        assert len(matrices) == len(distinct) == 152
 
     def test_broken_transfer_matrix_fails_dimension_equality(self, monkeypatch):
         # the swept phi is still checked against the other routes on every diagram

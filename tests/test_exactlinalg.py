@@ -41,6 +41,7 @@ from hstrata.exactlinalg import (
 from hstrata.pipedreams import Permutation, _even_cycle_count
 
 from conftest import (
+    SHAPES_UP_TO_9,
     SHAPES_UP_TO_12,
     all_diagrams,
     cauchon_by_definition,
@@ -545,6 +546,18 @@ class TestInWhiteKernel:
         )
         m = white_adjacency_matrix(d)
         assert in_white_kernel(d, w) == all(x == 0 for x in matvec(m, w))
+
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_9)
+    def test_kernel_bases_of_every_small_diagram(self, m, n):
+        # the running sums against the dense product: every basis vector
+        # passes, and adding 1 to its first entry passes exactly when the
+        # matrix sends it to zero
+        for d in all_diagrams(m, n):
+            mat = white_adjacency_matrix(d)
+            for w in kernel_basis(mat):
+                assert in_white_kernel(d, w)
+                shifted = (w[0] + 1, *w[1:])
+                assert in_white_kernel(d, shifted) == all(x == 0 for x in matvec(mat, shifted))
 
 
 class TestReconstructedExample:
