@@ -6,7 +6,8 @@ obtained from two mathematically independent routes:
 
 * the closed triple sum over Stirling numbers and falling factorials of
   (1-t)/2 and -(1+t)/2, grouped once per m into an integer table of
-  polynomials C_k(t) with h(m, n, d) = 2^-m sum_k C_k[d] k^n for all n >= 1.
+  polynomials C_k(t) with h(m, n, d) = 2^-m sum_k C_k[d] k^n for all n >= 1,
+  its Stirling weights read off one difference table of x^m, O(m^3) in all.
   stratum_poly sums the table against k^n (stratum_count reads one
   coefficient) and closed_form_coeffs reads c_k = C_k[d] / 2^m off it;
 * a truncated bivariate power series in x and y with polynomial-in-t
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import factorial, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -112,8 +113,8 @@ def _as_poly(x: "RatPoly | Scalar") -> RatPoly:
     return x if isinstance(x, RatPoly) else RatPoly([x])
 
 
-def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: int = 1) -> None:
-    """acc += scale * pa * pb on integer coefficient lists; acc grows as needed."""
+def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: int = 1) -> list[int]:
+    """acc += scale * pa * pb on integer coefficient lists; acc grows as needed and is returned."""
     if len(pa) + len(pb) - 1 > len(acc):
         acc += [0] * (len(pa) + len(pb) - 1 - len(acc))
     for i, x in enumerate(pa):
@@ -121,6 +122,7 @@ def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: in
             x *= scale
             for j, y in enumerate(pb):
                 acc[i + j] += x * y
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -138,14 +140,14 @@ def stirling2(n: int, k: int) -> int:
 def poly_bernoulli(m: int, n: int) -> int:
     """The poly-Bernoulli number counting all m x n Cauchon diagrams.
 
-    Equals the sum over k of (k!)^2 S(n+1, k+1) S(m+1, k+1) with S the
-    Stirling numbers of the second kind; symmetric in m and n.
+    Equals the sum over k <= min(m, n) of (k!)^2 S(n+1, k+1) S(m+1, k+1) with S
+    the Stirling numbers of the second kind (later terms are 0); symmetric in m and n.
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
     return sum(
         factorial(k) ** 2 * stirling2(n + 1, k + 1) * stirling2(m + 1, k + 1)
-        for k in range(m + 1)
+        for k in range(min(m, n) + 1)
     )
 
 
@@ -164,16 +166,6 @@ def single_cycle_count(m: int, n: int) -> int:
     )
 
 
-def _affine_products(m: int, shift: int) -> list[list[int]]:
-    """Integer coefficient lists of prod_{i<l} (shift - 2i - t), l = 0..m."""
-    out = [[1]]
-    for l in range(m):
-        nxt: list[int] = []
-        _add_product(nxt, out[-1], [shift - 2 * l, -1])
-        out.append(nxt)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _closed_table(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Pairs (k, C_k) with h(m, n, d) = 2^-m sum_k C_k[d] k^n for every n >= 1.
@@ -183,26 +175,37 @@ def _closed_table(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     P1_l = prod_{i<l} (1-2i-t) and P2_l = prod_{i<l} (-1-2i-t): the closed
     triple sum over Stirling numbers and the falling factorials of (1-t)/2
     and -(1+t)/2, times 2^m so every coefficient is an integer.  Each C_k is
-    a tuple of m+1 ints (t^0 .. t^m); the base k = 0 is left out since
-    0^n = 0 for n >= 1.
+    a tuple of m+1 ints (t^0 .. t^m); the base k = 0 (0^n = 0 for n >= 1)
+    and bases whose weights are all 0 are left out.
+
+    W(l1, l2) = (-1)^l2 D^(l1+l2)[x^m](-l2) / (l1! l2!), with D f(x) = f(x+1) - f(x).
+    Proof: as sum_n S(n, l) x^n/n! = (e^x - 1)^l / l!, the mp-sum is m! [x^m] of
+    (e^x - 1)^l1 (e^-x - 1)^l2 / (l1! l2!) = (-1)^l2 e^(-l2 x) (e^x - 1)^(l1+l2) / (l1! l2!),
+    and m! [x^m] e^(ax) (e^x - 1)^L = sum_j C(L, j) (-1)^(L-j) (a+j)^m = D^L[x^m](a).
+    A step (l1, l2) -> (l1+1, l2+1) along a base's diagonal multiplies P1 P2
+    by (1-2l1-t)(-1-2l2-t), so C_k is its first product times one Horner sum.
     """
-    p1 = _affine_products(m, 1)
-    p2 = _affine_products(m, -1)
-    grouped: dict[int, list[int]] = {}
-    for l1 in range(m + 1):
-        for l2 in range(m + 1 - l1):
-            k = 1 - l1 + l2
-            if k == 0:
-                continue
-            w = sum(
-                (-1) ** (m - mp) * comb(m, mp) * stirling2(mp, l1) * stirling2(m - mp, l2)
-                for mp in range(l1, m - l2 + 1)
-            )
-            if not w:
-                continue
-            acc = grouped.setdefault(k, [0] * (m + 1))
-            _add_product(acc, p1[l1], p2[l2], w << (m - l1 - l2))
-    return tuple((k, tuple(c)) for k, c in sorted(grouped.items()))
+    diffs, row = [], [x**m for x in range(-m, m + 1)]
+    for L in range(m + 1):  # diffs[L][l1] = D^L[x^m](l1 - L), l1 = 0..L
+        diffs.append(row[m - L : m + 1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    table = []
+    # bases k = j + 1 start at (0, j) on the seed P2_j, bases k = 1 - j <= -1 at (j, 0) on P1_j
+    for shift, first in ((-1, 0), (1, 2)):
+        seed = [1]
+        for j in range(m + 1):
+            if j >= first:
+                l1, l2 = (j, 0) if shift == 1 else (0, j)
+                acc: list[int] = []
+                for i in range((m - j) // 2, -1, -1):  # the diagonal's pairs, last first
+                    a, b = l1 + i, l2 + i
+                    w = (-1) ** b * diffs[a + b][a] // (factorial(a) * factorial(b)) << (m - a - b)
+                    step = ((1 - 2 * a) * (-1 - 2 * b), 2 * (a + b), 1)
+                    acc = _add_product([w], acc, step) if acc else [w]
+                if any(acc):
+                    table.append((1 - l1 + l2, tuple(_add_product([0] * (m + 1), seed, acc))))
+            seed = _add_product([], seed, (shift - 2 * j, -1))
+    return tuple(sorted(table))
 
 
 def stratum_poly(m: int, n: int) -> RatPoly:
@@ -281,11 +284,8 @@ class ClosedForm:
     def __str__(self) -> str:
         parts = []
         for k, c in sorted(self._coeffs.items(), key=lambda kv: -kv[0]):
-            base = f"({k})^n" if k < 0 else ("1" if k == 1 else f"{k}^n")
-            if base == "1":
-                parts.append(str(c))
-            else:
-                parts.append(f"{c}*{base}")
+            base = f"({k})^n" if k < 0 else f"{k}^n"
+            parts.append(str(c) if k == 1 else f"{c}*{base}")
         body = " + ".join(parts).replace("+ -", "- ") if parts else "0"
         return f"h({self.m},n,{self.d}) = {body}"
 

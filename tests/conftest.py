@@ -14,6 +14,7 @@ cleverer code paths.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
 from typing import NamedTuple
@@ -210,11 +211,13 @@ def matvec(rows, vec) -> tuple:
     return tuple(sum(a * x for a, x in zip(row, vec) if a) for row in rows)
 
 
-def cayley_dense(k: int) -> list[list[Fraction]]:
+@lru_cache(maxsize=None)
+def cayley_dense(k: int) -> tuple[tuple[int, ...], ...]:
     """(I + C)^-1 (C - I) for the in-row block C of k white squares, as a
     dense k x k matrix solved from [I + C | C - I] by kernel_basis_by_fractions:
     column b is minus the first k entries of the kernel vector that is 1 at
-    column k + b."""
+    column k + b.  It depends on k only, so it is solved once per k; its
+    entries are integers (0 and +-1), so the dense products below run on ints."""
     block = white_adjacency_matrix(Diagram.all_white(1, k))
     system = [
         [e + (i == j) for j, e in enumerate(row)] + [e - (i == j) for j, e in enumerate(row)]
@@ -224,7 +227,9 @@ def cayley_dense(k: int) -> list[list[Fraction]]:
     # the free columns are k..2k-1 exactly when I + C is invertible
     if [list(v[k:]) for v in basis] != [[int(b == j) for j in range(k)] for b in range(k)]:
         raise ZeroDivisionError(f"I + C is singular for a row of {k} white squares")
-    return [[-v[i] for v in basis] for i in range(k)]
+    if any(e.denominator != 1 for v in basis for e in v):
+        raise ArithmeticError(f"the row map of {k} white squares is not integral")
+    return tuple(tuple(-int(v[i]) for v in basis) for i in range(k))
 
 
 def row_map_dense(cells) -> list[list[int]]:

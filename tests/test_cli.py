@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from hstrata import Diagram, RatPoly
-from hstrata import cli
+from hstrata import cli, genfunc
 from hstrata.cli import main, run_verify
 from hstrata.enumeration import cauchon_diagrams
 from hstrata.exactlinalg import white_adjacency_matrix
@@ -518,6 +518,22 @@ class TestVerify:
         monkeypatch.setattr(cli, "_endpoints_from_exits", swapped)
         report = run_verify(4)
         assert report["checks"]["gluing_identity"]["failures"] > 0
+        assert report["status"] == "fail"
+
+    def test_changed_closed_form_fails_tally_vs_formula(self, monkeypatch):
+        # 2^m added to one coefficient of the table at m = 2 moves h(2, n, 0)
+        # by k^n and keeps it an integer, so stratum_poly does not raise and
+        # only the comparison with the tally can see it
+        closed_table = genfunc._closed_table
+
+        def changed(m):
+            (k, c), *rest = closed_table(m)
+            return ((k, (c[0] + (1 << m if m == 2 else 0), *c[1:])), *rest)
+
+        monkeypatch.setattr(genfunc, "_closed_table", changed)
+        report = run_verify(4)
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"tally_vs_formula": 2}  # the shapes 2x1 and 2x2
         assert report["status"] == "fail"
 
 

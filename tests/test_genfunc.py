@@ -42,6 +42,9 @@ from conftest import (
 
 F = Fraction
 
+# long shapes m x n with m > n, past the triple-sum oracle's m <= 10
+LONG_SHAPES = [(40, 3), (30, 7), (25, 12)]
+
 # Golden closed-form coefficient rows; the (4,0) row is deliberately absent
 # and is pinned against enumeration instead (see
 # TestClosedForm.test_4_0_against_enumeration).
@@ -182,14 +185,17 @@ class TestStratumCount:
             assert stratum_count(4, 5, d) == tally.counts.get(d, 0)
 
     def test_symmetry_in_m_and_n(self):
-        for m in range(1, 7):
-            for n in range(1, 7):
-                assert stratum_poly(m, n) == stratum_poly(n, m)
+        # the long shapes build their tables far past the triple-sum oracle's
+        # m <= 10, and the two orientations build different tables
+        shapes = [(m, n) for m in range(1, 7) for n in range(1, 7)] + LONG_SHAPES
+        for m, n in shapes:
+            assert stratum_poly(m, n) == stratum_poly(n, m)
 
     def test_totals_are_poly_bernoulli(self):
-        for m in range(1, 7):
-            for n in range(1, 7):
-                assert stratum_poly(m, n)(1) == poly_bernoulli(m, n)
+        shapes = [(m, n) for m in range(1, 7) for n in range(1, 7)] + LONG_SHAPES
+        for m, n in shapes:
+            assert stratum_poly(m, n)(1) == poly_bernoulli(m, n)
+            assert stratum_poly(n, m)(1) == poly_bernoulli(m, n)
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_matches_fraction_triple_sum(self, m):

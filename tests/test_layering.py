@@ -82,10 +82,9 @@ def test_the_kernel_oracle_shares_no_elimination():
     assert names_used(Path(__file__).resolve().parent / "conftest.py") & ENGINE == set()
 
 
-# the integer closed-form table and the series recurrences behind them
-COUNTING_ENGINE = {
-    "_closed_table", "_affine_products", "_add_product", "_recurrence", "_integer_grid"
-}
+# the integer closed-form table (its difference table and Horner sums
+# live in _closed_table itself) and the series recurrences behind them
+COUNTING_ENGINE = {"_closed_table", "_add_product", "_recurrence", "_integer_grid"}
 
 
 def test_the_counting_oracles_share_no_engine():
