@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter, neg, xor
+from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence, Union
 
 from .diagrams import Diagram
@@ -28,13 +28,6 @@ Matrix = Sequence[Sequence[Rational]]
 # Row operations without the final division keep everything in the integers;
 # rows are renormalized by their gcd once entries pass this bound.
 _GCD_REDUCE_BOUND = 1 << 62
-
-
-def is_skew_symmetric(rows: Matrix) -> bool:
-    """Whether the rows form a square matrix equal to minus its transpose."""
-    if any(len(row) != len(rows) for row in rows):
-        return False
-    return [list(map(neg, row)) for row in rows] == list(map(list, zip(*rows)))
 
 
 def _integer_rows(rows: Matrix) -> list[dict[int, int]]:
@@ -218,7 +211,12 @@ def _identity(n: int) -> tuple[int, ...]:
 
 
 def _transfer_kernel_dim(phi: Sequence[int]) -> int:
-    """dim ker(I + phi) for a compact phi: the white matrix's kernel dimension."""
+    """dim ker(I + phi) for a compact phi: the white matrix's kernel dimension.
+
+    It equals _even_cycle_count(phi): on a cycle of phi with L columns and s
+    entries -1, phi^L = (-1)^s, so I + phi is singular there (with a kernel of
+    dimension 1) exactly when (-1)^L = (-1)^s, that is when L + s is even.
+    """
     # row r of I + phi is e_r +- e_c for phi's entry at column c, or 2 e_r or 0 when c = r
     rows = [{r: 1, e >> 1: -1 if e & 1 else 1} for r, e in enumerate(phi) if e >> 1 != r]
     rows += [{r: 2} for r, e in enumerate(phi) if e == 2 * r]

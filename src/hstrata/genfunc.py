@@ -20,9 +20,10 @@ obtained from two mathematically independent routes:
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
 a rational limit read off the polynomial (t+1)(t+3)...(t+2m-1).
 
-The totals over d (poly_bernoulli) and the counts of diagrams whose toric
-permutation is one cycle (single_cycle_count) are Stirling sums too, so they
-live here beside stirling2, below every module that reads them.
+The totals over d (poly_bernoulli), the single-cycle counts and stirling2
+read one row of surjection counts j! S(n, j) = D^j[x^n](0) (_surjections;
+Graham, Knuth and Patashnik, Concrete Mathematics, 6.1).  _closed_table has
+its own difference table, so a check of its totals compares two codes.
 """
 
 from __future__ import annotations
@@ -126,44 +127,46 @@ def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: in
 
 
 @lru_cache(maxsize=None)
+def _surjections(n: int, k: int) -> tuple[int, ...]:
+    """j! S(n, j) for j = 0..k: the first column of the difference table of x^n over x = 0..k."""
+    row, out = [x**n for x in range(k + 1)], []
+    while row:
+        out.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    return tuple(out)
+
+
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of [n] into k parts."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _surjections(n, k)[k] // factorial(k) if k <= n else 0
 
 
 def poly_bernoulli(m: int, n: int) -> int:
-    """The poly-Bernoulli number counting all m x n Cauchon diagrams.
+    """The poly-Bernoulli number counting all m x n Cauchon diagrams, symmetric in m and n.
 
-    Equals the sum over k <= min(m, n) of (k!)^2 S(n+1, k+1) S(m+1, k+1) with S
-    the Stirling numbers of the second kind (later terms are 0); symmetric in m and n.
+    With s = min(m, n), L = max(m, n) and F(s, j) = j! S(s, j): the sum over j <= s of
+    (-1)^(s-j) F(s, j) (j+1)^L (M. Kaneko, "Poly-Bernoulli numbers", J. Theor.
+    Nombres Bordeaux 9 (1997) 221-228, Thm 1).
     """
     if m < 0 or n < 0:
         raise ValueError("m and n must be nonnegative")
-    return sum(
-        factorial(k) ** 2 * stirling2(n + 1, k + 1) * stirling2(m + 1, k + 1)
-        for k in range(min(m, n) + 1)
-    )
+    s, big = min(m, n), max(m, n)
+    return sum((-1) ** (s - j) * f * (j + 1) ** big for j, f in enumerate(_surjections(s, s)))
 
 
 def single_cycle_count(m: int, n: int) -> int:
     """Number of m x n diagrams whose toric permutation is one (m+n)-cycle.
 
-    Computed as the sum over k of k! (k-1)! S(m, k) S(n, k) with S the
-    Stirling numbers of the second kind; cross-checked against enumeration
-    in the test suite.
+    The sum over k of F(m, k) F(n, k) / k with F(n, k) = k! S(n, k); the
+    tests check it against enumeration.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    return sum(
-        factorial(k) * factorial(k - 1) * stirling2(m, k) * stirling2(n, k)
-        for k in range(1, min(m, n) + 1)
-    )
+    s = min(m, n)
+    fm, fn = _surjections(m, s), _surjections(n, s)
+    return sum(fm[k] * fn[k] // k for k in range(1, s + 1))
 
 
 @lru_cache(maxsize=None)

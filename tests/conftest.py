@@ -30,7 +30,6 @@ from hstrata import (
     cycle_decomposition,
     kernel_dim,
     odd_cycle_count,
-    stirling2,
     toric_permutation,
     white_adjacency_matrix,
 )
@@ -382,6 +381,27 @@ def stirling2_by_alternating_sum(n: int, k: int) -> int:
     return q
 
 
+def poly_bernoulli_by_double_sum(m: int, n: int) -> int:
+    """The poly-Bernoulli number as the sum over k of (k!)^2 S(m+1, k+1) S(n+1, k+1)."""
+    return sum(
+        factorial(k) ** 2
+        * stirling2_by_alternating_sum(m + 1, k + 1)
+        * stirling2_by_alternating_sum(n + 1, k + 1)
+        for k in range(min(m, n) + 1)
+    )
+
+
+def single_cycle_count_by_double_sum(m: int, n: int) -> int:
+    """The single-cycle count as the sum over k of k! (k-1)! S(m, k) S(n, k)."""
+    return sum(
+        factorial(k)
+        * factorial(k - 1)
+        * stirling2_by_alternating_sum(m, k)
+        * stirling2_by_alternating_sum(n, k)
+        for k in range(1, min(m, n) + 1)
+    )
+
+
 def falling_factorial_poly(p: RatPoly, k: int) -> RatPoly:
     """The product p (p-1) ... (p-k+1); the empty product (k=0) is 1."""
     if k < 0:
@@ -408,12 +428,12 @@ def _closed_sum_terms(m: int):
         sign = -1 if (m - mp) % 2 else 1
         binom = comb(m, mp)
         for l1 in range(mp + 1):
-            s1 = stirling2(mp, l1)
+            s1 = stirling2_by_alternating_sum(mp, l1)
             if not s1:
                 continue
             ff1 = falling_factorial_poly(_HALF_ONE_MINUS_T, l1)
             for l2 in range(m - mp + 1):
-                s2 = stirling2(m - mp, l2)
+                s2 = stirling2_by_alternating_sum(m - mp, l2)
                 if not s2:
                     continue
                 ff2 = falling_factorial_poly(_NEG_HALF_ONE_PLUS_T, l2)

@@ -276,6 +276,33 @@ class TestCount:
         assert out == ""
         assert err.startswith("error:") and "1/2" in err
 
+    def test_changed_closed_form_fails_the_total(self, capsys, monkeypatch):
+        # 2^m added to one coefficient of the m = 2 table keeps every count an
+        # integer, so only the check against poly_bernoulli can see it
+        closed_table = genfunc._closed_table
+
+        def changed(m):
+            (k, c), *rest = closed_table(m)
+            return ((k, (c[0] + (1 << m if m == 2 else 0), *c[1:])), *rest)
+
+        monkeypatch.setattr(genfunc, "_closed_table", changed)
+        code, out, _ = run_cli(capsys, "count", "2", "2", "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["agree"] is True
+        assert report["status"] == "fail"
+        code, out, _ = run_cli(capsys, "count", "3", "3")  # the m = 3 table is unchanged
+        assert code == 0
+        assert out.endswith("status: ok")
+
+    def test_cache_hit_at_a_long_side(self, capsys, tmp_path):
+        # the hit checks the cached total against poly_bernoulli(1, 900),
+        # which once recursed 900 deep and crashed
+        argv = ("count", "1", "900", "--method", "enum", "--cache-dir", str(tmp_path))
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0
+        assert run_cli(capsys, *argv) == first
+
     def test_truncated_cache_file_is_recomputed(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "count", "2", "2", "--method", "enum", "--cache-dir", str(tmp_path)
@@ -398,6 +425,20 @@ class TestVerify:
         assert all(len(mats) == 1 for mats in matrices.values())
         distinct = set().union(*matrices.values())
         assert len(matrices) == len(distinct) == 152
+
+    def test_white_matrix_off_its_line_pattern_fails_skew_symmetry(self, monkeypatch):
+        # both signs of one pair negated: the matrix is still skew, but it is
+        # no longer the matrix the sweep's line pattern gives
+        def negated(d):
+            mat = white_adjacency_matrix(d)
+            if len(mat) >= 2:
+                mat[0][1], mat[1][0] = -mat[0][1], -mat[1][0]
+            return mat
+
+        monkeypatch.setattr(cli, "white_adjacency_matrix", negated)
+        report = run_verify(4)
+        assert report["checks"]["skew_symmetry"]["failures"] > 0
+        assert report["status"] == "fail"
 
     def test_broken_transfer_matrix_fails_dimension_equality(self, monkeypatch):
         # the swept phi is still checked against the other routes on every diagram

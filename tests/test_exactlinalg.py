@@ -36,7 +36,6 @@ from hstrata.exactlinalg import (
     _pivot_rows,
     _transfer_kernel_dim,
     _white_kernel_dim,
-    is_skew_symmetric,
 )
 from hstrata.pipedreams import Permutation, _even_cycle_count
 
@@ -100,13 +99,6 @@ class TestExactMatrix:
         assert matvec(m, (1, 1)) == (3, 7)
         with pytest.raises(ValueError):
             matvec(m, (1, 2, 3))
-
-    def test_flipped_entry_breaks_skew_symmetry(self):
-        m = [[0, -1], [1, 0]]
-        assert is_skew_symmetric(m)
-        m[0][1] = 1
-        assert not is_skew_symmetric(m)
-        assert not is_skew_symmetric([[0, 1]])
 
     @given(small_matrices())
     def test_rank_matches_minor_oracle(self, m):
@@ -226,7 +218,7 @@ class TestWhiteAdjacencyMatrix:
     @given(diagrams())
     def test_skew_symmetric_with_small_entries(self, d):
         m = white_adjacency_matrix(d)
-        assert is_skew_symmetric(m)
+        assert [[-e for e in row] for row in m] == [list(col) for col in zip(*m)]
         assert all(e in (-1, 0, 1) for row in m for e in row)
 
     @given(diagrams())
@@ -388,16 +380,19 @@ class TestColumnTransfer:
                 assert phi_dense(_phi_step(phi, cells)) == transfer_matrix_dense([cells], phi_dense(phi))
 
     def test_transfer_kernel_dim_on_every_signed_permutation(self):
+        # the two tallies' reads agree on every state of size <= 6 (the lemma
+        # in _transfer_kernel_dim's docstring); the dense oracle runs to size 4
         checked = 0
-        for n in range(1, 5):
+        for n in range(1, 7):
             for perm in permutations(range(n)):
                 for signs in product((0, 1), repeat=n):
                     phi = tuple(2 * c + s for c, s in zip(perm, signs))
-                    plus = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi_dense(phi))]
-                    assert _transfer_kernel_dim(phi) == kernel_dim(plus)
+                    if n <= 4:
+                        plus = [[e + (i == j) for j, e in enumerate(row)] for i, row in enumerate(phi_dense(phi))]
+                        assert _transfer_kernel_dim(phi) == kernel_dim(plus)
                     assert _even_cycle_count(phi) == _transfer_kernel_dim(phi)
                     checked += 1
-        assert checked == 442
+        assert checked == 50362
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_matches_full_elimination_on_cauchon_diagrams(self, m, n):

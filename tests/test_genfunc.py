@@ -31,10 +31,12 @@ from conftest import (
     closed_form_coeffs_by_triple_sum,
     count_set_partitions,
     falling_factorial_poly,
+    poly_bernoulli_by_double_sum,
     series_exp_by_powers,
     series_inverse_by_geometric_sum,
     series_log,
     series_pow_by_exp_log,
+    single_cycle_count_by_double_sum,
     stirling2_by_alternating_sum,
     stratum_poly_by_triple_sum,
     stratum_series_by_exp_log,
@@ -132,6 +134,22 @@ class TestStirling:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             stirling2(-1, 0)
+
+    def test_single_sums_match_the_double_sums(self):
+        # Kaneko's single sum and the surjection-row sum against the double
+        # sums over the inclusion-exclusion Stirling numbers
+        for m in range(31):
+            for n in range(31):
+                assert poly_bernoulli(m, n) == poly_bernoulli_by_double_sum(m, n)
+                if m and n:
+                    assert single_cycle_count(m, n) == single_cycle_count_by_double_sum(m, n)
+
+    @pytest.mark.parametrize("m,n", [(3, 2000), (2000, 3)])
+    def test_a_long_side_needs_no_recursion(self, m, n):
+        # a Stirling recursion n deep raised RecursionError here
+        assert poly_bernoulli(m, n) == poly_bernoulli_by_double_sum(m, n)
+        assert single_cycle_count(m, n) == single_cycle_count_by_double_sum(m, n)
+        assert stirling2(max(m, n), 3) == stirling2_by_alternating_sum(max(m, n), 3)
 
 
 class TestFallingFactorial:

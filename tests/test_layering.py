@@ -83,13 +83,14 @@ def test_the_kernel_oracle_shares_no_elimination():
 
 
 # the integer closed-form table (its difference table and Horner sums
-# live in _closed_table itself) and the series recurrences behind them
-COUNTING_ENGINE = {"_closed_table", "_add_product", "_recurrence", "_integer_grid"}
+# live in _closed_table itself), the surjection rows behind poly_bernoulli,
+# single_cycle_count and stirling2, and the series recurrences
+COUNTING_ENGINE = {"_closed_table", "_surjections", "_add_product", "_recurrence", "_integer_grid"}
 
 
 def test_the_counting_oracles_share_no_engine():
-    # stratum_poly_by_triple_sum and the power-sum series oracles check
-    # genfunc only while they run arithmetic of their own
+    # stratum_poly_by_triple_sum, the Stirling double sums and the power-sum
+    # series oracles check genfunc only while they run arithmetic of their own
     defined = {
         node.name
         for node in ast.walk(ast.parse((SRC / "genfunc.py").read_text()))
