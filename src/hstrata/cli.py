@@ -71,8 +71,8 @@ SERIES_MAX_ORDER = 28
 # 900x900 grid, took 0.33 to 0.48 s, most of it parsing and tracing the
 # 810,000 cells.  The cap bounds outside input, so it stays.
 DIM_MAX_WHITE = 900
-# asymptotics output grows as n_max^2: at m = 4 the JSON report took 0.3 s
-# and 2.2 MB at n_max = 1000, 0.6 s and 8.6 MB at 2000.
+# asymptotics output grows as n_max^2 and m is not capped: at n_max = 1000 the
+# JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
 ASYMPTOTICS_MAX_N = 1000
 # count --method enum tallies on a frontier whose cost is exponential only
 # in min(m, n) and polynomial in the longer side, so only the shorter side
@@ -179,8 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="ratio table against the limit",
         description=(
             f"Exact ratios against the limiting share for n = 1..--n-max (default 10, at "
-            f"most {ASYMPTOTICS_MAX_N}: 2.2 MB of JSON in 0.3 s at the cap for m = 4 on a "
-            "2-CPU box)."
+            f"most {ASYMPTOTICS_MAX_N}: 2.2 MB of JSON in 0.3 s at the cap for m = 4 and "
+            "8.4 MB in about 5 s for m = 150 on a 2-CPU box; m takes any value)."
         ),
     )
     p.add_argument("m", type=int)

@@ -1,24 +1,24 @@
 """Exact counting of strata by dimension: closed forms and series oracles.
 
-Everything here is exact rational arithmetic; no floating point.  The number
-of d-dimensional strata on an m x n grid, written h(m, n, d) below, is
-obtained from two mathematically independent routes:
+Everything here is exact; no floating point.  The number of d-dimensional
+strata on an m x n grid, written h(m, n, d) below, is obtained from two
+mathematically independent routes:
 
 * the closed triple sum over Stirling numbers and falling factorials of
   (1-t)/2 and -(1+t)/2, grouped once per m into an integer table of
   polynomials C_k(t) with h(m, n, d) = 2^-m sum_k C_k[d] k^n for all n >= 1,
   its Stirling weights read off one difference table of x^m, O(m^3) in all.
-  stratum_poly sums the table against k^n (stratum_count reads one
-  coefficient) and closed_form_coeffs reads c_k = C_k[d] / 2^m off it;
+  stratum_poly sums the table against k^n, and ClosedForm.evaluate (behind
+  stratum_count) one column of it, in integers divided once (_exact);
+  closed_form_coeffs returns the c_k = C_k[d] / 2^m as Fractions;
 * a truncated bivariate power series in x and y with polynomial-in-t
-  coefficients whose exponential coefficient of x^m y^n is the polynomial
-  sum_d h(m, n, d) t^d (stratum_series).  Its exp and its powers (the
-  reciprocal is the power -1) are solved coefficient by coefficient from
-  first-order recurrences (J.C.P. Miller's power recurrence), never by
-  summing powers of a series.
+  coefficients (RatPoly, over Fractions) whose exponential coefficient of
+  x^m y^n is sum_d h(m, n, d) t^d (stratum_series).  Its exp and its powers
+  (the reciprocal is the power -1) are solved coefficient by coefficient
+  from first-order recurrences (J.C.P. Miller's power recurrence).
 
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
-a rational limit read off the polynomial (t+1)(t+3)...(t+2m-1).
+a rational limit read off the integer coefficients of (t+1)(t+3)...(t+2m-1).
 
 The totals over d (poly_bernoulli), the single-cycle counts and stirling2
 read one row of surjection counts j! S(n, j) = D^j[x^n](0) (_surjections;
@@ -211,6 +211,14 @@ def _closed_table(m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(sorted(table))
 
 
+def _exact(num: int, den: int, where: tuple[int, int, int]) -> int:
+    """num / den, an integer by the closed form; ArithmeticError naming where = (m, n, d) if not."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"closed form gave the non-integer {num}/{den} at {where}")
+    return q
+
+
 def stratum_poly(m: int, n: int) -> RatPoly:
     """The polynomial in t whose t^d coefficient is h(m, n, d)."""
     if m < 1 or n < 1:
@@ -220,30 +228,22 @@ def stratum_poly(m: int, n: int) -> RatPoly:
         kn = k**n
         for d, a in enumerate(c):
             total[d] += a * kn
-    coeffs = []
-    for d, v in enumerate(total):
-        q, r = divmod(v, 1 << m)
-        if r:
-            raise ArithmeticError(f"closed form gave the non-integer {v}/2^{m} at ({m},{n},{d})")
-        coeffs.append(q)
-    return RatPoly(coeffs)
+    return RatPoly([_exact(v, 1 << m, (m, n, d)) for d, v in enumerate(total)])
 
 
 def stratum_count(m: int, n: int, d: int) -> int:
-    """Number of d-dimensional strata on an m x n grid, by the closed form."""
-    if d < 0:
-        raise ValueError("dimension must be nonnegative")
-    value = stratum_poly(m, n).coeff(d)
-    if value.denominator != 1 or value < 0:
-        raise ArithmeticError(f"closed form gave a non-count {value} at ({m},{n},{d})")
-    return int(value)
+    """Number of d-dimensional strata on an m x n grid: one column of the closed form."""
+    value = closed_form_coeffs(m, d).evaluate(n)
+    if value < 0:
+        raise ArithmeticError(f"closed form gave the negative count {value} at {(m, n, d)}")
+    return value
 
 
 class ClosedForm:
     """Exact coefficients c_k with h(m, n, d) = sum_k c_k * k^n for all n >= 1.
 
-    Only nonzero coefficients are stored; k = 0 never appears since its term
-    would contribute nothing (0^n = 0 for n >= 1).
+    Only nonzero coefficients are stored, as Fractions; k = 0 never appears
+    (0^n = 0 for n >= 1).  evaluate sums them on one common denominator.
     """
 
     __slots__ = ("m", "d", "_coeffs")
@@ -268,10 +268,9 @@ class ClosedForm:
     def evaluate(self, n: int) -> int:
         if n < 1:
             raise ValueError("the closed form is valid for n >= 1 only")
-        value = sum((c * k**n for k, c in self._coeffs.items()), Fraction(0))
-        if value.denominator != 1:
-            raise ArithmeticError(f"closed form evaluated to the non-integer {value}")
-        return int(value)
+        den = lcm(*(c.denominator for c in self._coeffs.values()))
+        num = sum(c.numerator * (den // c.denominator) * k**n for k, c in self._coeffs.items())
+        return _exact(num, den, (self.m, n, self.d))
 
     def to_json_dict(self) -> dict:
         ordered = sorted(self._coeffs.items(), key=lambda kv: -kv[0])
@@ -307,22 +306,27 @@ def closed_form_coeffs(m: int, d: int) -> ClosedForm:
     return ClosedForm(m, d, {k: Fraction(c[d], 1 << m) for k, c in _closed_table(m)})
 
 
-def double_factorial_poly(m: int) -> RatPoly:
-    """The product (t+1)(t+3)...(t+2m-1); its value at 0 is (2m-1)!!."""
+def _odd_rising(m: int) -> list[int]:
+    """The integer coefficients of (t+1)(t+3)...(t+2m-1), t^0 first."""
     if m < 1:
         raise ValueError("m must be positive")
-    out = RatPoly([1])
+    out = [1]
     for i in range(1, m + 1):
-        out = out * RatPoly([2 * i - 1, 1])
+        out = _add_product([], out, (2 * i - 1, 1))
     return out
+
+
+def double_factorial_poly(m: int) -> RatPoly:
+    """The product (t+1)(t+3)...(t+2m-1); its value at 0 is (2m-1)!!."""
+    return RatPoly(_odd_rising(m))
 
 
 def double_factorial_coeff(m: int, d: int) -> int:
     """Coefficient of t^d in double_factorial_poly(m)."""
-    value = double_factorial_poly(m).coeff(d)
-    if value.denominator != 1:
-        raise ArithmeticError(f"(t+1)(t+3)... gave the non-integer {value} at ({m},{d})")
-    return int(value)
+    coeffs = _odd_rising(m)
+    if d < 0:
+        raise ValueError("coefficient index must be nonnegative")
+    return coeffs[d] if d <= m else 0
 
 
 def asymptotic_proportion(m: int, d: int) -> Fraction:
@@ -564,11 +568,7 @@ def poly_bernoulli_series(max_x: int, max_y: int) -> TruncatedSeries3:
     return numerator * denominator.pow_poly(-1)
 
 
-def series_pipeline_check(
-    max_x: int,
-    max_y: int,
-    cycle_counts: Callable[[int, int], int] = single_cycle_count,
-) -> bool:
+def series_pipeline_check(max_x: int, max_y: int) -> bool:
     """Verify the exponential-formula pipeline to the truncation order.
 
     Builds the series D whose exponential coefficients are the single-cycle
@@ -577,19 +577,18 @@ def series_pipeline_check(
     t*D_even-length) reproduces the trivariate counting series.  The single
     cycle of an i x j diagram has length i + j, so D_odd-length and
     D_even-length keep the terms of D with i + j odd and even, and t marks
-    the even-length cycles.  cycle_counts may override the single-cycle
-    counting function, e.g. to confirm the check is sensitive to bad counts.
+    the even-length cycles.
     """
-    d_series = TruncatedSeries3.from_egf_values(max_x, max_y, cycle_counts)
+    d_series = TruncatedSeries3.from_egf_values(max_x, max_y, single_cycle_count)
     exp_xy = TruncatedSeries3.exponential(max_x, max_y, 1, 1)
     if exp_xy * d_series.exp() != poly_bernoulli_series(max_x, max_y):
         return False
 
     odd_length = TruncatedSeries3.from_egf_values(
-        max_x, max_y, lambda i, j: cycle_counts(i, j) if (i + j) % 2 else 0
+        max_x, max_y, lambda i, j: single_cycle_count(i, j) if (i + j) % 2 else 0
     )
     even_length = TruncatedSeries3.from_egf_values(
-        max_x, max_y, lambda i, j: 0 if (i + j) % 2 else cycle_counts(i, j)
+        max_x, max_y, lambda i, j: 0 if (i + j) % 2 else single_cycle_count(i, j)
     )
     rows = [[RatPoly() for _ in range(max_y + 1)] for _ in range(max_x + 1)]
     rows[1][0] = RatPoly([1])

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -234,6 +235,12 @@ class TestStratumCount:
         with pytest.raises(ArithmeticError):
             stratum_poly(1, 3)
 
+    def test_negative_count_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(genfunc, "_closed_table", lambda m: ((1, (-2, 0)),))
+        assert stratum_poly(1, 3).coeff(0) == -1
+        with pytest.raises(ArithmeticError, match="negative"):
+            stratum_count(1, 3, 0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             stratum_count(2, 0, 0)
@@ -265,11 +272,22 @@ class TestClosedForm:
             assert cf.evaluate(n) == tally_dimensions(4, n).counts.get(0, 0)
 
     def test_evaluate_matches_count(self):
+        # evaluate sums one column of the table, stratum_poly all of it
         for m in range(1, 6):
             for d in range(0, m + 2):
                 cf = closed_form_coeffs(m, d)
                 for n in range(1, 7):
-                    assert cf.evaluate(n) == stratum_count(m, n, d)
+                    assert cf.evaluate(n) == stratum_poly(m, n).coeff(d)
+
+    def test_non_integral_sum_is_an_error(self):
+        with pytest.raises(ArithmeticError):
+            ClosedForm(1, 0, {2: F(1, 3)}).evaluate(1)
+
+    def test_non_integral_column_is_an_error(self, monkeypatch):
+        # the same odd table that stratum_poly rejects, read one column at a time
+        monkeypatch.setattr(genfunc, "_closed_table", lambda m: ((1, (1, 0)),))
+        with pytest.raises(ArithmeticError):
+            closed_form_coeffs(1, 0).evaluate(3)
 
     def test_leading_coefficient(self):
         # the coefficient of (m+1)^n is 2^-m times the t^d coefficient of
@@ -309,10 +327,13 @@ class TestDoubleFactorialPoly:
     def test_m_equals_1(self):
         assert double_factorial_poly(1) == RatPoly([1, 1])
 
-    def test_non_integer_coefficient_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(genfunc, "double_factorial_poly", lambda m: RatPoly([F(1, 2)]))
-        with pytest.raises(ArithmeticError):
-            double_factorial_coeff(1, 0)
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_coefficients_are_elementary_symmetric_sums(self, m):
+        # the t^d coefficient of (t+1)(t+3)...(t+2m-1) is e_(m-d)(1, 3, ..., 2m-1)
+        odd = range(1, 2 * m, 2)
+        for d in range(m + 2):
+            expected = sum(prod(c) for c in combinations(odd, m - d)) if d <= m else 0
+            assert double_factorial_coeff(m, d) == expected
 
     def test_value_at_one_is_even_factorial(self):
         for m in range(1, 8):
@@ -398,11 +419,12 @@ class TestSeries:
         assert series_pipeline_check(1, 1)
         assert series_pipeline_check(3, 3)
 
-    def test_pipeline_check_detects_perturbation(self):
+    def test_pipeline_check_detects_perturbation(self, monkeypatch):
         def perturbed(i, j):
             return single_cycle_count(i, j) + (1 if (i, j) == (2, 2) else 0)
 
-        assert not series_pipeline_check(3, 3, cycle_counts=perturbed)
+        monkeypatch.setattr(genfunc, "single_cycle_count", perturbed)
+        assert not series_pipeline_check(3, 3)
 
     def test_pipeline_check_compares_the_t_marked_formula(self, monkeypatch):
         # part (a) does not read stratum_series, so only part (b) can see this

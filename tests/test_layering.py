@@ -59,8 +59,13 @@ ENGINE = {"_integer_rows", "_pivot_rows", "_kernel_vectors"}
 
 def names_used(path: Path) -> set[str]:
     """Every name a file imports, reads or looks up as an attribute."""
+    return names_in(ast.parse(path.read_text()))
+
+
+def names_in(tree: ast.AST) -> set[str]:
+    """Every name a syntax tree imports, reads or looks up as an attribute."""
     found = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.split(".")[-1] for alias in node.names)
         elif isinstance(node, ast.Attribute):
@@ -83,9 +88,17 @@ def test_the_kernel_oracle_shares_no_elimination():
 
 
 # the integer closed-form table (its difference table and Horner sums
-# live in _closed_table itself), the surjection rows behind poly_bernoulli,
-# single_cycle_count and stirling2, and the series recurrences
-COUNTING_ENGINE = {"_closed_table", "_surjections", "_add_product", "_recurrence", "_integer_grid"}
+# live in _closed_table itself) and its one exact division, the surjection
+# rows behind poly_bernoulli, single_cycle_count and stirling2, and the
+# series recurrences
+COUNTING_ENGINE = {
+    "_closed_table",
+    "_exact",
+    "_surjections",
+    "_add_product",
+    "_recurrence",
+    "_integer_grid",
+}
 
 
 def test_the_counting_oracles_share_no_engine():
@@ -124,3 +137,25 @@ def test_verify_builds_no_permutation_or_endpoint_objects(monkeypatch):
     built.clear()
     assert run_verify(6)["diagrams"] == 356
     assert built == Counter()
+
+
+# the closed form and the double-factorial limit run on ints and divide once;
+# Fraction is built only where a public function returns one
+INTEGER_ONLY = {
+    "_odd_rising",
+    "stratum_poly",
+    "stratum_count",
+    "evaluate",
+    "double_factorial_poly",
+    "double_factorial_coeff",
+}
+
+
+def test_the_closed_form_evaluates_without_fractions():
+    bodies = {
+        node.name: node
+        for node in ast.walk(ast.parse((SRC / "genfunc.py").read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name in INTEGER_ONLY
+    }
+    assert set(bodies) == INTEGER_ONLY
+    assert {name for name, node in bodies.items() if "Fraction" in names_in(node)} == set()
