@@ -311,8 +311,11 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     their pipe exits, line pattern and transfer matrix once for every
     diagram below; the white matrix of each distinct pattern is built,
     compared and solved once per run.  inject_fault flips one sign in one
-    diagram's own matrix to demonstrate the suite's sensitivity.
+    diagram's own matrix to demonstrate the suite's sensitivity.  An empty
+    sweep would pass vacuously, so max_cells < 1 is a ValueError.
     """
+    if max_cells < 1:
+        raise ValueError("max_cells must be at least 1 for verify")
     checks = {
         name: {"checked": 0, "failures": 0}
         for name in (
@@ -455,8 +458,6 @@ def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
 
 
 def _cmd_verify(args) -> dict:
-    if args.max_cells < 1:
-        raise ValueError("--max-cells must be at least 1 for verify")
     if args.max_cells > VERIFY_MAX_CELLS:
         raise ValueError(f"--max-cells capped at {VERIFY_MAX_CELLS} for verify")
     return run_verify(args.max_cells, inject_fault=args.inject_fault)

@@ -16,13 +16,13 @@ cauchon_diagrams is the walk with no state, one Diagram per leaf.
 Both tallies run on one level-by-level frontier instead.  A prefix of rows
 meets the later rows only through its mask and a state on the columns, so
 prefixes with equal (mask, state) merge, their counts adding, and a
-dimension is read once per final state.  Either state is n ints, entry c
-2t + p for column c's image t: for cycles the toric permutation contracted
-to the columns and the parity p of the row labels each pipe passed, for
-kernel the column transfer matrix, a signed permutation, and p the sign
-bit.  A row acts on both as a gather and an xor mask; the cycles plan comes
-from the pipe row rule, the kernel plan from the row's white columns alone
-(the negacyclic shift that solves its Cayley system).
+dimension is read once per final state.  The state is n ints, entry c
+2t + p for column c's image t: at once the column transfer matrix, with p
+the sign bit, and the toric permutation contracted to the columns, with p
+the parity of the row labels each pipe passed.  A row acts on it by
+_phi_plan, the negacyclic shift of its white columns, which both solves its
+Cayley system and passes the pipes along it, so the two tallies differ only
+in how they read a final state.
 Transposing keeps a diagram Cauchon and its dimension, so the frontier runs
 along the longer side and costs exponential time only in the shorter one.
 The per-diagram objects stay the path of dim, and the tests use them as
@@ -49,12 +49,11 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .diagrams import Diagram
-from .exactlinalg import _identity, _phi_plan, _plan, _transfer_kernel_dim
+from .exactlinalg import _identity, _phi_plan, _transfer_kernel_dim
 from .genfunc import poly_bernoulli
 from .pipedreams import (
     Permutation,
     _even_cycle_count,
-    _pipe_row,
     is_restricted,
     trace_permutation,
 )
@@ -151,12 +150,12 @@ def _sweep(m: int, n: int, root, step: Callable) -> Iterator[tuple[tuple, object
                 rows.pop()
 
 
-def _frontier(m: int, n: int, plan: Callable[[tuple], tuple]) -> Counter:
+def _frontier(m: int, n: int) -> Counter:
     """Final states of the rows of all m x n Cauchon diagrams, counted.
 
     The rows are swept level by level along the longer side, so each state
-    is min(m, n) ints, the identity (0, 2, ..) at first.  plan(cells) is a
-    row's exactlinalg._plan, built once per column mask and row; prefixes
+    is min(m, n) ints, the identity (0, 2, ..) at first.  Each row steps it
+    by the row's _phi_plan, built once per column mask and row; prefixes
     with equal column mask and state merge, and their counts add.
     """
     if m < n:
@@ -167,7 +166,7 @@ def _frontier(m: int, n: int, plan: Callable[[tuple], tuple]) -> Counter:
         nxt: dict = {}
         for (col_black, state), count in frontier.items():
             if col_black not in moves:
-                moves[col_black] = [(b, *plan(cells)) for cells, b in _row_choices(n, col_black)]
+                moves[col_black] = [(b, *_phi_plan(row)) for row, b in _row_choices(n, col_black)]
             for below, gather, mask in moves[col_black]:
                 key = below, tuple(map(xor, mask, gather(state)))
                 nxt[key] = nxt.get(key, 0) + count
@@ -178,28 +177,8 @@ def _frontier(m: int, n: int, plan: Callable[[tuple], tuple]) -> Counter:
     return finals
 
 
-def _toric_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
-    """The _plan of one row's pipes on the contracted toric permutation f.
-
-    f[c] = 2t + p says the pipe entering the rows so far from below column c
-    leaves them at the top of column t after passing p (mod 2) row labels.
-    The row rule, run on the column positions, gives the column each pipe
-    continues; the pipe leaving the row on the left re-enters it on the right,
-    so the first white column takes the right one's pipe, one label further on.
-    """
-    src, right = _pipe_row(range(len(cells)), cells, -1)
-    mask = [0] * len(cells)
-    if right >= 0:
-        first = cells.index(False)
-        src[first], mask[first] = right, 1
-    return _plan(src, mask)
-
-
-# (row plan, dimension of a final state) of each method
-_ROUTES = {
-    "cycles": (_toric_plan, _even_cycle_count),
-    "kernel": (_phi_plan, _transfer_kernel_dim),
-}
+# the dimension of a final state, by each method
+_ROUTES = {"cycles": _even_cycle_count, "kernel": _transfer_kernel_dim}
 
 
 def tally_dimensions(
@@ -213,9 +192,10 @@ def tally_dimensions(
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
     computes the kernel dimension of the white adjacency matrix.  The two
     agree on every diagram.  Both run on one frontier that merges prefixes
-    sharing a column mask and a state, the contracted toric permutation for
-    'cycles' and the column transfer matrix for 'kernel', both n ints, and
-    neither builds a Diagram or Permutation per diagram.  The frontier runs
+    sharing a column mask and a state of n ints, which is both the
+    contracted toric permutation and the column transfer matrix, so the
+    methods differ only in how they read a final state, and neither builds
+    a Diagram or Permutation per diagram.  The frontier runs
     along the longer side, so the cost is exponential only in min(m, n), and
     no shape is refused here; the count command bounds min(m, n).  Results
     are cached as JSON in cache_dir when one is given; nothing else turns the
@@ -235,9 +215,9 @@ def tally_dimensions(
         if cached is not None:
             return cached
 
-    plan, read = _ROUTES[method]
+    read = _ROUTES[method]
     counts: Counter = Counter()
-    for state, count in _frontier(m, n, plan).items():
+    for state, count in _frontier(m, n).items():
         counts[read(state)] += count
     tally = StratumTally(m, n, counts)
 

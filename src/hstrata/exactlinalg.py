@@ -162,25 +162,15 @@ def white_adjacency_matrix(d: Diagram) -> list[list[int]]:
 # correspond one to one to the T with (I + Phi) T = 0.
 #
 # Each row map is a signed permutation, the negacyclic shift of the row's
-# white columns (_phi_plan), so every Phi, a product of them, is one too and
+# white columns, so every Phi, a product of them, is one too and
 # is carried as n ints: entry r is 2 * (the column of row r's one nonzero
 # entry), plus 1 when that entry is -1.  A row's map then moves and negates
-# entries: a gather and an xor mask (_plan).
-
-
-def _plan(src: Sequence[int], mask: Sequence[int]) -> tuple[Callable, tuple[int, ...]]:
-    """A row step as (gather, mask): the new state is tuple(map(xor, mask, gather(state))).
-
-    Entry c of it is entry src[c] of the old state xor mask[c]; a one-column
-    gather takes a slice, as itemgetter of one index gives no tuple.
-    """
-    gather = itemgetter(*src) if len(src) > 1 else itemgetter(slice(src[0], src[0] + 1))
-    return gather, tuple(mask)
+# entries: a gather and an xor mask (_phi_plan).
 
 
 @lru_cache(maxsize=1 << 12)
 def _phi_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
-    """The _plan of a row of cells on a compact phi, kept since verify repeats rows.
+    """A row of cells as the step (gather, mask) of _phi_step, cached since rows repeat.
 
     For white columns c_0 < ... < c_(k-1) the row map (I + C)^-1 (C - I) is
     the negacyclic shift S, S e_j = e_(j+1) for j < k - 1 and S e_(k-1) = -e_0:
@@ -189,6 +179,9 @@ def _phi_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
       (I + C) e_(j+1) is -1 at rows i <= j and +1 below, and so is (C - I) e_j;
       -(I + C) e_0 is -1 at every row, and so is (C - I) e_(k-1).
     C is skew, so I + C is invertible and S is the only solution.
+    On column positions S is also the pipe row rule: each white column takes
+    the pipe of the white column before it, and the first takes the last
+    one's, which wraps round the torus past one row label, the mask bit.
     """
     src, mask = list(range(len(cells))), [0] * len(cells)
     cols = [c for c, black in enumerate(cells) if not black]
@@ -196,7 +189,9 @@ def _phi_plan(cells: tuple[bool, ...]) -> tuple[Callable, tuple[int, ...]]:
         src[cols[0]], mask[cols[0]] = cols[-1], 1
         for prev, c in zip(cols, cols[1:]):
             src[c] = prev
-    return _plan(src, mask)
+    # a one-column gather takes a slice, as itemgetter of one index gives no tuple
+    gather = itemgetter(*src) if len(src) > 1 else itemgetter(slice(src[0], src[0] + 1))
+    return gather, tuple(mask)
 
 
 def _phi_step(phi: tuple[int, ...], cells: tuple[bool, ...]) -> tuple[int, ...]:

@@ -437,7 +437,8 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "white_adjacency_matrix", negated)
         report = run_verify(4)
-        assert report["checks"]["skew_symmetry"]["failures"] > 0
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"skew_symmetry": 39, "dimension_equality": 1, "iso_maps": 12}
         assert report["status"] == "fail"
 
     def test_broken_transfer_matrix_fails_dimension_equality(self, monkeypatch):
@@ -460,6 +461,12 @@ class TestVerify:
         assert report["diagrams"] == 10
         assert report["shapes"] == 3
         assert report["status"] == "ok"
+
+    @pytest.mark.parametrize("cells", [0, -5])
+    def test_run_verify_needs_a_cell(self, cells):
+        # an empty sweep would pass vacuously, whoever calls it
+        with pytest.raises(ValueError, match="at least 1"):
+            run_verify(cells)
 
     def test_cap_enforced(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--max-cells", "30")
@@ -486,7 +493,8 @@ class TestVerify:
         doubled = lambda endpoints, v: tuple(2 * x for x in square_image(endpoints, v))
         monkeypatch.setattr(cli, "_square_image", doubled)
         report = run_verify(4)
-        assert report["checks"]["iso_maps"]["failures"] > 0
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"iso_maps": 38}
         assert report["status"] == "fail"
 
     def test_bad_kernel_vector_fails_iso_maps(self, monkeypatch):
@@ -545,7 +553,8 @@ class TestVerify:
         monkeypatch.setattr(cli, "_permutations", swapped)
         report = run_verify(4)
         assert not pending
-        assert report["checks"]["dimension_equality"]["failures"] == 1
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"dimension_equality": 1, "tally_vs_formula": 1}
         assert report["status"] == "fail"
 
     def test_swapped_endpoints_fail_gluing(self, monkeypatch):
@@ -558,7 +567,8 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "_endpoints_from_exits", swapped)
         report = run_verify(4)
-        assert report["checks"]["gluing_identity"]["failures"] > 0
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"gluing_identity": 40, "iso_maps": 15}
         assert report["status"] == "fail"
 
     def test_changed_closed_form_fails_tally_vs_formula(self, monkeypatch):

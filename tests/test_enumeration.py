@@ -198,7 +198,7 @@ class TestTallyDimensions:
             assert predicted == tallies[2 * n + 1].counts.get(d, 0)
 
     def test_kernel_route_reads_no_pipes(self, monkeypatch):
-        # the kernel route must stay independent of the pipe-dream route
+        # both tallies step the column transfer matrix, so neither traces a pipe
         from hstrata import exactlinalg, pipedreams
         from hstrata.exactlinalg import _white_kernel_dim
 
@@ -210,40 +210,51 @@ class TestTallyDimensions:
             (pipedreams, "_exit_tables"),
             (pipedreams, "_pipe_row"),
             (exactlinalg, "_trace"),
-            (enumeration, "_pipe_row"),
         ]:
             monkeypatch.setattr(module, name, refuse)
+        # the patches take effect: tracing a diagram now fails
         with pytest.raises(AssertionError, match="traced a pipe"):
-            tally_dimensions(2, 2, "cycles")
+            pipedreams.trace_permutation(Diagram.all_white(2, 2))
         expected = {d: int(c) for d, c in enumerate(stratum_poly(4, 4).coeffs) if c}
-        assert tally_dimensions(4, 4, "kernel").counts == expected
+        for method in ("cycles", "kernel"):
+            assert tally_dimensions(4, 4, method).counts == expected
         assert _white_kernel_dim(Diagram.parse("..#.\n..##\n#...\n#..#").rows) == 2
         for d in [Diagram.all_white(3, 5), Diagram.parse("#..\n.#.\n..#\n#..")]:
             assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
 
     def test_broken_kernel_plan_changes_the_tally(self, monkeypatch):
-        # the frontier's kernel route against the closed form: one row of
-        # phi negated by every row step must show
-        plan, read = enumeration._ROUTES["kernel"]
+        # both tallies against the closed form: one row of the state negated
+        # by every row step must show in either read
+        plan = enumeration._phi_plan
 
         def flipped(cells):
             gather, mask = plan(cells)
             return gather, (mask[0] ^ 1, *mask[1:])
 
-        monkeypatch.setitem(enumeration._ROUTES, "kernel", (flipped, read))
+        monkeypatch.setattr(enumeration, "_phi_plan", flipped)
         expected = {d: int(c) for d, c in enumerate(stratum_poly(4, 4).coeffs) if c}
-        assert tally_dimensions(4, 4, "kernel").counts != expected
+        for method in ("cycles", "kernel"):
+            assert tally_dimensions(4, 4, method).counts != expected
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_kernel_and_cycles_plans_agree(self, n):
         # the row map of the white matrix, read off the white columns, is the
-        # pipes' step along the row, read off the pipe row rule
+        # pipes' step along the row, read off the pipe row rule: on column
+        # positions the rule gives the column each pipe continues, and the
+        # pipe leaving the row on the left re-enters it on the right, so the
+        # first white column takes the right one's pipe, one label further on
         from hstrata.exactlinalg import _phi_plan
+        from hstrata.pipedreams import _pipe_row
 
         cols = tuple(range(n))
         for cells in product((False, True), repeat=n):
-            kernel, cycles = _phi_plan(cells), enumeration._toric_plan(cells)
-            assert (kernel[0](cols), kernel[1]) == (cycles[0](cols), cycles[1])
+            src, right = _pipe_row(cols, cells, -1)
+            mask = [0] * n
+            if right >= 0:
+                first = cells.index(False)
+                src[first], mask[first] = right, 1
+            gather, phi_mask = _phi_plan(cells)
+            assert (gather(cols), phi_mask) == (tuple(src), tuple(mask))
 
     def test_cache_round_trip(self, tmp_path):
         tally = tally_dimensions(2, 2, cache_dir=tmp_path)
