@@ -45,9 +45,9 @@ from .pipedreams import (
     Permutation,
     _all_black_images,
     _cycles,
-    _endpoints_from_exits,
     _permutations,
     _pipe_row,
+    _row_endpoints,
     _trace,
     all_black_permutation,
     cycle_decomposition,
@@ -55,12 +55,13 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 6.8 to
-# 7.9 s at 14 cells and 27.2 to 32.8 s at 16 (3 runs each; 15.1 s at 15 in
-# 1 run) on a shared 2-CPU box (Python 3.11), so 16, which covers the
+# run_verify grows about 2x per extra cell: the whole command took 5.2 to
+# 7.3 s at 14 cells, 11.8 to 13.2 s at 15 and 24.3 to 31.9 s at 16 (3 runs
+# each) on a shared 2-CPU box (Python 3.11), so 16, which covers the
 # acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
-# stratum_series(k, k) took 45 s at k = 28 on the same box (20 s at 24).
+# count k k --method series took 31 to 38 s at k = 28 and 12 to 15 s at 24
+# on the same box (3 runs each).
 SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the min(m, n)-square column transfer matrix,
 # not the N x N white matrix, and eliminates the boundary matrix on sparse
@@ -76,10 +77,11 @@ DIM_MAX_WHITE = 900
 ASYMPTOTICS_MAX_N = 1000
 # count --method enum tallies on a frontier whose cost is exponential only
 # in min(m, n) and polynomial in the longer side, so only the shorter side
-# is capped.  On the same box (shared, medians of 5 runs) the whole command
-# took 0.13 s at 5x5, 0.14 s at 300x3, 0.33 s at 100x4, 1.0 s at 25x5 and
-# 5.1 s at 100x5; at 6, 20x6 took 16 s and 100x6 98 s (1 run), so 5 stays.
-ENUM_MAX_SIDE = 5
+# is capped.  On the same box (shared, 3 runs each) the whole command took
+# 0.06 to 0.15 s at 5x5, 300x3 and 100x4, 0.16 to 0.26 s at 25x5, 0.4 to
+# 0.65 s at 100x5, 0.45 to 0.8 s at 6x6, 1.9 s at 20x6 and 7.6 to 9.7 s at
+# 100x6 (75,973 frontier keys, each stepped once).
+ENUM_MAX_SIDE = 6
 
 FORMATS = ("text", "json", "csv")
 
@@ -139,9 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Count strata by dimension. --method formula takes any m and n and builds its "
             "table on the shorter side (about 1 s at 150x150 and 15 s at 300x300 on a 2-CPU "
-            f"box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (about 45 s at the "
+            f"box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (31 to 38 s at the "
             f"cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and takes any longer "
-            "side (1 s at 25x5 and about 5 s at 100x5); past it use --method formula."
+            "side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and about 9 s at 100x6); past "
+            "it use --method formula."
         ),
     )
     p.add_argument("m", type=int)
@@ -165,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: about 30 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 24 to 32 s "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -308,14 +311,19 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     its total the poly-Bernoulli value.  Everything per diagram is int
     tuples and linear checks, with no Fraction arithmetic.  The diagrams
     come from one depth-first sweep (_verify_sweep) whose row prefixes build
-    their pipe exits, line pattern and transfer matrix once for every
-    diagram below; the white matrix of each distinct pattern is built,
-    compared and solved once per run.  inject_fault flips one sign in one
-    diagram's own matrix to demonstrate the suite's sensitivity.  An empty
-    sweep would pass vacuously, so max_cells < 1 is a ValueError.
+    their pipe exits, line pattern, transfer matrix, endpoints and gluing
+    verdict once for every diagram below; the white matrix of each distinct
+    pattern is built, compared and solved once per run, and the transfer
+    matrix's kernel dimension is read once per distinct phi.  inject_fault
+    flips one sign in one diagram's own matrix to demonstrate the suite's
+    sensitivity.  An empty sweep would pass vacuously, so max_cells < 1 is
+    a ValueError, and so is inject_fault with max_cells < 2, where no
+    diagram has the two white squares the fault needs.
     """
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1 for verify")
+    if inject_fault and max_cells < 2:
+        raise ValueError("inject_fault needs max_cells of at least 2")
     checks = {
         name: {"checked": 0, "failures": 0}
         for name in (
@@ -344,10 +352,13 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     # compared with the pattern's and solved once per run; every diagram still
     # records both and puts the basis through every check below
     solved: dict[tuple[int, ...], tuple[bool, tuple]] = {}
+    # phi fixes its kernel dimension too (1,119 distinct among those 2,670)
+    transfer_dims: dict[tuple[int, ...], int] = {}
     for m, n in shapes:
         omega = _all_black_images(m, n)
         tally: dict[int, int] = {}
-        for rows, (ups, rights, squares, lines, _, phi) in _verify_sweep(m, n):
+        for rows, state in _verify_sweep(m, n):
+            bottom, rights, squares, lines, _, phi, endpoints, glued = state
             diagrams += 1
             entry = solved.get(lines)
             fault = fault_pending and len(squares) >= 2
@@ -363,32 +374,21 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             skew, basis = entry
             record("skew_symmetry", skew)
 
-            # the permutation, its toric form and the endpoint table are all
-            # read off the same exit tables
-            sigma, tau = _permutations(m, n, ups, rights)
+            # the permutation and its toric form are read off the sweep's exits
+            sigma, tau = _permutations(m, n, bottom, rights)
             cycles = _cycles(tau)
             odd = odd_cycle_count(cycles)
             # the column transfer matrix against the full elimination
-            transfer_dim = _transfer_kernel_dim(phi)
+            transfer_dim = transfer_dims.get(phi)
+            if transfer_dim is None:
+                transfer_dim = transfer_dims[phi] = _transfer_kernel_dim(phi)
             record(
                 "dimension_equality",
                 odd == len(basis) == _boundary_kernel_dim(sigma, omega) == transfer_dim,
             )
             tally[odd] = tally.get(odd, 0) + 1
 
-            # squares come row-major from the top, so square i-1 is the next
-            # white square left of i when they share a row, and above[c] the
-            # next one above i in its column
-            endpoints = _endpoints_from_exits(squares, ups)
-            above: dict[int, int] = {}
-            glue_ok = True
-            for i, (r, c) in enumerate(squares):
-                if i and squares[i - 1][0] == r:
-                    glue_ok &= endpoints[i - 1][1] == endpoints[i][0]
-                if c in above:
-                    glue_ok &= endpoints[i][1] == endpoints[above[c]][0]
-                above[c] = i
-            record("gluing_identity", glue_ok)
+            record("gluing_identity", glued)
 
             # the two kernel maps: each basis vector lies in its source kernel,
             # its image in the other kernel, and mapping back gives -2 times it
@@ -430,30 +430,41 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
 def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
     """(rows, state) for each m x n Cauchon diagram, in cauchon_diagrams order.
 
-    The state holds what the per-diagram objects give: (ups, rights) as
-    pipedreams._exit_tables, the white squares, their lines, col_bits and
-    phi.  Entry i of lines has bit j set when square j < i shares a row or a
-    column with square i, which is where the white matrix is +1 below its
+    The state holds what the per-diagram objects give: the last exit row
+    (ups[m] of pipedreams._exit_tables at a leaf, the bottom entries of
+    sigma) and the rights tuple, the white squares, their lines, col_bits,
+    phi, the squares' (left, top) endpoints and the gluing verdict.  Entry
+    i of lines has bit j set when square j < i shares a row or a column
+    with square i, which is where the white matrix is +1 below its
     diagonal, so equal lines mean equal white matrices; col_bits[c] has the
-    bits of the squares so far in column c.  Each prefix builds its share
-    once.
+    bits of the squares so far in column c.  A square's endpoints are final
+    once its row is passed, so each row glues its squares to the previous
+    white square in the row and to the last one above in the column.  Each
+    prefix builds its share once.
     """
 
     def step(state: tuple, cells: tuple[bool, ...]) -> tuple:
-        ups, rights, squares, lines, col_bits, phi = state
-        r = len(ups)
-        up, right = _pipe_row(ups[-1], cells, m + 1 - r)
+        above, rights, squares, lines, col_bits, phi, ends, glued = state
+        r = len(rights) + 1
+        up, right = _pipe_row(above, cells, m + 1 - r)
         new = tuple((r, c) for c, black in enumerate(cells, start=1) if not black)
+        new_ends = _row_endpoints(above, up, new)
         first, col_bits, new_lines = 1 << len(squares), list(col_bits), []
-        for i, (_, c) in enumerate(new):
+        for i, ((_, c), (left, top)) in enumerate(zip(new, new_ends)):
+            prev = col_bits[c - 1]  # the squares above it in its column
+            if i:
+                glued &= new_ends[i - 1][1] == left
+            if prev:  # the last of them is the next white square above it
+                glued &= top == ends[prev.bit_length() - 1][0]
             bit = first << i  # bit - first: the squares left of it in its row
-            new_lines.append(col_bits[c - 1] | (bit - first))
-            col_bits[c - 1] |= bit
+            new_lines.append(prev | (bit - first))
+            col_bits[c - 1] = prev | bit
         phi = _phi_step(phi, cells)
         lines += tuple(new_lines)
-        return ups + [up], rights + [right], squares + new, lines, tuple(col_bits), phi
+        ends += new_ends
+        return up, rights + (right,), squares + new, lines, tuple(col_bits), phi, ends, glued
 
-    root = ([list(range(m + 1, m + n + 1))], [], (), (), (0,) * n, _identity(n))
+    root = (tuple(range(m + 1, m + n + 1)), (), (), (), (0,) * n, _identity(n), (), True)
     return _sweep(m, n, root, step)
 
 

@@ -10,16 +10,19 @@ diagrams come in lexicographic order of their row-major cells with white
 before black, each exactly once, and none is kept.  Each prefix of rows
 computes a caller's state once for all the diagrams below it; verify carries
 its pipe exits, the line pattern of its white squares (which fixes the white
-matrix) and column transfer matrix this way, and
-cauchon_diagrams is the walk with no state, one Diagram per leaf.
+matrix), column transfer matrix, white-square endpoints and gluing verdict
+this way, and cauchon_diagrams is the walk with no state, one Diagram per
+leaf.
 
 Both tallies run on one level-by-level frontier instead.  A prefix of rows
 meets the later rows only through its mask and a state on the columns, so
 prefixes with equal (mask, state) merge, their counts adding, and a
-dimension is read once per final state.  The state is n ints, entry c
-2t + p for column c's image t: at once the column transfer matrix, with p
-the sign bit, and the toric permutation contracted to the columns, with p
-the parity of the row labels each pipe passed.  A row acts on it by
+dimension is read once per final state.  Each such key is interned to an
+int id when first reached and stepped once into its list of successor ids,
+so a level is only counts added along those lists.  The state is n ints,
+entry c 2t + p for column c's image t: at once the column transfer matrix,
+with p the sign bit, and the toric permutation contracted to the columns,
+with p the parity of the row labels each pipe passed.  A row acts on it by
 _phi_plan, the negacyclic shift of its white columns, which both solves its
 Cayley system and passes the pipes along it, so the two tallies differ only
 in how they read a final state.
@@ -43,7 +46,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from operator import xor
 from pathlib import Path
 from typing import Callable, Iterator
@@ -154,26 +157,39 @@ def _frontier(m: int, n: int) -> Counter:
     """Final states of the rows of all m x n Cauchon diagrams, counted.
 
     The rows are swept level by level along the longer side, so each state
-    is min(m, n) ints, the identity (0, 2, ..) at first.  Each row steps it
-    by the row's _phi_plan, built once per column mask and row; prefixes
-    with equal column mask and state merge, and their counts add.
+    is min(m, n) ints, the identity (0, 2, ..) at first.  Each (column mask,
+    state) key gets an int id when it is first reached, and its list of
+    successor ids is built once, each row stepping the state by its
+    _phi_plan; a level is then counts added along those lists, so prefixes
+    with equal keys merge, and only the final keys are decoded.
     """
     if m < n:
         m, n = n, m
-    frontier = {((1 << n) - 1, _identity(n)): 1}
+    ids = {((1 << n) - 1, _identity(n)): 0}
+    succ: list[list[int]] = []
     moves: dict[int, list] = {}
+    level = [1]  # the count of each key id on this level
     for _ in range(m):
-        nxt: dict = {}
-        for (col_black, state), count in frontier.items():
+        # the keys first reached on the last level take their successor ids
+        for col_black, state in list(islice(ids, len(succ), None)):
             if col_black not in moves:
                 moves[col_black] = [(b, *_phi_plan(row)) for row, b in _row_choices(n, col_black)]
-            for below, gather, mask in moves[col_black]:
-                key = below, tuple(map(xor, mask, gather(state)))
-                nxt[key] = nxt.get(key, 0) + count
-        frontier = nxt
+            succ.append(
+                [
+                    ids.setdefault((below, tuple(map(xor, mask, gather(state)))), len(ids))
+                    for below, gather, mask in moves[col_black]
+                ]
+            )
+        nxt = [0] * len(ids)
+        for out, count in zip(succ, level):
+            if count:
+                for j in out:
+                    nxt[j] += count
+        level = nxt
     finals: Counter = Counter()
-    for (_, state), count in frontier.items():
-        finals[state] += count
+    for (_, state), count in zip(ids, level):
+        if count:
+            finals[state] += count
     return finals
 
 

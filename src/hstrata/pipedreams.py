@@ -242,20 +242,23 @@ def _trace(d: Diagram) -> tuple[Permutation, Permutation, list[list[int]]]:
     that is not restricted.
     """
     ups, rights = _exit_tables(d)
-    sigma, tau = _permutations(d.m, d.n, ups, rights)
+    sigma, tau = _permutations(d.m, d.n, ups[d.m], rights)
     return Permutation(sigma), Permutation(tau), ups
 
 
 def _permutations(
-    m: int, n: int, ups: list[list[int]], rights: list[int]
+    m: int, n: int, bottom: Sequence[int], rights: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One-line forms of the standard and toric permutations of the exit tables of all m rows.
+    """One-line forms of the standard and toric permutations of all m rows' exits.
 
-    A ValueError reports a standard permutation that is no bijection or not restricted.
+    bottom is the exit row below the last row (ups[m] of _exit_tables) and
+    rights the exits from the right of each row, top row first.  A
+    ValueError reports a standard permutation that is no bijection or not
+    restricted.
     """
     # standard entries: bottom 1..n, then right n+1..n+m from the bottom row
     # up; the toric labels number the right side first, then the bottom
-    bottom, right = tuple(ups[m]), tuple(rights[::-1])
+    bottom, right = tuple(bottom), tuple(rights[::-1])
     sigma = bottom + right
     if sorted(sigma) != list(range(1, m + n + 1)):
         raise ValueError(f"{sigma!r} is not a bijection of [{m + n}]")
@@ -309,3 +312,10 @@ def _endpoints_from_exits(
     # the left exit continues the arc from the square's bottom edge, and the
     # top exit enters the square above through its bottom edge
     return tuple((ups[r][c - 1], ups[r - 1][c - 1]) for r, c in squares)
+
+
+def _row_endpoints(
+    above: Sequence[int], up: Sequence[int], squares: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """_endpoints_from_exits for the squares of one row, between its exit rows above and up."""
+    return tuple((up[c - 1], above[c - 1]) for _, c in squares)

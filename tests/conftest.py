@@ -4,19 +4,21 @@ The helpers here are deliberately independent re-implementations (plain
 definitions, brute force, a stepwise pipe walker, the word product of the
 black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
-tallies through the per-diagram object path, kernel bases by Gauss-Jordan
-elimination in Fraction, a row's Cayley map solved by that elimination,
-the dense boundary matrix P_p + P_q, the dense matrix-vector product and
-the dense column transfer matrix) used to validate the package's faster or
-cleverer code paths.
+tallies through the per-diagram object path, a frontier keyed by tuples in
+a dict, kernel bases by Gauss-Jordan elimination in Fraction, a row's
+Cayley map solved by that elimination, the dense boundary matrix P_p + P_q,
+the dense matrix-vector product and the dense column transfer matrix) used
+to validate the package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
+from operator import xor
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -33,6 +35,8 @@ from hstrata import (
     toric_permutation,
     white_adjacency_matrix,
 )
+from hstrata.enumeration import _row_choices
+from hstrata.exactlinalg import _identity, _phi_plan
 
 # every grid shape with at most 12 cells, and with at most 9
 SHAPES_UP_TO_12 = [(m, n) for m in range(1, 13) for n in range(1, 12 // m + 1)]
@@ -105,6 +109,29 @@ def tally_by_objects(m: int, n: int, method: str) -> dict[int, int]:
             dim = kernel_dim(white_adjacency_matrix(d))
         counts[dim] = counts.get(dim, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def frontier_by_dict(m: int, n: int) -> Counter:
+    """enumeration._frontier with its keys left as tuples: each level is a
+    dict from (column mask, state) to its count, and every key is stepped
+    again on every level it is reached, with no id and no successor list."""
+    if m < n:
+        m, n = n, m
+    frontier = {((1 << n) - 1, _identity(n)): 1}
+    moves: dict[int, list] = {}
+    for _ in range(m):
+        nxt: dict = {}
+        for (col_black, state), count in frontier.items():
+            if col_black not in moves:
+                moves[col_black] = [(b, *_phi_plan(row)) for row, b in _row_choices(n, col_black)]
+            for below, gather, mask in moves[col_black]:
+                key = below, tuple(map(xor, mask, gather(state)))
+                nxt[key] = nxt.get(key, 0) + count
+        frontier = nxt
+    finals: Counter = Counter()
+    for (_, state), count in frontier.items():
+        finals[state] += count
+    return finals
 
 
 def count_set_partitions(n: int, k: int) -> int:

@@ -13,7 +13,7 @@ from hstrata import cli, genfunc
 from hstrata.cli import main, run_verify
 from hstrata.enumeration import cauchon_diagrams
 from hstrata.exactlinalg import white_adjacency_matrix
-from hstrata.pipedreams import _exit_tables
+from hstrata.pipedreams import _exit_tables, toric_endpoint_table
 
 from conftest import SHAPES_UP_TO_9, SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
 
@@ -201,9 +201,9 @@ class TestCount:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["count", "6", "7", "--method", "enum"],
-            ["count", "7", "6", "--method", "formula", "--method", "enum"],
-            ["count", "6", "6", "--method", "series", "--method", "enum"],
+            ["count", "7", "8", "--method", "enum"],
+            ["count", "8", "7", "--method", "formula", "--method", "enum"],
+            ["count", "7", "7", "--method", "series", "--method", "enum"],
         ],
     )
     def test_enum_side_cap(self, capsys, argv):
@@ -343,6 +343,15 @@ class TestVerify:
         assert report["status"] == "fail"
         assert report["failures"] >= 1
 
+    def test_injected_fault_needs_two_cells(self, capsys):
+        # no 1-cell diagram has two white squares, so the fault would never
+        # be placed and the run would pass
+        with pytest.raises(ValueError, match="at least 2"):
+            run_verify(1, inject_fault=True)
+        code, out, err = run_cli(capsys, "verify", "--max-cells", "1", "--inject-fault")
+        assert (code, out) == (2, "")
+        assert "inject_fault needs max_cells of at least 2" in err
+
     @pytest.mark.parametrize(
         "cells,shapes,diagrams,formula_checks", [(4, 8, 72, 8), (9, 23, 2670, 23)]
     )
@@ -391,6 +400,18 @@ class TestVerify:
             assert run_verify(9, inject_fault=inject_fault)["diagrams"] == 2670
             assert len(solved) == len(set(solved)) == len(built) == distinct
 
+    def test_one_transfer_read_per_distinct_phi(self, monkeypatch):
+        # phi fixes I + phi, so its kernel dimension is read once per run
+        transfer_kernel_dim, read = cli._transfer_kernel_dim, []
+
+        def counted(phi):
+            read.append(phi)
+            return transfer_kernel_dim(phi)
+
+        monkeypatch.setattr(cli, "_transfer_kernel_dim", counted)
+        assert run_verify(9)["diagrams"] == 2670
+        assert len(read) == len(set(read)) == 1119
+
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_sweep_state_matches_the_diagram_objects(self, m, n):
         # each prefix's state is shared by every diagram below it, so a step
@@ -399,9 +420,13 @@ class TestVerify:
         swept = list(cli._verify_sweep(m, n))
         diagrams = list(cauchon_diagrams(m, n))
         assert [rows for rows, _ in swept] == [d.rows for d in diagrams]
-        for d, (_, (ups, rights, squares, lines, col_bits, phi)) in zip(diagrams, swept):
-            assert (ups, rights) == _exit_tables(d)
+        for d, (_, state) in zip(diagrams, swept):
+            bottom, rights, squares, lines, col_bits, phi, endpoints, glued = state
+            ups, exit_rights = _exit_tables(d)
+            assert (bottom, list(rights)) == (ups[m], exit_rights)
             assert squares == d.white_squares()
+            assert endpoints == tuple(map(tuple, toric_endpoint_table(d)))
+            assert glued is True
             # bit j of lines[i]: the white matrix is nonzero at (i, j), j < i
             mat = white_adjacency_matrix(d)
             assert lines == tuple(
@@ -419,7 +444,7 @@ class TestVerify:
         # no matrix under two keys
         matrices: dict[tuple, set] = {}
         for m, n in SHAPES_UP_TO_9:
-            for rows, (_, _, _, lines, _, _) in cli._verify_sweep(m, n):
+            for rows, (_, _, _, lines, *_) in cli._verify_sweep(m, n):
                 mat = white_adjacency_matrix(Diagram(rows))
                 matrices.setdefault(lines, set()).add(tuple(map(tuple, mat)))
         assert all(len(mats) == 1 for mats in matrices.values())
@@ -453,6 +478,27 @@ class TestVerify:
         report = run_verify(6)
         failed = {name for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"dimension_equality"}
+        assert report["status"] == "fail"
+
+    def test_broken_transfer_read_fails_dimension_equality(self, monkeypatch):
+        # the first read, of the 1x1 white square's phi (1,), is off by one,
+        # and the memo hands it to every diagram with that phi: the m x 1
+        # columns with an odd number of white squares, 1 + 2 + 4 + 8 of them
+        transfer_kernel_dim = cli._transfer_kernel_dim
+        pending = [True]
+
+        def off_by_one(phi):
+            dim = transfer_kernel_dim(phi)
+            if pending:
+                pending.clear()
+                return dim + 1
+            return dim
+
+        monkeypatch.setattr(cli, "_transfer_kernel_dim", off_by_one)
+        report = run_verify(4)
+        assert not pending
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"dimension_equality": 15}
         assert report["status"] == "fail"
 
     def test_run_verify_counts(self):
@@ -543,8 +589,8 @@ class TestVerify:
         permutations = cli._permutations
         pending = [True]
 
-        def swapped(m, n, ups, rights):
-            sigma, tau = permutations(m, n, ups, rights)
+        def swapped(m, n, bottom, rights):
+            sigma, tau = permutations(m, n, bottom, rights)
             if pending:
                 pending.clear()
                 tau = (tau[1], tau[0], *tau[2:])
@@ -558,17 +604,18 @@ class TestVerify:
         assert report["status"] == "fail"
 
     def test_swapped_endpoints_fail_gluing(self, monkeypatch):
-        endpoints_from_exits = cli._endpoints_from_exits
+        # the sweep reads each row's endpoints once for every diagram below it
+        row_endpoints = cli._row_endpoints
 
-        def swapped(squares, ups):
-            table = list(endpoints_from_exits(squares, ups))
-            table[:2] = table[1::-1]  # the first two entries trade places
+        def swapped(above, up, squares):
+            table = list(row_endpoints(above, up, squares))
+            table[:2] = table[1::-1]  # the row's first two entries trade places
             return tuple(table)
 
-        monkeypatch.setattr(cli, "_endpoints_from_exits", swapped)
+        monkeypatch.setattr(cli, "_row_endpoints", swapped)
         report = run_verify(4)
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
-        assert failed == {"gluing_identity": 40, "iso_maps": 15}
+        assert failed == {"gluing_identity": 22, "iso_maps": 9}
         assert report["status"] == "fail"
 
     def test_changed_closed_form_fails_tally_vs_formula(self, monkeypatch):

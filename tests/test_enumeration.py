@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 
@@ -33,9 +34,13 @@ from conftest import (
     all_diagrams,
     cauchon_by_definition,
     count_set_partitions,
+    frontier_by_dict,
     random_cauchon,
     tally_by_objects,
 )
+
+# every shape with a side of at most 4 and none past 12, and a long one
+FRONTIER_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if min(m, n) <= 4] + [(25, 5)]
 
 # the 2x2 cycles tally as the cache has always written it
 TALLY_2X2_JSON = '{"m": 2, "n": 2, "counts": {"0": "5", "1": "7", "2": "2"}, "total": "14"}'
@@ -182,6 +187,28 @@ class TestTallyDimensions:
         poly = stratum_poly(m, n)
         expected = {d: int(c) for d, c in enumerate(poly.coeffs) if c}
         assert tally_dimensions(m, n, method).counts == expected
+
+    @pytest.mark.parametrize("m,n", FRONTIER_SHAPES)
+    def test_compiled_frontier_matches_the_dict_frontier(self, m, n):
+        # interned keys stepped along successor lists give the final states
+        # and counts of the frontier keyed by tuples, and so both tallies
+        finals = frontier_by_dict(m, n)
+        assert enumeration._frontier(m, n) == finals
+        for method, read in enumeration._ROUTES.items():
+            expected: Counter = Counter()
+            for state, count in finals.items():
+                expected[read(state)] += count
+            assert tally_dimensions(m, n, method).counts == expected
+
+    def test_compiled_frontier_at_width_6(self):
+        # 75,973 keys, each stepped once into its successor list
+        finals = enumeration._frontier(20, 6)
+        expected = {d: int(c) for d, c in enumerate(stratum_poly(20, 6).coeffs) if c}
+        for read in enumeration._ROUTES.values():
+            counts: Counter = Counter()
+            for state, count in finals.items():
+                counts[read(state)] += count
+            assert counts == expected
 
     @pytest.mark.parametrize("method", ["cycles", "kernel"])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

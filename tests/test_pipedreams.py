@@ -209,7 +209,7 @@ class TestTrace:
         ups, rights = pipedreams._exit_tables(Diagram.all_white(1, 2))
         ups[1][0] = ups[1][1]
         with pytest.raises(ValueError, match=r"^\(2, 2, 3\) is not a bijection of \[3\]$"):
-            pipedreams._permutations(1, 2, ups, rights)
+            pipedreams._permutations(1, 2, ups[1], rights)
 
 
 def rotated_trace(d):
