@@ -57,8 +57,8 @@ from .genfunc import poly_bernoulli
 from .pipedreams import (
     Permutation,
     _even_cycle_count,
+    _trace,
     is_restricted,
-    trace_permutation,
 )
 
 CACHE_VERSION = 1
@@ -314,6 +314,6 @@ def diagram_from_permutation(p: Permutation, m: int, n: int) -> Diagram | None:
             row.append(black)
         rows.append(row)
     d = Diagram(rows)
-    if not d.is_cauchon() or trace_permutation(d) != p:
+    if not d.is_cauchon() or _trace(d)[0] != p.images:
         raise ArithmeticError(f"the word read off {p.one_line()} gives no Cauchon diagram for it")
     return d

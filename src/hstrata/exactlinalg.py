@@ -19,7 +19,7 @@ from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence, Union
 
 from .diagrams import Diagram
-from .pipedreams import _endpoints_from_exits, _trace, all_black_permutation
+from .pipedreams import _all_black_images, _trace
 
 Rational = Union[int, Fraction]
 ExactVector = tuple[Rational, ...]
@@ -299,10 +299,10 @@ def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     """
     if len(v) != d.m + d.n:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
-    sigma, _, ups = _trace(d)
-    if not _in_boundary_kernel(sigma.images, all_black_permutation(d.m, d.n).images, v):
+    sigma, _, endpoints = _trace(d)
+    if not _in_boundary_kernel(sigma, _all_black_images(d.m, d.n), v):
         raise ValueError("vector is not in the boundary kernel")
-    return _square_image(_endpoints_from_exits(d.white_squares(), ups), v)
+    return _square_image(endpoints, v)
 
 
 def to_boundary_kernel(d: Diagram, w: Sequence[Rational]) -> ExactVector:

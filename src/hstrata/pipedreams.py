@@ -28,6 +28,9 @@ Boundary labels come in two flavours:
   all-black diagram's permutation.  The exits of white squares under these
   labels are their toric endpoints (toric_endpoint_table).
 
+Every trace folds one row rule (_pipe_row) over the rows once (_trace),
+keeping only the current row of exits.
+
 The dimension of the stratum attached to a Cauchon diagram is the number of
 odd cycles of its toric permutation, where a cycle is odd when it has an odd
 number of inversions, i.e. even length.  Fixed points are even cycles.
@@ -196,7 +199,7 @@ def is_restricted(p: Permutation, m: int, n: int) -> bool:
     return all(-n <= img - i <= m for i, img in enumerate(p.images, start=1))
 
 
-def _pipe_row(above: Sequence[int], row: Sequence[bool], left: int) -> tuple[list[int], int]:
+def _pipe_row(above: Sequence[int], row: Sequence[bool], left: int) -> tuple[list, int, list]:
     """Pass the pipes of one row: the row rule of the whole package.
 
     above[c] is the exit label reached by a pipe leaving the row upward
@@ -204,46 +207,36 @@ def _pipe_row(above: Sequence[int], row: Sequence[bool], left: int) -> tuple[lis
     through the row's left side.  A black square lets both strands straight
     through; a white one joins its bottom edge to its left edge and its right
     edge to its top edge.  Returns the exit labels of pipes entering each
-    column from below, and of the pipe entering the row from the right.
+    column from below and of the pipe entering the row from the right, and
+    the (left, top) toric endpoints of the row's white squares, left to
+    right: the label carried leftward past the square and the one above it.
     """
-    up = []
+    up, ends = [], []
     for black, a in zip(row, above):
         if black:
             up.append(a)
         else:
             up.append(left)
+            ends.append((left, a))
             left = a
-    return up, left
+    return up, left, ends
 
 
-def _exit_tables(d: Diagram) -> tuple[list[list[int]], list[int]]:
-    """Exit labels for pipes entering each row from below and from the right.
+def _trace(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Trace the pipes once, keeping only the current row of exits.
 
-    ups[r][c - 1] is the left/top exit label of a pipe entering square (r, c)
-    through its bottom edge; ups[0] holds the top-side labels m+c.
-    rights[r - 1] is the exit label of the pipe entering row r from the
-    right side.  The left-side labels m+1-r and the top-side labels are
-    shared by the standard and toric labelings.
+    Returns the one-line forms of the standard and toric permutations and the
+    (left, top) toric endpoints of the white squares in row-major order; a
+    ValueError reports a trace that is not restricted.
     """
     m = d.m
-    ups = [[m + c for c in range(1, d.n + 1)]]
-    rights = []
+    up, rights, ends = range(m + 1, m + d.n + 1), [], []
     for r, row in enumerate(d.rows, start=1):
-        up, right = _pipe_row(ups[-1], row, m + 1 - r)
-        ups.append(up)
+        up, right, row_ends = _pipe_row(up, row, m + 1 - r)
         rights.append(right)
-    return ups, rights
-
-
-def _trace(d: Diagram) -> tuple[Permutation, Permutation, list[list[int]]]:
-    """Trace the pipes once: the standard and toric permutations and `ups`.
-
-    ups is the exit table of _exit_tables.  A ValueError reports a trace
-    that is not restricted.
-    """
-    ups, rights = _exit_tables(d)
-    sigma, tau = _permutations(d.m, d.n, ups[d.m], rights)
-    return Permutation(sigma), Permutation(tau), ups
+        ends += row_ends
+    sigma, tau = _permutations(m, d.n, up, rights)
+    return sigma, tau, tuple(ends)
 
 
 def _permutations(
@@ -251,10 +244,9 @@ def _permutations(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """One-line forms of the standard and toric permutations of all m rows' exits.
 
-    bottom is the exit row below the last row (ups[m] of _exit_tables) and
-    rights the exits from the right of each row, top row first.  A
-    ValueError reports a standard permutation that is no bijection or not
-    restricted.
+    bottom is the exit row below the last row and rights the exits from the
+    right of each row, top row first.  A ValueError reports a standard
+    permutation that is no bijection or not restricted.
     """
     # standard entries: bottom 1..n, then right n+1..n+m from the bottom row
     # up; the toric labels number the right side first, then the bottom
@@ -275,12 +267,12 @@ def trace_permutation(d: Diagram) -> Permutation:
 
     The result is always restricted; a ValueError reports a trace that is not.
     """
-    return _trace(d)[0]
+    return Permutation(_trace(d)[0])
 
 
 def toric_permutation(d: Diagram) -> Permutation:
     """Permutation of [m+n] traced by the diagram's pipes under toric labels."""
-    return _trace(d)[1]
+    return Permutation(_trace(d)[1])
 
 
 class ToricEndpoints(NamedTuple):
@@ -301,21 +293,4 @@ def toric_endpoint_table(d: Diagram) -> tuple[ToricEndpoints, ...]:
     table[i-1].top == table[j-1].left holds (the two exits continue along the
     same pipe).
     """
-    pairs = _endpoints_from_exits(d.white_squares(), _exit_tables(d)[0])
-    return tuple(ToricEndpoints(*pair) for pair in pairs)
-
-
-def _endpoints_from_exits(
-    squares: Sequence[tuple[int, int]], ups: list[list[int]]
-) -> tuple[tuple[int, int], ...]:
-    """toric_endpoint_table as (left, top) pairs, read off the exit table of _exit_tables."""
-    # the left exit continues the arc from the square's bottom edge, and the
-    # top exit enters the square above through its bottom edge
-    return tuple((ups[r][c - 1], ups[r - 1][c - 1]) for r, c in squares)
-
-
-def _row_endpoints(
-    above: Sequence[int], up: Sequence[int], squares: Sequence[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """_endpoints_from_exits for the squares of one row, between its exit rows above and up."""
-    return tuple((up[c - 1], above[c - 1]) for _, c in squares)
+    return tuple(ToricEndpoints(*pair) for pair in _trace(d)[2])

@@ -347,6 +347,14 @@ def _walk(d: Diagram, r: int, c: int, moving_up: bool) -> int:
     return d.m + c if r == 0 else d.m + 1 - r
 
 
+def endpoints_walked(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """(left, top) toric endpoints of each white square, in row-major order,
+    walked step by step from the squares left of and above it."""
+    return tuple(
+        (_walk(d, r, c - 1, False), _walk(d, r - 1, c, True)) for r, c in d.white_squares()
+    )
+
+
 def traced_permutation(d: Diagram, labeling: BoundaryLabeling) -> Permutation:
     """Trace every pipe under the given boundary labeling (stepwise walker)."""
     m, n = d.m, d.n

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -13,9 +15,17 @@ from hstrata import cli, genfunc
 from hstrata.cli import main, run_verify
 from hstrata.enumeration import cauchon_diagrams
 from hstrata.exactlinalg import white_adjacency_matrix
-from hstrata.pipedreams import _exit_tables, toric_endpoint_table
+from hstrata.pipedreams import _trace
 
 from conftest import SHAPES_UP_TO_9, SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment with src on PYTHONPATH, so a subprocess imports the checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_cli(capsys, *argv):
@@ -117,17 +127,17 @@ class TestDim:
     def test_traces_its_diagram_once(self, capsys, diagram_file, monkeypatch):
         from hstrata import pipedreams
 
-        exit_tables = pipedreams._exit_tables
-        traced = []
+        pipe_row = pipedreams._pipe_row
+        passed = []
 
-        def counted(d):
-            traced.append(d)
-            return exit_tables(d)
+        def counted(above, row, left):
+            passed.append(row)
+            return pipe_row(above, row, left)
 
-        monkeypatch.setattr(pipedreams, "_exit_tables", counted)
+        monkeypatch.setattr(pipedreams, "_pipe_row", counted)
         code, _, _ = run_cli(capsys, "dim", diagram_file("..#\n.##"))
         assert code == 0
-        assert len(traced) == 1
+        assert passed == [(False, False, True), (False, True, True)]  # one pass per row
 
     def test_csv_has_header_row(self, capsys, diagram_file):
         path = diagram_file("..\n..")
@@ -422,10 +432,10 @@ class TestVerify:
         assert [rows for rows, _ in swept] == [d.rows for d in diagrams]
         for d, (_, state) in zip(diagrams, swept):
             bottom, rights, squares, lines, col_bits, phi, endpoints, glued = state
-            ups, exit_rights = _exit_tables(d)
-            assert (bottom, list(rights)) == (ups[m], exit_rights)
+            sigma, _, traced_endpoints = _trace(d)
+            assert (*bottom, *rights[::-1]) == sigma
             assert squares == d.white_squares()
-            assert endpoints == tuple(map(tuple, toric_endpoint_table(d)))
+            assert endpoints == traced_endpoints
             assert glued is True
             # bit j of lines[i]: the white matrix is nonzero at (i, j), j < i
             mat = white_adjacency_matrix(d)
@@ -605,14 +615,14 @@ class TestVerify:
 
     def test_swapped_endpoints_fail_gluing(self, monkeypatch):
         # the sweep reads each row's endpoints once for every diagram below it
-        row_endpoints = cli._row_endpoints
+        pipe_row = cli._pipe_row
 
-        def swapped(above, up, squares):
-            table = list(row_endpoints(above, up, squares))
-            table[:2] = table[1::-1]  # the row's first two entries trade places
-            return tuple(table)
+        def swapped(above, row, left):
+            up, right, ends = pipe_row(above, row, left)
+            ends[:2] = ends[1::-1]  # the row's first two entries trade places
+            return up, right, ends
 
-        monkeypatch.setattr(cli, "_row_endpoints", swapped)
+        monkeypatch.setattr(cli, "_pipe_row", swapped)
         report = run_verify(4)
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"gluing_identity": 22, "iso_maps": 9}
@@ -823,6 +833,25 @@ def test_console_entry_point():
         [sys.executable, "-m", "hstrata", "count", "2", "2", "--format", "json"],
         capture_output=True,
         text=True,
+        env=checkout_env(),
     )
     assert out.returncode == 0
     assert json.loads(out.stdout)["totals"]["formula"] == "14"
+
+
+def test_closed_pipe_is_an_error_without_traceback():
+    # about 2.2 MB of JSON, more than any pipe buffer holds, so the write
+    # meets the closed pipe while the report is still going out
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hstrata", "asymptotics", "4", "2", "--n-max", "1000", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=checkout_env(),
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -234,7 +234,6 @@ class TestTallyDimensions:
 
         for module, name in [
             (pipedreams, "_trace"),
-            (pipedreams, "_exit_tables"),
             (pipedreams, "_pipe_row"),
             (exactlinalg, "_trace"),
         ]:
@@ -275,7 +274,7 @@ class TestTallyDimensions:
 
         cols = tuple(range(n))
         for cells in product((False, True), repeat=n):
-            src, right = _pipe_row(cols, cells, -1)
+            src, right, _ = _pipe_row(cols, cells, -1)
             mask = [0] * n
             if right >= 0:
                 first = cells.index(False)
@@ -460,7 +459,7 @@ class TestDiagramFromPermutation:
     def test_wrong_trace_is_an_error(self, monkeypatch, capsys):
         # a diagram that does not trace to the permutation is a gap in the
         # reading, not a not-found
-        monkeypatch.setattr(enumeration, "trace_permutation", lambda d: Permutation.identity(d.m + d.n))
+        monkeypatch.setattr(enumeration, "_trace", lambda d: (Permutation.identity(d.m + d.n).images, (), ()))
         with pytest.raises(ArithmeticError):
             diagram_from_permutation(all_black_permutation(2, 2), 2, 2)
         assert main(["lookup", "[3,4,1,2]", "2", "2"]) == 2

@@ -87,6 +87,23 @@ def test_the_kernel_oracle_shares_no_elimination():
     assert names_used(Path(__file__).resolve().parent / "conftest.py") & ENGINE == set()
 
 
+def pipe_row_callers() -> set[tuple[str, str]]:
+    """(module, top-level function) for every call of _pipe_row in src/."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "_pipe_row" in names_in(call.func):
+                    found.add((path.stem, getattr(node, "name", None)))
+    return found
+
+
+def test_one_pipe_pass():
+    # _trace folds the row rule over a diagram and verify's sweep steps it
+    # per row prefix; any other reader of the pipes goes through _trace
+    assert pipe_row_callers() == {("pipedreams", "_trace"), ("cli", "_verify_sweep")}
+
+
 # the integer closed-form table (its difference table and Horner sums
 # live in _closed_table itself) and its one exact division, the surjection
 # rows behind poly_bernoulli, single_cycle_count and stirling2, and the
@@ -133,7 +150,7 @@ def test_verify_builds_no_permutation_or_endpoint_objects(monkeypatch):
     d = Diagram.all_white(2, 2)
     pipedreams.trace_permutation(d)
     pipedreams.toric_endpoint_table(d)
-    assert built == Counter(Permutation=2, ToricEndpoints=4)
+    assert built == Counter(Permutation=1, ToricEndpoints=4)
     built.clear()
     assert run_verify(6)["diagrams"] == 356
     assert built == Counter()

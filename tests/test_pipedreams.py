@@ -25,6 +25,7 @@ from conftest import (
     BoundaryLabeling,
     all_diagrams,
     diagrams,
+    endpoints_walked,
     toric_permutation_traced,
     traced_permutation,
     word_permutation,
@@ -184,18 +185,33 @@ class TestTrace:
                 for d in all_diagrams(m, n):
                     assert word_permutation(d) == trace_permutation(d)
 
+    @pytest.mark.parametrize("cells", range(1, 13))
+    def test_trace_matches_the_stepwise_walker_on_every_colouring(self, cells):
+        # 36,000-odd diagrams, Cauchon or not, over every shape with m * n <= 12
+        for m in range(1, cells + 1):
+            if cells % m:
+                continue
+            n = cells // m
+            std, tor = BoundaryLabeling.standard(m, n), BoundaryLabeling.toric(m, n)
+            for d in all_diagrams(m, n):
+                sigma, tau, endpoints = pipedreams._trace(d)
+                assert sigma == traced_permutation(d, std).images
+                assert tau == traced_permutation(d, tor).images
+                assert endpoints == endpoints_walked(d)
+
     def test_non_restricted_trace_is_an_error(self, monkeypatch, tmp_path, capsys):
-        # a corrupted exit table sends the bottom pipe of a 1x2 grid to the
+        # a corrupted last row sends the bottom pipe of a 1x2 grid to the
         # far end, which breaks the restricted bound; the check must survive
         # python -O and surface as a CLI error
-        exit_tables = pipedreams._exit_tables
+        pipe_row = pipedreams._pipe_row
 
-        def corrupted(d):
-            ups, rights = exit_tables(d)
-            ups[d.m][0], rights[0] = rights[0], ups[d.m][0]
-            return ups, rights
+        def corrupted(above, row, left):
+            up, right, ends = pipe_row(above, row, left)
+            if left == 1:  # the last row carries left label 1
+                up[0], right = right, up[0]
+            return up, right, ends
 
-        monkeypatch.setattr(pipedreams, "_exit_tables", corrupted)
+        monkeypatch.setattr(pipedreams, "_pipe_row", corrupted)
         d = Diagram.all_white(1, 2)
         with pytest.raises(ValueError, match="non-restricted"):
             trace_permutation(d)
@@ -206,10 +222,8 @@ class TestTrace:
 
     def test_exit_tables_that_repeat_a_label_are_an_error(self):
         # the one-line forms are checked without building a Permutation
-        ups, rights = pipedreams._exit_tables(Diagram.all_white(1, 2))
-        ups[1][0] = ups[1][1]
         with pytest.raises(ValueError, match=r"^\(2, 2, 3\) is not a bijection of \[3\]$"):
-            pipedreams._permutations(1, 2, ups[1], rights)
+            pipedreams._permutations(1, 2, (2, 2), [3])
 
 
 def rotated_trace(d):
