@@ -54,8 +54,8 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 5.2 to
-# 7.3 s at 14 cells, 11.8 to 13.2 s at 15 and 24.3 to 31.9 s at 16 (3 runs
+# run_verify grows about 2x per extra cell: the whole command took 4.2 to
+# 5.0 s at 14 cells, 8.0 to 8.8 s at 15 and 19.3 to 26.1 s at 16 (3 runs
 # each) on a shared 2-CPU box (Python 3.11), so 16, which covers the
 # acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
@@ -71,7 +71,8 @@ SERIES_MAX_ORDER = 28
 # 900x900 grid, took 0.3 to 0.48 s, most of it parsing and tracing the
 # 810,000 cells.  The cap bounds the kernel routes, not the grid: time and
 # memory grow linearly in m*n, and an all-black 2000x2000 grid, with no
-# white square, took 0.8 to 0.9 s at 58 MB peak RSS (3 runs).
+# white square, took 0.99 to 1.05 s at 58 MB peak RSS (4 runs on a loaded
+# box, where a cell-by-cell Cauchon check made it 1.27 to 1.32 s).
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2 and m is not capped: at n_max = 1000 the
 # JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
@@ -132,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
             "(under 0.5 s at the cap on a 2-CPU box); time and memory grow linearly in "
-            "the m*n cells (0.8 to 0.9 s and 58 MB for an all-black 2000x2000 grid)."
+            "the m*n cells (about 1 s and 58 MB for an all-black 2000x2000 grid)."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -172,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 24 to 32 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 19 to 26 s "
             "at the cap on a 2-CPU box)."
         ),
     )
@@ -316,10 +317,14 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     tuples and linear checks, with no Fraction arithmetic.  The diagrams
     come from one depth-first sweep (_verify_sweep) whose row prefixes build
     their pipe exits, line pattern, transfer matrix, endpoints and gluing
-    verdict once for every diagram below; the white matrix of each distinct
-    pattern is built, compared and solved once per run, and the transfer
-    matrix's kernel dimension is read once per distinct phi.  inject_fault
-    flips one sign in one diagram's own matrix to demonstrate the suite's
+    verdict once for every diagram below.  The line pattern fixes the white
+    matrix, so each distinct pattern's matrix is built, compared and solved
+    once per run, with what depends on that matrix alone: whether each
+    basis vector lies in the white kernel, and -2 times it.  Each diagram
+    still maps every basis vector through its own boundary map and checks
+    the result.  The transfer matrix's kernel dimension is read once per
+    distinct phi, and failures are counted per shape.  inject_fault flips
+    one sign in one diagram's own matrix to demonstrate the suite's
     sensitivity.  An empty sweep would pass vacuously, so max_cells < 1 is
     a ValueError, and so is inject_fault with max_cells < 2, where no
     diagram has the two white squares the fault needs.
@@ -339,10 +344,9 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
         )
     }
 
-    def record(name: str, ok: bool) -> None:
-        checks[name]["checked"] += 1
-        if not ok:
-            checks[name]["failures"] += 1
+    def record(name: str, checked: int, failures: int) -> None:
+        checks[name]["checked"] += checked
+        checks[name]["failures"] += failures
 
     shapes = [
         (m, n)
@@ -353,17 +357,18 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     diagrams = 0
     # the line pattern fixes the white matrix and few patterns are distinct
     # (152 among the 2,670 diagrams of 9 cells), so each matrix is built,
-    # compared with the pattern's and solved once per run; every diagram still
-    # records both and puts the basis through every check below
-    solved: dict[tuple[int, ...], tuple[bool, tuple]] = {}
+    # compared with the pattern's and solved once per run, with its basis
+    # vectors' white-kernel verdict and their -2w; every diagram still
+    # counts both and puts the basis through its own boundary checks below
+    solved: dict[tuple[int, ...], tuple[bool, bool, tuple]] = {}
     # phi fixes its kernel dimension too (1,119 distinct among those 2,670)
     transfer_dims: dict[tuple[int, ...], int] = {}
     for m, n in shapes:
         omega = _all_black_images(m, n)
         tally: dict[int, int] = {}
+        skew_failures = dim_failures = gluing_failures = iso_failures = 0
         for rows, state in _verify_sweep(m, n):
             bottom, rights, squares, lines, _, phi, endpoints, glued = state
-            diagrams += 1
             entry = solved.get(lines)
             fault = fault_pending and len(squares) >= 2
             if entry is None or fault:
@@ -372,11 +377,16 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
                     mat[0][1], fault_pending = -mat[0][1], False
                 span = range(len(lines))
                 implied = [[(b >> j & 1) - (lines[j] >> i & 1) for j in span] for i, b in enumerate(lines)]
-                entry = mat == implied, kernel_basis(mat)
+                basis = kernel_basis(mat)
+                entry = (
+                    mat == implied,
+                    all(_in_white_kernel(squares, w) for w in basis),
+                    tuple((w, tuple(-2 * e for e in w)) for w in basis),
+                )
                 if not fault:
                     solved[lines] = entry
-            skew, basis = entry
-            record("skew_symmetry", skew)
+            skew, in_white, sides = entry
+            skew_failures += not skew
 
             # the permutation and its toric form are read off the sweep's exits
             sigma, tau = _permutations(m, n, bottom, rights)
@@ -386,17 +396,14 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             transfer_dim = transfer_dims.get(phi)
             if transfer_dim is None:
                 transfer_dim = transfer_dims[phi] = _transfer_kernel_dim(phi)
-            record(
-                "dimension_equality",
-                odd == len(basis) == _boundary_kernel_dim(sigma, omega) == transfer_dim,
-            )
+            dim_failures += not odd == len(sides) == _boundary_kernel_dim(sigma, omega) == transfer_dim
             tally[odd] = tally.get(odd, 0) + 1
 
-            record("gluing_identity", glued)
+            gluing_failures += not glued
 
             # the two kernel maps: each basis vector lies in its source kernel,
             # its image in the other kernel, and mapping back gives -2 times it
-            iso_ok = True
+            iso_ok = in_white
             for v in cycle_kernel_basis(cycles):
                 w = _square_image(endpoints, v)
                 iso_ok &= (
@@ -404,20 +411,19 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
                     and _in_white_kernel(squares, w)
                     and _boundary_image(m, n, squares, w) == tuple(-2 * e for e in v)
                 )
-            for w in basis:
+            for w, minus_2w in sides:
                 v = _boundary_image(m, n, squares, w)
-                iso_ok &= (
-                    _in_white_kernel(squares, w)
-                    and _in_boundary_kernel(sigma, omega, v)
-                    and _square_image(endpoints, v) == tuple(-2 * e for e in w)
-                )
-            record("iso_maps", iso_ok)
+                iso_ok &= _in_boundary_kernel(sigma, omega, v) and _square_image(endpoints, v) == minus_2w
+            iso_failures += not iso_ok
 
+        swept = sum(tally.values())
+        diagrams += swept
+        record("skew_symmetry", swept, skew_failures)
+        record("dimension_equality", swept, dim_failures)
+        record("gluing_identity", swept, gluing_failures)
+        record("iso_maps", swept, iso_failures)
         formula_tally = {dd: c for dd, c in enumerate(stratum_poly(m, n).coeffs) if c}
-        record(
-            "tally_vs_formula",
-            tally == formula_tally and sum(tally.values()) == poly_bernoulli(m, n),
-        )
+        record("tally_vs_formula", 1, tally != formula_tally or swept != poly_bernoulli(m, n))
 
     failures = sum(c["failures"] for c in checks.values())
     return {

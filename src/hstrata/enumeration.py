@@ -2,8 +2,8 @@
 
 Whether a row may follow the rows above it depends only on which columns
 are still all black, so every enumeration goes row by row, keeping that
-column mask and, for each mask, generating the allowed rows lazily: k black
-squares, a white one, then black squares only in columns of the mask.
+column mask and, for each mask, the allowed rows: k black squares, a white
+one, then black squares only in columns of the mask.
 
 _sweep is the one depth-first walk: rows come white before black, so the
 diagrams come in lexicographic order of their row-major cells with white
@@ -124,18 +124,41 @@ def cauchon_diagrams(m: int, n: int) -> Iterator[Diagram]:
     return (Diagram(rows) for rows, _ in _sweep(m, n, None, lambda state, cells: None))
 
 
+# the rows one sweep lists over all its column masks, so its memory is bounded
+# on any shape: a mask with b bits allows at most n * 2^b rows besides the
+# all-black one, and a mask whose bound exceeds what is left (a wide grid's
+# full mask allows 2^n) has its rows generated afresh at each visit
+_LISTED_ROWS = 1 << 12
+
+
 def _sweep(m: int, n: int, root, step: Callable) -> Iterator[tuple[tuple, object]]:
     """(rows, state) for every m x n Cauchon diagram, depth first.
 
     The state of a prefix of rows is step(state of its parent, last row),
     computed once and shared by every diagram below it, so step must build
-    a new state rather than change the one it is given.  The walk keeps its
-    own stack, so no grid is too tall for the interpreter's recursion limit.
+    a new state rather than change the one it is given.  A column mask's
+    rows are listed when it is first reached and read from that list at
+    every later visit, within _LISTED_ROWS rows per sweep.  The walk keeps
+    its own stack, so no grid is too tall for the interpreter's recursion
+    limit.
     """
+    listed: dict[int, list] = {}
+    budget = _LISTED_ROWS
+
+    def rows_after(col_black: int) -> Iterator[tuple[tuple[bool, ...], int]]:
+        nonlocal budget
+        out = listed.get(col_black)
+        if out is None:
+            if n << col_black.bit_count() > budget:
+                return _row_choices(n, col_black)
+            out = listed[col_black] = list(_row_choices(n, col_black))
+            budget -= len(out)
+        return iter(out)
+
     last = m - 1
     rows: list[tuple[bool, ...]] = []
     states = [root]
-    choices = [_row_choices(n, (1 << n) - 1)]
+    choices = [rows_after((1 << n) - 1)]
     while choices:
         for cells, below in choices[-1]:
             state = step(states[-1], cells)
@@ -144,7 +167,7 @@ def _sweep(m: int, n: int, root, step: Callable) -> Iterator[tuple[tuple, object
             else:
                 rows.append(cells)
                 states.append(state)
-                choices.append(_row_choices(n, below))
+                choices.append(rows_after(below))
                 break
         else:  # every row at this depth is done: back to the parent prefix
             choices.pop()

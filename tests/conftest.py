@@ -95,6 +95,22 @@ def cauchon_by_definition(d: Diagram) -> bool:
     return True
 
 
+def cauchon_by_scan(d: Diagram) -> bool:
+    """The Cauchon condition by one cell-by-cell scan, keeping which columns
+    and which part of the row are still all black."""
+    col_black_above = [True] * d.n
+    for row in d.rows:
+        row_black_left = True
+        for c, black in enumerate(row):
+            if black:
+                if not (col_black_above[c] or row_black_left):
+                    return False
+            else:
+                col_black_above[c] = False
+            row_black_left &= black
+    return True
+
+
 def tally_by_objects(m: int, n: int, method: str) -> dict[int, int]:
     """Diagrams per dimension through the object path, one diagram at a time.
 

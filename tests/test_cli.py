@@ -570,9 +570,43 @@ class TestVerify:
         monkeypatch.setattr(cli, "kernel_basis", off_by_one)
         report = run_verify(4)
         assert not pending
-        assert report["checks"]["iso_maps"]["failures"] > 0
-        assert report["checks"]["dimension_equality"]["failures"] == 0
+        # the bad basis and its white-kernel verdict are kept for their white
+        # matrix, so iso_maps, and nothing else, fails on each of the 10
+        # diagrams with that matrix
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"iso_maps": 10}
         assert report["status"] == "fail"
+
+    def test_boundary_side_is_checked_per_diagram(self, monkeypatch):
+        # diagrams sharing a white matrix share its basis, but each maps it
+        # to its own boundary and checks that image in its own kernel.  A
+        # basis-side check is the one whose vector _boundary_image has just
+        # returned (the cycle side checks cycle basis vectors instead).
+        boundary_image, in_boundary_kernel = cli._boundary_image, cli._in_boundary_kernel
+        last, basis_side = [None], []
+
+        def recorded(m, n, squares, w):
+            last[0] = boundary_image(m, n, squares, w)
+            return last[0]
+
+        def wrong_once(p, q, v):
+            if v is last[0]:
+                basis_side.append(v)
+                if len(basis_side) == 1:
+                    return False
+            return in_boundary_kernel(p, q, v)
+
+        monkeypatch.setattr(cli, "_boundary_image", recorded)
+        monkeypatch.setattr(cli, "_in_boundary_kernel", wrong_once)
+        report = run_verify(4)
+        # one check per basis vector of every diagram, the white kernel
+        # dimension being the stratum's
+        shapes = [(m, n) for m in range(1, 5) for n in range(1, 4 // m + 1)]
+        dims = sum(d * c for m, n in shapes for d, c in enumerate(genfunc.stratum_poly(m, n).coeffs))
+        assert len(basis_side) == dims
+        # so one wrong verdict fails that one diagram
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"iso_maps": 1}
 
     def test_broken_boundary_kernel_fails_dimension_equality(self, monkeypatch):
         # the elimination of P_sigma + P_omega is one of the compared routes

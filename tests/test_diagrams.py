@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
 from hstrata import Diagram, DiagramParseError
 
-from conftest import all_diagrams, cauchon_by_definition, diagrams, region_sets
+from conftest import (
+    SHAPES_UP_TO_12,
+    all_diagrams,
+    cauchon_by_definition,
+    cauchon_by_scan,
+    diagrams,
+    random_cauchon,
+    region_sets,
+)
 
 
 class TestParseSerialize:
@@ -77,10 +87,25 @@ class TestCauchon:
         assert Diagram.parse("##\n#.").is_cauchon()
         assert Diagram.parse(".#\n..").is_cauchon()
 
-    @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_matches_definition_exhaustively(self, m, n):
+        # is_cauchon reads each row as one int; both oracles read cell by cell
         for d in all_diagrams(m, n):
-            assert d.is_cauchon() == cauchon_by_definition(d)
+            assert d.is_cauchon() == cauchon_by_scan(d) == cauchon_by_definition(d)
+
+    def test_matches_the_cell_scan_on_large_grids(self):
+        # one cell flipped in a large Cauchon diagram: some flips keep it
+        # Cauchon, and the others break it far from the first row and column
+        rng = random.Random(5)
+        for m, n in [(3, 100), (40, 70), (70, 40)]:
+            for _ in range(20):
+                d = random_cauchon(rng, m, n, 0.8)
+                assert d.is_cauchon()
+                rows = [list(row) for row in d.rows]
+                r, c = rng.randrange(m), rng.randrange(n)
+                rows[r][c] = not rows[r][c]
+                flipped = Diagram(rows)
+                assert flipped.is_cauchon() == cauchon_by_scan(flipped)
 
     @given(diagrams())
     def test_transpose_preserves_cauchon(self, d):

@@ -85,9 +85,45 @@ class TestCauchonDiagrams:
             expected = [d for d in all_diagrams(m, n) if cauchon_by_definition(d)]
             assert list(cauchon_diagrams(m, n)) == expected
 
+    def test_rows_are_listed_once_per_mask(self, monkeypatch):
+        # every prefix ending in a column mask reads one list of its rows
+        row_choices, masks = enumeration._row_choices, []
+
+        def counted(n, col_black):
+            masks.append(col_black)
+            return row_choices(n, col_black)
+
+        monkeypatch.setattr(enumeration, "_row_choices", counted)
+        for m, n in [(3, 3), (4, 3), (2, 5), (5, 2), (6, 1)]:
+            masks.clear()
+            stream = list(cauchon_diagrams(m, n))
+            assert len(masks) == len(set(masks))
+            assert stream == [d for d in all_diagrams(m, n) if cauchon_by_definition(d)]
+
+    def test_masks_past_the_budget_are_streamed(self, monkeypatch):
+        # once a sweep has listed _LISTED_ROWS rows, the rows of a mask not
+        # yet listed are generated at each visit, in the same order as a
+        # listed mask's
+        monkeypatch.setattr(enumeration, "_LISTED_ROWS", 4)
+        for m, n in [(3, 3), (4, 3), (2, 5), (3, 4)]:
+            expected = [d for d in all_diagrams(m, n) if cauchon_by_definition(d)]
+            assert list(cauchon_diagrams(m, n)) == expected
+
+    def test_listed_rows_are_bounded_per_sweep(self):
+        # a 2 x n sweep reaches each of its 2^n second-row masks once: listing
+        # them all would keep about 2 * 3^n rows (21 MB at n = 10), where the
+        # budget keeps _LISTED_ROWS rows however many masks are reached
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in enumeration._sweep(2, 10, None, lambda state, cells: None)) == 117074
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
     def test_lazy_at_the_cell_limit(self):
-        # 1x25 admits 2^25 rows: a sweep that tabulated the allowed rows of
-        # a column mask, or kept its diagrams, would exceed this bound
+        # 1x25 admits 2^25 rows: a sweep that listed the allowed rows of
+        # every column mask, or kept its diagrams, would exceed this bound
         tracemalloc.start()
         try:
             for m, n in [(1, 25), (25, 1)]:
