@@ -54,8 +54,8 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 4.2 to
-# 5.0 s at 14 cells, 8.0 to 8.8 s at 15 and 19.3 to 26.1 s at 16 (3 runs
+# run_verify grows about 2x per extra cell: the whole command took 3.2 to
+# 3.9 s at 14 cells, 6.1 to 6.8 s at 15 and 12.3 to 13.0 s at 16 (3 runs
 # each) on a shared 2-CPU box (Python 3.11), so 16, which covers the
 # acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
@@ -63,16 +63,16 @@ VERIFY_MAX_CELLS = 16
 # on the same box (3 runs each).
 SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the min(m, n)-square column transfer matrix,
-# not the N x N white matrix, and eliminates the boundary matrix on sparse
-# rows.  On the same box the whole command took, for all-white grids at
-# N = 900, about 0.1 s at 30x30, 1x900, 3x300 and 10x90 (31 s, 28 s, 17 s
-# and 40 s with the full elimination of the white matrix); the slowest
-# diagrams found, 900 white squares on the diagonal or in one row of a
-# 900x900 grid, took 0.3 to 0.48 s, most of it parsing and tracing the
-# 810,000 cells.  The cap bounds the kernel routes, not the grid: time and
-# memory grow linearly in m*n, and an all-black 2000x2000 grid, with no
-# white square, took 0.99 to 1.05 s at 58 MB peak RSS (4 runs on a loaded
-# box, where a cell-by-cell Cauchon check made it 1.27 to 1.32 s).
+# not the N x N white matrix, and eliminates the boundary matrix on its
+# two-term rows.  On the same box the whole command took, for all-white
+# grids at N = 900, 0.05 to 0.07 s at 30x30, 1x900, 3x300 and 10x90 (31 s,
+# 28 s, 17 s and 40 s with the full elimination of the white matrix); the
+# slowest diagrams found, 900 white squares on the diagonal or in one row
+# of a 900x900 grid, took 0.23 s and 0.16 to 0.17 s, most of it parsing
+# and tracing the 810,000 cells.  The cap bounds the kernel routes, not the
+# grid: time and memory grow linearly in m*n, and an all-black 2000x2000
+# grid, with no white square, took 0.55 to 0.56 s at 58 MB peak RSS (3 runs
+# each).
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2 and m is not capped: at n_max = 1000 the
 # JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
@@ -132,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze one diagram file",
         description=(
             f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
-            "(under 0.5 s at the cap on a 2-CPU box); time and memory grow linearly in "
-            "the m*n cells (about 1 s and 58 MB for an all-black 2000x2000 grid)."
+            "(under 0.25 s at the cap on a 2-CPU box); time and memory grow linearly in "
+            "the m*n cells (about 0.6 s and 58 MB for an all-black 2000x2000 grid)."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -173,7 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 19 to 26 s "
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 12 to 13 s "
             "at the cap on a 2-CPU box)."
         ),
     )

@@ -238,8 +238,10 @@ def tally_dimensions(
     along the longer side, so the cost is exponential only in min(m, n), and
     no shape is refused here; the count command bounds min(m, n).  Results
     are cached as JSON in cache_dir when one is given; nothing else turns the
-    cache on.  A cached file is trusted only when it parses, is for this
-    m x n, has nonnegative integer counts at dimensions 0..min(m, n) and a
+    cache on.  Transposing a diagram keeps its dimension, so m x n and n x m
+    share one file, named and stored as min(m, n) x max(m, n).  A cached file
+    is trusted only when it parses, is for this shape in either orientation,
+    has nonnegative integer counts at dimensions 0..min(m, n) and a
     total equal both to their sum and to poly_bernoulli(m, n); otherwise the
     tally is recomputed and the file replaced.  Files are written to a
     temporary name and then renamed, so a reader never sees a partial one.
@@ -249,7 +251,8 @@ def tally_dimensions(
     _check_shape(m, n)
 
     if cache_dir:
-        path = Path(cache_dir) / f"tally-v{CACHE_VERSION}-{m}x{n}-{method}.json"
+        lo, hi = sorted((m, n))
+        path = Path(cache_dir) / f"tally-v{CACHE_VERSION}-{lo}x{hi}-{method}.json"
         cached = _read_cache(path, m, n)
         if cached is not None:
             return cached
@@ -268,20 +271,20 @@ def tally_dimensions(
 def _read_cache(path: Path, m: int, n: int) -> StratumTally | None:
     """The tally stored at path, or None unless it passes every check.
 
-    The file must parse and be for m x n, each dimension must lie in
+    The file must parse and be for m x n or n x m, each dimension must lie in
     0..min(m, n) with a nonnegative integer count, and the file's total
     must equal both the sum of the counts and poly_bernoulli(m, n).
     """
     try:
         data = json.loads(path.read_text())
-        shape = (data["m"], data["n"])
+        shape = sorted((data["m"], data["n"]))
         # through str so that a float count such as 5.9 fails, not truncates
         counts = {int(d): int(str(c)) for d, c in data["counts"].items()}
         total = int(str(data["total"]))
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
     if (
-        shape != (m, n)
+        shape != sorted((m, n))
         or any(not 0 <= d <= min(m, n) or c < 0 for d, c in counts.items())
         or total != sum(counts.values())
         or total != poly_bernoulli(m, n)
@@ -293,8 +296,8 @@ def _read_cache(path: Path, m: int, n: int) -> StratumTally | None:
 def _write_cache(path: Path, tally: StratumTally) -> None:
     # counts as decimal strings: these grow past fixed-width integers fast
     data = {
-        "m": tally.m,
-        "n": tally.n,
+        "m": min(tally.m, tally.n),
+        "n": max(tally.m, tally.n),
         "counts": {str(d): str(c) for d, c in tally.counts.items()},
         "total": str(tally.total),
     }

@@ -1,11 +1,14 @@
 """Exact rank and kernels of row-list matrices, and the two kernel maps.
 
 A matrix is a plain sequence of equal-length rows of Python ints or
-fractions.Fraction, and no floating point is used anywhere.  Every rank and
-kernel here comes from one fraction-free elimination on rows held as dicts
-of their nonzero entries (_pivot_rows).  Vectors are plain tuples of exact
-numbers, and kernel_basis returns primitive int tuples (entries with gcd 1);
-entry i-1 of a vector corresponds to label i (white-square labels, i.e.
+fractions.Fraction, and no floating point is used anywhere.  Ranks and
+kernels of general matrices come from one fraction-free elimination on rows
+held as dicts of their nonzero entries (_pivot_rows).  The boundary matrix
+P_p + P_q and the transfer matrix I + phi have rows e_a +- e_b, and their
+ranks come from a second elimination that keeps every row in that two-term
+form (_pair_rank).  Vectors are plain tuples of exact numbers, and
+kernel_basis returns primitive int tuples (entries with gcd 1); entry i-1
+of a vector corresponds to label i (white-square labels, i.e.
 Diagram.white_squares() order, for square-indexed vectors; toric boundary
 labels for boundary-indexed vectors).
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm
 from operator import itemgetter, xor
 from typing import Callable, Iterable, Sequence, Union
@@ -82,6 +86,46 @@ def _pivot_rows(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
                 g = gcd(*row.values())
                 row = {j: v // g for j, v in row.items()}
     return pivots
+
+
+def _pair_rank(rows: Iterable[tuple[int, int, int]]) -> int:
+    """Rank over the rationals of rows e_a + t e_b, given as triples (a, b, t) with t = +-1.
+
+    A row with a == b is (1 + t) e_a: zero when t = -1, one entry otherwise.
+    Each pivot row is kept under its leading column c as the pair (o, t)
+    for e_c + t e_o with o > c, or as None for the single entry e_c.  A row
+    led by a pivot's column has that pivot subtracted and is divided by +-1
+    to lead with 1 again, so it keeps at most two entries, +-1 each, and its
+    leading column grows; it becomes a pivot row at a column with none and
+    is dependent once it empties.
+    """
+    pivots: dict[int, tuple[int, int] | None] = {}
+    for a, b, t in rows:
+        if a == b:
+            if t < 0:
+                continue
+            c, o = a, None
+        else:
+            c, o = (a, b) if a < b else (b, a)  # e_b + t e_a is t times the row
+        while c in pivots:
+            pivot = pivots[c]
+            if pivot is None:
+                if o is None:
+                    break
+                c, o = o, None  # t e_o, divided by t
+            elif o is None:
+                c = pivot[0]  # -s e_p, divided by -s
+            else:
+                p, s = pivot
+                if o == p:  # (t - s) e_o
+                    if t == s:
+                        break
+                    c, o = o, None
+                else:  # t e_o - s e_p, divided by t or -s, whichever leads
+                    c, o, t = min(o, p), max(o, p), -t * s
+        else:
+            pivots[c] = None if o is None else (o, t)
+    return len(pivots)
 
 
 def _kernel_vectors(pivots: dict[int, dict[int, int]], cols: int) -> tuple[tuple[int, ...], ...]:
@@ -208,14 +252,14 @@ def _identity(n: int) -> tuple[int, ...]:
 def _transfer_kernel_dim(phi: Sequence[int]) -> int:
     """dim ker(I + phi) for a compact phi: the white matrix's kernel dimension.
 
-    It equals _even_cycle_count(phi): on a cycle of phi with L columns and s
-    entries -1, phi^L = (-1)^s, so I + phi is singular there (with a kernel of
-    dimension 1) exactly when (-1)^L = (-1)^s, that is when L + s is even.
+    It is found by eliminating the rows of I + phi (_pair_rank), not by
+    walking phi's cycles, though it equals _even_cycle_count(phi): on a
+    cycle of phi with L columns and s entries -1, phi^L = (-1)^s, so I + phi
+    is singular there (with a kernel of dimension 1) exactly when
+    (-1)^L = (-1)^s, that is when L + s is even.
     """
-    # row r of I + phi is e_r +- e_c for phi's entry at column c, or 2 e_r or 0 when c = r
-    rows = [{r: 1, e >> 1: -1 if e & 1 else 1} for r, e in enumerate(phi) if e >> 1 != r]
-    rows += [{r: 2} for r, e in enumerate(phi) if e == 2 * r]
-    return len(phi) - len(_pivot_rows(rows))
+    # row r of I + phi is e_r +- e_c for phi's entry +-1 at column c
+    return len(phi) - _pair_rank([(r, e >> 1, -1 if e & 1 else 1) for r, e in enumerate(phi)])
 
 
 def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
@@ -232,20 +276,15 @@ def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
     return _transfer_kernel_dim(phi)
 
 
-def _boundary_rows(p: Sequence[int], q: Sequence[int]) -> list[dict[int, int]]:
-    """The rows of P_p + P_q (P[i][j] = [j == p(i)]) as dicts from 0-based column to entry.
+def _boundary_kernel_dim(p: Sequence[int], q: Sequence[int]) -> int:
+    """kernel_dim(P_p + P_q) (P[i][j] = [j == p(i)]) for one-line forms p and q.
 
-    p and q are one-line forms (p[i - 1] = p(i)).  Row i is e_p(i) + e_q(i),
-    or 2 e_p(i) where p(i) = q(i).
+    Row i of P_p + P_q is e_p(i) + e_q(i), or 2 e_p(i) where p(i) = q(i),
+    so _pair_rank takes it as the triple (p(i), q(i), 1).
     """
     if len(p) != len(q):
         raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
-    return [{a - 1: 2} if a == b else {a - 1: 1, b - 1: 1} for a, b in zip(p, q)]
-
-
-def _boundary_kernel_dim(p: Sequence[int], q: Sequence[int]) -> int:
-    """kernel_dim(P_p + P_q) for one-line forms p and q, by elimination on the sparse rows."""
-    return len(p) - len(_pivot_rows(_boundary_rows(p, q)))
+    return len(p) - _pair_rank(zip(p, q, repeat(1)))
 
 
 def _in_boundary_kernel(p: Sequence[int], q: Sequence[int], v: Sequence[Rational]) -> bool:

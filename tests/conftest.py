@@ -6,7 +6,8 @@ black squares, region sets, the inclusion-exclusion Stirling sum, the closed
 triple sum over Fraction polynomials, power-sum series exp/log/inverse,
 tallies through the per-diagram object path, a frontier keyed by tuples in
 a dict, kernel bases by Gauss-Jordan elimination in Fraction, a row's
-Cayley map solved by that elimination, the dense boundary matrix P_p + P_q,
+Cayley map solved by that elimination, the boundary matrix P_p + P_q as
+sparse and as dense rows,
 the dense matrix-vector product and the dense column transfer matrix) used
 to validate the package's faster or cleverer code paths.
 """
@@ -244,6 +245,17 @@ def perm_matrix_sum(p: Permutation, q: Permutation) -> list[list[int]]:
         entries[i - 1][p(i) - 1] += 1
         entries[i - 1][q(i) - 1] += 1
     return entries
+
+
+def boundary_rows(p, q) -> list[dict[int, int]]:
+    """The rows of P_p + P_q as dicts from 0-based column to entry, for one-line forms p and q.
+
+    Row i is e_p(i) + e_q(i), or 2 e_p(i) where p(i) = q(i): the rows the
+    general elimination takes, where _boundary_kernel_dim takes triples.
+    """
+    if len(p) != len(q):
+        raise ValueError(f"size mismatch: {len(p)} vs {len(q)}")
+    return [{a - 1: 2} if a == b else {a - 1: 1, b - 1: 1} for a, b in zip(p, q)]
 
 
 def matvec(rows, vec) -> tuple:

@@ -313,6 +313,21 @@ class TestCount:
         assert first[0] == 0
         assert run_cli(capsys, *argv) == first
 
+    def test_transposed_shape_is_a_cache_hit(self, capsys, tmp_path, monkeypatch):
+        # m x n and n x m tally the same diagrams, transposed, so they share one file
+        from hstrata import enumeration
+
+        assert run_cli(capsys, "count", "5", "3", "--method", "enum", "--cache-dir", str(tmp_path))[0] == 0
+        expected = run_cli(capsys, "count", "3", "5", "--method", "enum")
+
+        def no_sweep(m, n):
+            raise AssertionError("the tally was computed again")
+
+        monkeypatch.setattr(enumeration, "_frontier", no_sweep)
+        assert run_cli(capsys, "count", "3", "5", "--method", "enum", "--cache-dir", str(tmp_path)) == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["tally-v1-3x5-cycles.json"]
+        assert json.loads((tmp_path / "tally-v1-3x5-cycles.json").read_text())["m"] == 3
+
     def test_truncated_cache_file_is_recomputed(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "count", "2", "2", "--method", "enum", "--cache-dir", str(tmp_path)
@@ -623,6 +638,30 @@ class TestVerify:
         monkeypatch.setattr(cli, "_boundary_kernel_dim", off_by_one)
         report = run_verify(4)
         assert not pending
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"dimension_equality": 1}
+        assert report["status"] == "fail"
+
+    def test_dropped_pivot_in_the_two_term_elimination_fails_dimension_equality(self, monkeypatch):
+        # the boundary and transfer dimensions both come from _pair_rank, so
+        # losing one pivot row on one diagram's boundary rows is seen there
+        from hstrata import exactlinalg
+        from hstrata.pipedreams import _all_black_images
+
+        pair_rank, seen = exactlinalg._pair_rank, []
+        sigma = _trace(Diagram.all_white(2, 2))[0]
+        chosen = list(zip(sigma, _all_black_images(2, 2), [1] * 4))
+
+        def one_pivot_dropped(rows):
+            rows = list(rows)
+            if rows == chosen:
+                seen.append(rows)
+                return pair_rank(rows) - 1
+            return pair_rank(rows)
+
+        monkeypatch.setattr(exactlinalg, "_pair_rank", one_pivot_dropped)
+        report = run_verify(4)
+        assert len(seen) == 1
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"dimension_equality": 1}
         assert report["status"] == "fail"

@@ -374,7 +374,7 @@ class TestTallyDimensions:
         tally_dimensions(2, 2, cache_dir=tmp_path)
         tally_dimensions(2, 1, "kernel", cache_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "tally-v1-2x1-kernel.json",
+            "tally-v1-1x2-kernel.json",
             "tally-v1-2x2-cycles.json",
         ]
 
@@ -384,7 +384,7 @@ class TestTallyDimensions:
         tally_dimensions(2, 1)
         assert not any(tmp_path.iterdir())
         tally_dimensions(2, 1, cache_dir=tmp_path)
-        assert any("2x1" in p.name for p in tmp_path.iterdir())
+        assert any("1x2" in p.name for p in tmp_path.iterdir())
 
 
 class TestStratumTally:

@@ -6,7 +6,7 @@ from itertools import permutations, product
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hstrata import (
@@ -29,9 +29,9 @@ from hstrata import (
 from hstrata.exactlinalg import (
     _GCD_REDUCE_BOUND,
     _boundary_kernel_dim,
-    _boundary_rows,
     _identity,
     _integer_rows,
+    _pair_rank,
     _phi_step,
     _pivot_rows,
     _transfer_kernel_dim,
@@ -43,6 +43,7 @@ from conftest import (
     SHAPES_UP_TO_9,
     SHAPES_UP_TO_12,
     all_diagrams,
+    boundary_rows,
     cauchon_by_definition,
     cayley_dense,
     diagrams,
@@ -278,8 +279,69 @@ def dense(rows, k):
     return [[row.get(j, 0) for j in range(k)] for row in rows]
 
 
+@st.composite
+def pair_rows(draw):
+    """(size, triples (a, b, t)) of size 1..12, each the row e_a + t e_b.
+
+    The rows mix free draws, where a == b comes with either sign, a path
+    e_0 +- e_1, e_1 +- e_2, ... that a later row led by column 0 reduces
+    along its whole length, and copies of rows already drawn.
+    """
+    size = draw(st.integers(1, 12))
+    col, sign = st.integers(0, size - 1), st.sampled_from((1, -1))
+    rows = draw(st.lists(st.tuples(col, col, sign), max_size=size + 2))
+    if draw(st.booleans(), label="path"):
+        rows = [(i, i + 1, draw(sign)) for i in range(size - 1)] + rows
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2), label="copies")
+    return size, draw(st.permutations(rows))
+
+
+def pair_dense(rows, size):
+    """The triples (a, b, t) as dense rows e_a + t e_b."""
+    out = []
+    for a, b, t in rows:
+        row = [0] * size
+        row[a] += 1
+        row[b] += t
+        out.append(row)
+    return out
+
+
+class TestPairRank:
+    """The two-term elimination behind the boundary and transfer dimensions."""
+
+    @settings(max_examples=400)
+    @given(pair_rows())
+    def test_matches_the_general_rank(self, drawn):
+        size, rows = drawn
+        # rank_by_minors tries every square submatrix, so it runs to size 6
+        expected = rank(pair_dense(rows, size))
+        if size <= 6:
+            assert rank_by_minors(pair_dense(rows, size)) == expected
+        assert _pair_rank(rows) == expected
+
+    @pytest.mark.parametrize(
+        "rows,expected",
+        [
+            ([], 0),
+            ([(2, 2, -1)], 0),  # (1 - 1) e_2
+            ([(2, 2, 1)], 1),  # 2 e_2
+            ([(0, 1, 1), (1, 0, 1)], 1),  # a repeated row, its ends swapped
+            ([(0, 1, 1), (1, 0, -1)], 2),  # e_0 + e_1 and e_1 - e_0
+            ([(0, 1, -1), (1, 2, -1), (2, 0, -1)], 2),  # a 3-cycle of differences
+            ([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 3),  # a 3-cycle of sums
+            ([(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, -1)], 3),  # along the path: e_0 - e_3
+            ([(0, 1, 1), (1, 2, -1), (2, 3, 1), (0, 3, 1)], 4),
+            ([(0, 1, 1), (1, 1, 1), (0, 0, 1)], 2),
+        ],
+    )
+    def test_small_cases(self, rows, expected):
+        assert _pair_rank(rows) == expected == rank(pair_dense(rows, 4))
+
+
 class TestBoundaryKernelDim:
-    """The sparse elimination of P_p + P_q against the dense oracle."""
+    """The two-term elimination of P_p + P_q against the dense matrix and the general elimination."""
 
     @pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 10) for n in range(1, 9 // m + 1)])
     def test_matches_dense_on_cauchon_diagrams(self, m, n):
@@ -287,17 +349,19 @@ class TestBoundaryKernelDim:
         omega = all_black_permutation(m, n)
         for d in cauchon_diagrams(m, n):
             sigma = trace_permutation(d)
-            rows = _boundary_rows(sigma.images, omega.images)
+            rows = boundary_rows(sigma.images, omega.images)
             assert dense(rows, m + n) == perm_matrix_sum(sigma, omega)
             dim = _boundary_kernel_dim(sigma.images, omega.images)
-            assert dim == kernel_dim(perm_matrix_sum(sigma, omega))
+            assert dim == kernel_dim(perm_matrix_sum(sigma, omega)) == m + n - len(_pivot_rows(rows))
 
     @given(permutation_pairs())
     def test_matches_dense_on_random_pairs(self, pair):
         p, q = pair
         # a row with p(i) = q(i) holds 2, and 1 there would not change the rank
-        assert dense(_boundary_rows(p.images, q.images), p.size) == perm_matrix_sum(p, q)
-        assert _boundary_kernel_dim(p.images, q.images) == kernel_dim(perm_matrix_sum(p, q))
+        rows = boundary_rows(p.images, q.images)
+        assert dense(rows, p.size) == perm_matrix_sum(p, q)
+        dim = _boundary_kernel_dim(p.images, q.images)
+        assert dim == kernel_dim(perm_matrix_sum(p, q)) == p.size - len(_pivot_rows(rows))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError, match="size mismatch"):

@@ -53,8 +53,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out.stdout.strip() == "[]"
 
 
-# the elimination and back-substitution behind every rank and kernel
-ENGINE = {"_integer_rows", "_pivot_rows", "_kernel_vectors"}
+# the eliminations and back-substitution behind every rank and kernel
+ENGINE = {"_integer_rows", "_pivot_rows", "_kernel_vectors", "_pair_rank"}
 
 
 def names_used(path: Path) -> set[str]:
