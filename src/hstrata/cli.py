@@ -54,25 +54,25 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 3.2 to
-# 3.9 s at 14 cells, 6.1 to 6.8 s at 15 and 12.3 to 13.0 s at 16 (3 runs
-# each) on a shared 2-CPU box (Python 3.11), so 16, which covers the
-# acceptance sweep, is the largest under a minute.
+# run_verify grows about 2x per extra cell: the whole command took 3.1 to
+# 3.4 s at 14 cells, 6.3 to 7.1 s at 15 and 13.3 to 15.5 s at 16, at peak
+# RSS 23, 24 and 27 MB (3 runs each) on a shared 2-CPU box (Python 3.11),
+# so 16, which covers the acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
 # count k k --method series took 31 to 38 s at k = 28 and 12 to 15 s at 24
 # on the same box (3 runs each).
 SERIES_MAX_ORDER = 28
-# dim reads the white kernel off the min(m, n)-square column transfer matrix,
-# not the N x N white matrix, and eliminates the boundary matrix on its
-# two-term rows.  On the same box the whole command took, for all-white
-# grids at N = 900, 0.05 to 0.07 s at 30x30, 1x900, 3x300 and 10x90 (31 s,
-# 28 s, 17 s and 40 s with the full elimination of the white matrix); the
-# slowest diagrams found, 900 white squares on the diagonal or in one row
-# of a 900x900 grid, took 0.23 s and 0.16 to 0.17 s, most of it parsing
-# and tracing the 810,000 cells.  The cap bounds the kernel routes, not the
-# grid: time and memory grow linearly in m*n, and an all-black 2000x2000
-# grid, with no white square, took 0.55 to 0.56 s at 58 MB peak RSS (3 runs
-# each).
+# dim reads the white kernel off the n x n column transfer matrix, not the
+# N x N white matrix, and eliminates the boundary matrix on its two-term
+# rows.  On the same box the whole command took, for all-white grids at
+# N = 900, 0.06 to 0.09 s at 30x30, 1x900, 900x1, 3x300 and 10x90 (31 s,
+# 28 s, 17 s and 40 s with the full elimination of the white matrix at
+# 30x30, 1x900, 3x300 and 10x90); the slowest diagrams found, 900 white
+# squares on the diagonal or in one row of a 900x900 grid, took 0.26 to
+# 0.28 s and 0.18 to 0.19 s, most of it parsing and tracing the 810,000
+# cells.  The cap bounds the kernel routes, not the grid: time and memory
+# grow linearly in m*n, and an all-black 2000x2000 grid, with no white
+# square, took 0.60 to 0.68 s at 58 MB peak RSS (3 runs each).
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2 and m is not capped: at n_max = 1000 the
 # JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
@@ -132,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze one diagram file",
         description=(
             f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
-            "(under 0.25 s at the cap on a 2-CPU box); time and memory grow linearly in "
-            "the m*n cells (about 0.6 s and 58 MB for an all-black 2000x2000 grid)."
+            "(under 0.3 s at the cap on a 2-CPU box); time and memory grow linearly in "
+            "the m*n cells (about 0.65 s and 58 MB for an all-black 2000x2000 grid)."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -173,8 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 12 to 13 s "
-            "at the cap on a 2-CPU box)."
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 13 to 16 s "
+            "and 27 MB peak RSS at the cap on a 2-CPU box)."
         ),
     )
     p.add_argument("--max-cells", type=int, default=VERIFY_DEFAULT_CELLS, help="largest m*n swept")
@@ -306,67 +306,49 @@ def _cmd_count(args) -> dict:
 def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     """Cross-check suite over every Cauchon diagram with m*n <= max_cells.
 
-    Checks, per diagram: the white matrix built from the diagram equals the
-    skew matrix its sweep's line pattern gives (skew_symmetry); the odd-cycle
-    count equals both kernel dimensions, the white one taken both by full
-    elimination and through the column transfer matrix; the endpoint gluing
-    identity for consecutive white squares; the two kernel maps compose to
-    -2 times the identity on both kernel bases and land in the asserted
-    kernels.  Per shape: the enumerated tally matches the closed form and
-    its total the poly-Bernoulli value.  Everything per diagram is int
-    tuples and linear checks, with no Fraction arithmetic.  The diagrams
-    come from one depth-first sweep (_verify_sweep) whose row prefixes build
-    their pipe exits, line pattern, transfer matrix, endpoints and gluing
-    verdict once for every diagram below.  The line pattern fixes the white
-    matrix, so each distinct pattern's matrix is built, compared and solved
-    once per run, with what depends on that matrix alone: whether each
-    basis vector lies in the white kernel, and -2 times it.  Each diagram
-    still maps every basis vector through its own boundary map and checks
-    the result.  The transfer matrix's kernel dimension is read once per
-    distinct phi, and failures are counted per shape.  inject_fault flips
-    one sign in one diagram's own matrix to demonstrate the suite's
-    sensitivity.  An empty sweep would pass vacuously, so max_cells < 1 is
-    a ValueError, and so is inject_fault with max_cells < 2, where no
-    diagram has the two white squares the fault needs.
+    Checks, per diagram: the odd-cycle count equals both kernel dimensions,
+    the white one taken both by full elimination and through the column
+    transfer matrix of the diagram's own rows; the endpoint gluing identity
+    for consecutive white squares; the two kernel maps compose to -2 times
+    the identity on both kernel bases and land in the asserted kernels.
+    Per shape: the enumerated tally matches the closed form and its total
+    the poly-Bernoulli value.  Everything per diagram is int tuples and
+    linear checks, with no Fraction arithmetic.  The diagrams come from one
+    depth-first sweep (_verify_sweep) whose row prefixes build their pipe
+    exits, line pattern, transfer matrix, endpoints and gluing verdict once
+    for every diagram below.  The line pattern fixes the white matrix, so
+    each distinct pattern's matrix is built from its first diagram,
+    compared with the skew matrix the pattern gives (skew_symmetry) and
+    solved by the full elimination once per run, with what depends on that
+    matrix alone: whether each basis vector lies in the white kernel, and
+    -2 times it.  Those verdicts count for every diagram that shares the
+    pattern.  Each diagram still maps every basis vector through its own
+    boundary map and checks the result.  inject_fault flips one sign in one
+    diagram's own matrix to demonstrate the suite's sensitivity.  An empty
+    sweep would pass vacuously, so max_cells < 1 is a ValueError, and so is
+    inject_fault with max_cells < 2, where no diagram has the two white
+    squares the fault needs.
     """
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1 for verify")
     if inject_fault and max_cells < 2:
         raise ValueError("inject_fault needs max_cells of at least 2")
-    checks = {
-        name: {"checked": 0, "failures": 0}
-        for name in (
-            "skew_symmetry",
-            "dimension_equality",
-            "gluing_identity",
-            "iso_maps",
-            "tally_vs_formula",
-        )
-    }
-
-    def record(name: str, checked: int, failures: int) -> None:
-        checks[name]["checked"] += checked
-        checks[name]["failures"] += failures
-
     shapes = [
         (m, n)
         for m in range(1, max_cells + 1)
         for n in range(1, max_cells // m + 1)
     ]
     fault_pending = inject_fault
-    diagrams = 0
+    diagrams = skew_failures = dim_failures = gluing_failures = iso_failures = tally_failures = 0
     # the line pattern fixes the white matrix and few patterns are distinct
     # (152 among the 2,670 diagrams of 9 cells), so each matrix is built,
     # compared with the pattern's and solved once per run, with its basis
     # vectors' white-kernel verdict and their -2w; every diagram still
     # counts both and puts the basis through its own boundary checks below
     solved: dict[tuple[int, ...], tuple[bool, bool, tuple]] = {}
-    # phi fixes its kernel dimension too (1,119 distinct among those 2,670)
-    transfer_dims: dict[tuple[int, ...], int] = {}
     for m, n in shapes:
         omega = _all_black_images(m, n)
         tally: dict[int, int] = {}
-        skew_failures = dim_failures = gluing_failures = iso_failures = 0
         for rows, state in _verify_sweep(m, n):
             bottom, rights, squares, lines, _, phi, endpoints, glued = state
             entry = solved.get(lines)
@@ -392,11 +374,10 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             sigma, tau = _permutations(m, n, bottom, rights)
             cycles = _cycles(tau)
             odd = odd_cycle_count(cycles)
-            # the column transfer matrix against the full elimination
-            transfer_dim = transfer_dims.get(phi)
-            if transfer_dim is None:
-                transfer_dim = transfer_dims[phi] = _transfer_kernel_dim(phi)
-            dim_failures += not odd == len(sides) == _boundary_kernel_dim(sigma, omega) == transfer_dim
+            # the full elimination, the boundary matrix and the column transfer matrix
+            dim_failures += not (
+                odd == len(sides) == _boundary_kernel_dim(sigma, omega) == _transfer_kernel_dim(phi)
+            )
             tally[odd] = tally.get(odd, 0) + 1
 
             gluing_failures += not glued
@@ -418,13 +399,19 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
 
         swept = sum(tally.values())
         diagrams += swept
-        record("skew_symmetry", swept, skew_failures)
-        record("dimension_equality", swept, dim_failures)
-        record("gluing_identity", swept, gluing_failures)
-        record("iso_maps", swept, iso_failures)
         formula_tally = {dd: c for dd, c in enumerate(stratum_poly(m, n).coeffs) if c}
-        record("tally_vs_formula", 1, tally != formula_tally or swept != poly_bernoulli(m, n))
+        tally_failures += tally != formula_tally or swept != poly_bernoulli(m, n)
 
+    checks = {
+        name: {"checked": checked, "failures": failed}
+        for name, checked, failed in (
+            ("skew_symmetry", diagrams, skew_failures),
+            ("dimension_equality", diagrams, dim_failures),
+            ("gluing_identity", diagrams, gluing_failures),
+            ("iso_maps", diagrams, iso_failures),
+            ("tally_vs_formula", len(shapes), tally_failures),
+        )
+    }
     failures = sum(c["failures"] for c in checks.values())
     return {
         "command": "verify",

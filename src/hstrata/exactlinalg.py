@@ -263,15 +263,9 @@ def _transfer_kernel_dim(phi: Sequence[int]) -> int:
 
 
 def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
-    """kernel_dim of the white matrix of a diagram's rows, through the column transfer matrix.
-
-    Transposing swaps "below" and "right", which leaves the white matrix
-    unchanged up to relabeling, so the diagram is swept along its longer
-    side and phi is min(m, n) square.
-    """
-    cells = rows if len(rows) >= len(rows[0]) else tuple(zip(*rows))
-    phi = _identity(len(cells[0]))
-    for row in cells:
+    """kernel_dim of the white matrix of a diagram's rows, through the column transfer matrix."""
+    phi = _identity(len(rows[0]))
+    for row in rows:
         phi = _phi_step(phi, row)
     return _transfer_kernel_dim(phi)
 

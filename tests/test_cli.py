@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from hstrata import Diagram, RatPoly
 from hstrata import cli, genfunc
 from hstrata.cli import main, run_verify
 from hstrata.enumeration import cauchon_diagrams
-from hstrata.exactlinalg import white_adjacency_matrix
+from hstrata.exactlinalg import _identity, _phi_step, white_adjacency_matrix
 from hstrata.pipedreams import _trace
 
 from conftest import SHAPES_UP_TO_9, SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
@@ -425,8 +426,9 @@ class TestVerify:
             assert run_verify(9, inject_fault=inject_fault)["diagrams"] == 2670
             assert len(solved) == len(set(solved)) == len(built) == distinct
 
-    def test_one_transfer_read_per_distinct_phi(self, monkeypatch):
-        # phi fixes I + phi, so its kernel dimension is read once per run
+    def test_each_diagram_reads_its_own_transfer_dimension(self, monkeypatch):
+        # no memo stands between a diagram and its transfer read: one read
+        # per diagram, of the phi folded over that diagram's own rows
         transfer_kernel_dim, read = cli._transfer_kernel_dim, []
 
         def counted(phi):
@@ -435,7 +437,13 @@ class TestVerify:
 
         monkeypatch.setattr(cli, "_transfer_kernel_dim", counted)
         assert run_verify(9)["diagrams"] == 2670
-        assert len(read) == len(set(read)) == 1119
+        assert len(read) == 2670
+        assert read == [
+            reduce(_phi_step, d.rows, _identity(n))
+            for m in range(1, 10)
+            for n in range(1, 9 // m + 1)
+            for d in cauchon_diagrams(m, n)
+        ]
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_sweep_state_matches_the_diagram_objects(self, m, n):
@@ -506,9 +514,9 @@ class TestVerify:
         assert report["status"] == "fail"
 
     def test_broken_transfer_read_fails_dimension_equality(self, monkeypatch):
-        # the first read, of the 1x1 white square's phi (1,), is off by one,
-        # and the memo hands it to every diagram with that phi: the m x 1
-        # columns with an odd number of white squares, 1 + 2 + 4 + 8 of them
+        # the first read, of the 1x1 white square's phi (1,), is off by one;
+        # every other diagram reads its own phi, so that one diagram alone
+        # fails
         transfer_kernel_dim = cli._transfer_kernel_dim
         pending = [True]
 
@@ -523,7 +531,7 @@ class TestVerify:
         report = run_verify(4)
         assert not pending
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
-        assert failed == {"dimension_equality": 15}
+        assert failed == {"dimension_equality": 1}
         assert report["status"] == "fail"
 
     def test_run_verify_counts(self):

@@ -473,7 +473,8 @@ class TestColumnTransfer:
     @pytest.mark.parametrize("m,n", [(2, 3), (3, 3), (2, 5)])
     def test_transposing_relabels_the_white_matrix(self, m, n):
         # "below" and "right" swap, so the relation of every pair is kept and
-        # sweeping the longer side gives the same kernel dimension
+        # the rows of the diagram and of its transpose give the same kernel
+        # dimension
         for d in all_diagrams(m, n):
             t = d.transpose()
             label = {(c, r): i for i, (r, c) in enumerate(d.white_squares())}

@@ -87,13 +87,13 @@ def test_the_kernel_oracle_shares_no_elimination():
     assert names_used(Path(__file__).resolve().parent / "conftest.py") & ENGINE == set()
 
 
-def pipe_row_callers() -> set[tuple[str, str]]:
-    """(module, top-level function) for every call of _pipe_row in src/."""
+def callers(name: str) -> set[tuple[str, str]]:
+    """(module, top-level function) for every call of name in src/."""
     found = set()
     for path in SRC.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             for call in ast.walk(node):
-                if isinstance(call, ast.Call) and "_pipe_row" in names_in(call.func):
+                if isinstance(call, ast.Call) and name in names_in(call.func):
                     found.add((path.stem, getattr(node, "name", None)))
     return found
 
@@ -101,7 +101,16 @@ def pipe_row_callers() -> set[tuple[str, str]]:
 def test_one_pipe_pass():
     # _trace folds the row rule over a diagram and verify's sweep steps it
     # per row prefix; any other reader of the pipes goes through _trace
-    assert pipe_row_callers() == {("pipedreams", "_trace"), ("cli", "_verify_sweep")}
+    assert callers("_pipe_row") == {("pipedreams", "_trace"), ("cli", "_verify_sweep")}
+
+
+def test_one_two_term_engine():
+    # the boundary matrix P_p + P_q and the transfer matrix I + phi are the
+    # only two-term matrices; every other rank goes through _pivot_rows
+    assert callers("_pair_rank") == {
+        ("exactlinalg", "_boundary_kernel_dim"),
+        ("exactlinalg", "_transfer_kernel_dim"),
+    }
 
 
 # the integer closed-form table (its difference table and Horner sums
