@@ -24,6 +24,7 @@ from .enumeration import _sweep, diagram_from_permutation, tally_dimensions
 from .exactlinalg import (
     _boundary_image,
     _boundary_kernel_dim,
+    _even_cycle_vectors,
     _identity,
     _in_boundary_kernel,
     _in_white_kernel,
@@ -31,7 +32,6 @@ from .exactlinalg import (
     _square_image,
     _transfer_kernel_dim,
     _white_kernel_dim,
-    cycle_kernel_basis,
     kernel_basis,
     white_adjacency_matrix,
 )
@@ -45,7 +45,6 @@ from .genfunc import (
 from .pipedreams import (
     Permutation,
     _all_black_images,
-    _cycles,
     _permutations,
     _pipe_row,
     _trace,
@@ -54,13 +53,13 @@ from .pipedreams import (
 )
 
 VERIFY_DEFAULT_CELLS = 9
-# run_verify grows about 2x per extra cell: the whole command took 3.1 to
-# 3.4 s at 14 cells, 6.3 to 7.1 s at 15 and 13.3 to 15.5 s at 16, at peak
-# RSS 23, 24 and 27 MB (3 runs each) on a shared 2-CPU box (Python 3.11),
+# run_verify grows about 2x per extra cell: the whole command took 2.8 to
+# 3.1 s at 14 cells, 5.2 to 6.4 s at 15 and 10.7 to 11.4 s at 16, at peak
+# RSS 22, 24 and 25 MB (3 runs each) on a shared 2-CPU box (Python 3.11),
 # so 16, which covers the acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
-# count k k --method series took 31 to 38 s at k = 28 and 12 to 15 s at 24
-# on the same box (3 runs each).
+# count k k --method series took 24.5 to 27.4 s at k = 28 on the same box
+# (3 runs), and 12 to 15 s at 24 when 28 took 31 to 38 s.
 SERIES_MAX_ORDER = 28
 # dim reads the white kernel off the n x n column transfer matrix, not the
 # N x N white matrix, and eliminates the boundary matrix on its two-term
@@ -81,7 +80,7 @@ ASYMPTOTICS_MAX_N = 1000
 # in min(m, n) and polynomial in the longer side, so only the shorter side
 # is capped.  On the same box (shared, 3 runs each) the whole command took
 # 0.06 to 0.15 s at 5x5, 300x3 and 100x4, 0.16 to 0.26 s at 25x5, 0.4 to
-# 0.65 s at 100x5, 0.45 to 0.8 s at 6x6, 1.9 s at 20x6 and 7.6 to 9.7 s at
+# 0.65 s at 100x5, 0.45 to 0.8 s at 6x6, 1.9 s at 20x6 and 6.5 to 8.3 s at
 # 100x6 (75,973 frontier keys, each stepped once).
 ENUM_MAX_SIDE = 6
 
@@ -145,11 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="count strata by dimension",
         description=(
             "Count strata by dimension. --method formula takes any m and n and builds its "
-            "table on the shorter side (about 1 s at 150x150 and 15 s at 300x300 on a 2-CPU "
-            f"box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (31 to 38 s at the "
-            f"cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and takes any longer "
-            "side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and about 9 s at 100x6); past "
-            "it use --method formula."
+            "table on the shorter side (about 1 s at 150x150 and 12 to 14 s at 300x300 on a "
+            f"2-CPU box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (25 to 27 s "
+            f"at the cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and takes any "
+            "longer side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at "
+            "100x6); past it use --method formula."
         ),
     )
     p.add_argument("m", type=int)
@@ -173,8 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the cross-check suite",
         description=(
             f"Run the cross-check suite on every Cauchon diagram with at most --max-cells "
-            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 13 to 16 s "
-            "and 27 MB peak RSS at the cap on a 2-CPU box)."
+            f"cells (default {VERIFY_DEFAULT_CELLS}, at most {VERIFY_MAX_CELLS}: 11 s "
+            "and 25 MB peak RSS at the cap on a 2-CPU box)."
         ),
     )
     p.add_argument("--max-cells", type=int, default=VERIFY_DEFAULT_CELLS, help="largest m*n swept")
@@ -208,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="closed-form coefficients c_k",
         description=(
             "Closed-form coefficients c_k with h(m, n, d) = sum_k c_k k^n for all n >= 1. "
-            "m takes any value (about 1.4 s at m = 150 and 12 s at m = 300 on a 2-CPU box)."
+            "m takes any value (0.8 to 0.95 s at m = 150 and 12 s at m = 300 on a 2-CPU box)."
         ),
     )
     p.add_argument("m", type=int)
@@ -323,11 +322,14 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
     matrix alone: whether each basis vector lies in the white kernel, and
     -2 times it.  Those verdicts count for every diagram that shares the
     pattern.  Each diagram still maps every basis vector through its own
-    boundary map and checks the result.  inject_fault flips one sign in one
-    diagram's own matrix to demonstrate the suite's sensitivity.  An empty
-    sweep would pass vacuously, so max_cells < 1 is a ValueError, and so is
-    inject_fault with max_cells < 2, where no diagram has the two white
-    squares the fault needs.
+    boundary map and checks the result.  The cycle side is one walk of the
+    diagram's tau (_even_cycle_vectors): its even-length cycles, whose
+    number is the odd-cycle count, each as its alternating kernel vector v
+    paired with -2v, which the two maps must give back.  inject_fault
+    flips one sign in one diagram's own matrix to demonstrate the suite's
+    sensitivity.  An empty sweep would pass vacuously, so max_cells < 1 is
+    a ValueError, and so is inject_fault with max_cells < 2, where no
+    diagram has the two white squares the fault needs.
     """
     if max_cells < 1:
         raise ValueError("max_cells must be at least 1 for verify")
@@ -363,17 +365,18 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
                 entry = (
                     mat == implied,
                     all(_in_white_kernel(squares, w) for w in basis),
-                    tuple((w, tuple(-2 * e for e in w)) for w in basis),
+                    tuple((w, tuple([-2 * e for e in w])) for w in basis),
                 )
                 if not fault:
                     solved[lines] = entry
             skew, in_white, sides = entry
             skew_failures += not skew
 
-            # the permutation and its toric form are read off the sweep's exits
+            # the permutation and its toric form are read off the sweep's exits,
+            # and one walk of tau gives its even cycles' kernel vectors
             sigma, tau = _permutations(m, n, bottom, rights)
-            cycles = _cycles(tau)
-            odd = odd_cycle_count(cycles)
+            cycle_side = _even_cycle_vectors(tau)
+            odd = len(cycle_side)
             # the full elimination, the boundary matrix and the column transfer matrix
             dim_failures += not (
                 odd == len(sides) == _boundary_kernel_dim(sigma, omega) == _transfer_kernel_dim(phi)
@@ -385,12 +388,12 @@ def run_verify(max_cells: int, inject_fault: bool = False) -> dict:
             # the two kernel maps: each basis vector lies in its source kernel,
             # its image in the other kernel, and mapping back gives -2 times it
             iso_ok = in_white
-            for v in cycle_kernel_basis(cycles):
+            for v, minus_2v in cycle_side:
                 w = _square_image(endpoints, v)
                 iso_ok &= (
                     _in_boundary_kernel(sigma, omega, v)
                     and _in_white_kernel(squares, w)
-                    and _boundary_image(m, n, squares, w) == tuple(-2 * e for e in v)
+                    and _boundary_image(m, n, squares, w) == minus_2v
                 )
             for w, minus_2w in sides:
                 v = _boundary_image(m, n, squares, w)
@@ -444,21 +447,26 @@ def _verify_sweep(m: int, n: int) -> Iterator[tuple[tuple, tuple]]:
         above, rights, squares, lines, col_bits, phi, ends, glued = state
         r = len(rights) + 1
         up, right, new_ends = _pipe_row(above, cells, m + 1 - r)
-        new = tuple((r, c) for c, black in enumerate(cells, start=1) if not black)
-        first, col_bits, new_lines = 1 << len(squares), list(col_bits), []
-        for i, ((_, c), (left, top)) in enumerate(zip(new, new_ends)):
-            prev = col_bits[c - 1]  # the squares above it in its column
-            if i:
-                glued &= new_ends[i - 1][1] == left
+        first = bit = 1 << len(squares)
+        col_bits, new, new_lines, row_top = list(col_bits), [], [], None
+        for c, black in enumerate(cells):
+            if black:
+                continue
+            left, top = new_ends[len(new)]
+            if new:  # row_top: the top endpoint of the white square before it in its row
+                glued &= row_top == left
+            prev = col_bits[c]  # the squares above it in its column
             if prev:  # the last of them is the next white square above it
                 glued &= top == ends[prev.bit_length() - 1][0]
-            bit = first << i  # bit - first: the squares left of it in its row
-            new_lines.append(prev | (bit - first))
-            col_bits[c - 1] = prev | bit
+            new_lines.append(prev | (bit - first))  # bit - first: the squares left of it in its row
+            col_bits[c] = prev | bit
+            new.append((r, c + 1))
+            bit <<= 1
+            row_top = top
         phi = _phi_step(phi, cells)
         lines += tuple(new_lines)
         ends += tuple(new_ends)
-        return up, rights + (right,), squares + new, lines, tuple(col_bits), phi, ends, glued
+        return up, rights + (right,), squares + tuple(new), lines, tuple(col_bits), phi, ends, glued
 
     root = (tuple(range(m + 1, m + n + 1)), (), (), (), (0,) * n, _identity(n), (), True)
     return _sweep(m, n, root, step)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm
-from operator import itemgetter, xor
+from operator import add, itemgetter, xor
 from typing import Callable, Iterable, Sequence, Union
 
 from .diagrams import Diagram
@@ -283,7 +283,8 @@ def _boundary_kernel_dim(p: Sequence[int], q: Sequence[int]) -> int:
 
 def _in_boundary_kernel(p: Sequence[int], q: Sequence[int], v: Sequence[Rational]) -> bool:
     """Whether (P_p + P_q) v = 0 for one-line forms p and q: v[p(i)] + v[q(i)] = 0 for every i."""
-    return all(v[a - 1] + v[b - 1] == 0 for a, b in zip(p, q))
+    entry = (0, *v).__getitem__  # label a reads v[a - 1]
+    return not any(map(add, map(entry, p), map(entry, q)))
 
 
 def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector, ...]:
@@ -295,20 +296,48 @@ def cycle_kernel_basis(cycles: tuple[tuple[int, ...], ...]) -> tuple[ExactVector
     form a basis of that kernel.  The vector length is the total cycle length.
     """
     size = sum(map(len, cycles))
-    basis = []
-    for cycle in cycles:
-        if len(cycle) % 2:
+    return tuple(tuple(_alternating(cycle, size)) for cycle in cycles if len(cycle) % 2 == 0)
+
+
+def _alternating(cycle: Sequence[int], size: int) -> list[int]:
+    """+1 at a_i for odd i and -1 for even i on the cycle (a_1 .. a_L), 0 elsewhere up to size."""
+    v = [0] * size
+    for a in cycle[::2]:
+        v[a - 1] = 1
+    for a in cycle[1::2]:
+        v[a - 1] = -1
+    return v
+
+
+def _even_cycle_vectors(images: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(v, -2 v) for each even-length cycle of the permutation with one-line form images.
+
+    One walk of the permutation gives what _cycles, odd_cycle_count and
+    cycle_kernel_basis give in three passes: the list's length is the
+    number of even-length cycles, and its vectors are cycle_kernel_basis's,
+    in the same order, each cycle starting at its minimum.
+    """
+    size = len(images)
+    seen = [False] * size
+    pairs = []
+    for start in range(1, size + 1):
+        if seen[start - 1]:
             continue
-        v = [0] * size
-        for idx, a in enumerate(cycle):
-            v[a - 1] = 1 if idx % 2 == 0 else -1
-        basis.append(tuple(v))
-    return tuple(basis)
+        cycle, x = [start], images[start - 1]
+        seen[start - 1] = True
+        while x != start:
+            seen[x - 1] = True
+            cycle.append(x)
+            x = images[x - 1]
+        if len(cycle) % 2 == 0:
+            v = _alternating(cycle, size)
+            pairs.append((tuple(v), tuple([-2 * e for e in v])))
+    return pairs
 
 
 def _square_image(endpoints: Sequence[tuple[int, int]], v: Sequence[Rational]) -> ExactVector:
     """Entry i is v[left(i)] - v[top(i)] for the (left, top) toric endpoints of white square i."""
-    return tuple(v[left - 1] - v[top - 1] for left, top in endpoints)
+    return tuple([v[left - 1] - v[top - 1] for left, top in endpoints])
 
 
 def _boundary_image(

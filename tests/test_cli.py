@@ -600,6 +600,53 @@ class TestVerify:
         assert failed == {"iso_maps": 10}
         assert report["status"] == "fail"
 
+    def test_flipped_cycle_vector_fails_iso_maps(self, monkeypatch):
+        # one entry of one cycle vector negated, its -2v to match, on the
+        # first diagram with an even cycle: the vector leaves the boundary
+        # kernel, and that diagram fails its cycle side alone
+        even_cycle_vectors = cli._even_cycle_vectors
+        pending = [True]
+
+        def flipped(tau):
+            pairs = even_cycle_vectors(tau)
+            if pairs and pending:
+                pending.clear()
+                v = list(pairs[0][0])
+                i = next(i for i, x in enumerate(v) if x)
+                v[i] = -v[i]
+                pairs[0] = (tuple(v), tuple(-2 * x for x in v))
+            return pairs
+
+        monkeypatch.setattr(cli, "_even_cycle_vectors", flipped)
+        report = run_verify(4)
+        assert not pending
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"iso_maps": 1}
+        assert report["status"] == "fail"
+
+    def test_dropped_cycle_vector_fails_dimension_equality(self, monkeypatch):
+        # the walk's length is the odd-cycle count: one vector dropped on one
+        # diagram moves that diagram's count, and so its shape's tally; the
+        # walk runs once per diagram
+        even_cycle_vectors = cli._even_cycle_vectors
+        pending, walked = [True], []
+
+        def dropped(tau):
+            walked.append(tau)
+            pairs = even_cycle_vectors(tau)
+            if pairs and pending:
+                pending.clear()
+                pairs.pop()
+            return pairs
+
+        monkeypatch.setattr(cli, "_even_cycle_vectors", dropped)
+        report = run_verify(4)
+        assert not pending
+        assert len(walked) == report["diagrams"] == 72
+        failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
+        assert failed == {"dimension_equality": 1, "tally_vs_formula": 1}
+        assert report["status"] == "fail"
+
     def test_boundary_side_is_checked_per_diagram(self, monkeypatch):
         # diagrams sharing a white matrix share its basis, but each maps it
         # to its own boundary and checks that image in its own kernel.  A

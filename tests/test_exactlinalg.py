@@ -29,7 +29,9 @@ from hstrata import (
 from hstrata.exactlinalg import (
     _GCD_REDUCE_BOUND,
     _boundary_kernel_dim,
+    _even_cycle_vectors,
     _identity,
+    _in_boundary_kernel,
     _integer_rows,
     _pair_rank,
     _phi_step,
@@ -37,7 +39,8 @@ from hstrata.exactlinalg import (
     _transfer_kernel_dim,
     _white_kernel_dim,
 )
-from hstrata.pipedreams import Permutation, _even_cycle_count
+from hstrata.cli import _verify_sweep
+from hstrata.pipedreams import Permutation, _cycles, _even_cycle_count, _permutations
 
 from conftest import (
     SHAPES_UP_TO_9,
@@ -517,6 +520,30 @@ class TestCycleKernelBasis:
             assert all(x == 0 for x in matvec(pp, v))
 
 
+class TestEvenCycleVectors:
+    # verify's one walk of tau against the three passes it replaces: the
+    # cycles, their odd-cycle count and the cycle kernel basis
+
+    @staticmethod
+    def assert_matches_the_three_passes(images):
+        cycles = _cycles(images)
+        pairs = _even_cycle_vectors(images)
+        assert len(pairs) == odd_cycle_count(cycles)
+        assert [v for v, _ in pairs] == list(cycle_kernel_basis(cycles))
+        for v, minus_2v in pairs:
+            assert minus_2v == tuple(-2 * x for x in v)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_every_permutation_up_to_7(self, k):
+        for images in permutations(range(1, k + 1)):
+            self.assert_matches_the_three_passes(images)
+
+    @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
+    def test_every_swept_tau_up_to_12_cells(self, m, n):
+        for _, (bottom, rights, *_) in _verify_sweep(m, n):
+            self.assert_matches_the_three_passes(_permutations(m, n, bottom, rights)[1])
+
+
 class TestSignCondition:
     # membership in the boundary kernel is equivalent to v_b == -v at the
     # toric image of b, for every label b
@@ -531,6 +558,22 @@ class TestSignCondition:
         sign_condition = all(v[b - 1] == -v[tau(b) - 1] for b in range(1, k + 1))
         in_kernel = all(x == 0 for x in matvec(boundary_matrix(d), v))
         assert sign_condition == in_kernel
+
+
+class TestInBoundaryKernel:
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)])
+    def test_agrees_with_the_matrix_product_row_by_row(self, m, n):
+        # every vector with entries -1, 0, 1, and its half: among them are
+        # vectors that break one row of P_sigma + P_omega alone, so a check
+        # that skipped a row would pass one of them
+        for d in all_diagrams(m, n):
+            sigma, omega = trace_permutation(d), all_black_permutation(m, n)
+            pp = boundary_matrix(d)
+            for v in product((-1, 0, 1), repeat=m + n):
+                in_kernel = all(x == 0 for x in matvec(pp, v))
+                assert _in_boundary_kernel(sigma.images, omega.images, v) == in_kernel
+                half = tuple(Fraction(x, 2) for x in v)
+                assert _in_boundary_kernel(sigma.images, omega.images, half) == in_kernel
 
 
 class TestKernelMaps:
@@ -566,6 +609,31 @@ class TestKernelMaps:
             to_square_kernel(d, (1, 0))
         with pytest.raises(ValueError, match="length"):
             to_boundary_kernel(d, (1, 0))
+
+    def test_rational_vectors_map_as_the_integer_ones_scaled(self):
+        # halves and thirds through both maps and the white-kernel test: each
+        # image is the integer case scaled, and a sixth off either kernel raises
+        d = Diagram.all_white(2, 2)
+        v1, v2 = cycle_kernel_basis(cycle_decomposition(toric_permutation(d)))
+        w1, w2 = to_square_kernel(d, v1), to_square_kernel(d, v2)
+
+        def mix(x, y):  # half of x plus a third of y
+            return tuple(Fraction(a, 2) + Fraction(b, 3) for a, b in zip(x, y))
+
+        v = mix(v1, v2)
+        w = to_square_kernel(d, v)
+        assert w == mix(w1, w2)
+        assert in_white_kernel(d, w)
+        assert to_boundary_kernel(d, w) == mix(to_boundary_kernel(d, w1), to_boundary_kernel(d, w2))
+        assert to_boundary_kernel(d, w) == tuple(-2 * x for x in v)
+        sixth = Fraction(1, 6)
+        for i in range(4):
+            with pytest.raises(ValueError, match="boundary kernel"):
+                to_square_kernel(d, (*v[:i], v[i] + sixth, *v[i + 1 :]))
+            off = (*w[:i], w[i] + sixth, *w[i + 1 :])
+            assert not in_white_kernel(d, off)
+            with pytest.raises(ValueError, match="white-square kernel"):
+                to_boundary_kernel(d, off)
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
     def test_compositions_scale_by_minus_two(self, m, n):
