@@ -8,11 +8,11 @@ one, then black squares only in columns of the mask.
 _sweep is the one depth-first walk: rows come white before black, so the
 diagrams come in lexicographic order of their row-major cells with white
 before black, each exactly once, and none is kept.  Each prefix of rows
-computes a caller's state once for all the diagrams below it; verify carries
-its pipe exits, the line pattern of its white squares (which fixes the white
-matrix), column transfer matrix, white-square endpoints and gluing verdict
-this way, and cauchon_diagrams is the walk with no state, one Diagram per
-leaf.
+computes a caller's state once for all the diagrams below it; the verify
+module's sweep carries its pipe exits, the line pattern of its white
+squares (which fixes the white matrix), column transfer matrix,
+white-square endpoints and gluing verdict this way, and cauchon_diagrams is
+the walk with no state, one Diagram per leaf.
 
 Both tallies run on one level-by-level frontier instead.  A prefix of rows
 meets the later rows only through its mask and a state on the columns, so

@@ -12,11 +12,12 @@ from types import SimpleNamespace
 import pytest
 
 from hstrata import Diagram, RatPoly
-from hstrata import cli, genfunc
-from hstrata.cli import main, run_verify
+from hstrata import cli, genfunc, verify
+from hstrata.cli import main
 from hstrata.enumeration import cauchon_diagrams
 from hstrata.exactlinalg import _identity, _phi_step, white_adjacency_matrix
 from hstrata.pipedreams import _trace
+from hstrata.verify import run_verify
 
 from conftest import SHAPES_UP_TO_9, SHAPES_UP_TO_12, phi_dense, transfer_matrix_dense
 
@@ -407,7 +408,7 @@ class TestVerify:
         # the faulted matrix is not skew, so it is a key of its own and takes
         # no other diagram's basis; each solved matrix is built once, not
         # once per diagram
-        kernel_basis, white_adjacency_matrix = cli.kernel_basis, cli.white_adjacency_matrix
+        kernel_basis, white_adjacency_matrix = verify.kernel_basis, verify.white_adjacency_matrix
         solved, built = [], []
 
         def recorded(mat):
@@ -418,8 +419,8 @@ class TestVerify:
             built.append(d)
             return white_adjacency_matrix(d)
 
-        monkeypatch.setattr(cli, "kernel_basis", recorded)
-        monkeypatch.setattr(cli, "white_adjacency_matrix", counted)
+        monkeypatch.setattr(verify, "kernel_basis", recorded)
+        monkeypatch.setattr(verify, "white_adjacency_matrix", counted)
         for inject_fault, distinct in ((False, 152), (True, 153)):
             solved.clear()
             built.clear()
@@ -429,13 +430,13 @@ class TestVerify:
     def test_each_diagram_reads_its_own_transfer_dimension(self, monkeypatch):
         # no memo stands between a diagram and its transfer read: one read
         # per diagram, of the phi folded over that diagram's own rows
-        transfer_kernel_dim, read = cli._transfer_kernel_dim, []
+        transfer_kernel_dim, read = verify._transfer_kernel_dim, []
 
         def counted(phi):
             read.append(phi)
             return transfer_kernel_dim(phi)
 
-        monkeypatch.setattr(cli, "_transfer_kernel_dim", counted)
+        monkeypatch.setattr(verify, "_transfer_kernel_dim", counted)
         assert run_verify(9)["diagrams"] == 2670
         assert len(read) == 2670
         assert read == [
@@ -450,7 +451,7 @@ class TestVerify:
         # each prefix's state is shared by every diagram below it, so a step
         # that changed its parent's state would show here; all states are
         # kept before any is compared
-        swept = list(cli._verify_sweep(m, n))
+        swept = list(verify._verify_sweep(m, n))
         diagrams = list(cauchon_diagrams(m, n))
         assert [rows for rows, _ in swept] == [d.rows for d in diagrams]
         for d, (_, state) in zip(diagrams, swept):
@@ -477,7 +478,7 @@ class TestVerify:
         # no matrix under two keys
         matrices: dict[tuple, set] = {}
         for m, n in SHAPES_UP_TO_9:
-            for rows, (_, _, _, lines, *_) in cli._verify_sweep(m, n):
+            for rows, (_, _, _, lines, *_) in verify._verify_sweep(m, n):
                 mat = white_adjacency_matrix(Diagram(rows))
                 matrices.setdefault(lines, set()).add(tuple(map(tuple, mat)))
         assert all(len(mats) == 1 for mats in matrices.values())
@@ -493,7 +494,7 @@ class TestVerify:
                 mat[0][1], mat[1][0] = -mat[0][1], -mat[1][0]
             return mat
 
-        monkeypatch.setattr(cli, "white_adjacency_matrix", negated)
+        monkeypatch.setattr(verify, "white_adjacency_matrix", negated)
         report = run_verify(4)
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"skew_symmetry": 39, "dimension_equality": 1, "iso_maps": 12}
@@ -501,13 +502,13 @@ class TestVerify:
 
     def test_broken_transfer_matrix_fails_dimension_equality(self, monkeypatch):
         # the swept phi is still checked against the other routes on every diagram
-        phi_step = cli._phi_step
+        phi_step = verify._phi_step
 
         def flipped(phi, cells):
             out = phi_step(phi, cells)
             return (out[0] ^ 1, *out[1:])  # row 0 of phi negated
 
-        monkeypatch.setattr(cli, "_phi_step", flipped)
+        monkeypatch.setattr(verify, "_phi_step", flipped)
         report = run_verify(6)
         failed = {name for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"dimension_equality"}
@@ -517,7 +518,7 @@ class TestVerify:
         # the first read, of the 1x1 white square's phi (1,), is off by one;
         # every other diagram reads its own phi, so that one diagram alone
         # fails
-        transfer_kernel_dim = cli._transfer_kernel_dim
+        transfer_kernel_dim = verify._transfer_kernel_dim
         pending = [True]
 
         def off_by_one(phi):
@@ -527,12 +528,17 @@ class TestVerify:
                 return dim + 1
             return dim
 
-        monkeypatch.setattr(cli, "_transfer_kernel_dim", off_by_one)
+        monkeypatch.setattr(verify, "_transfer_kernel_dim", off_by_one)
         report = run_verify(4)
         assert not pending
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"dimension_equality": 1}
         assert report["status"] == "fail"
+
+    def test_the_command_runs_the_library_suite(self):
+        # callers that look the suite up as hstrata.cli.run_verify (the
+        # benchmark worker, its trace span) get the library's own function
+        assert cli.run_verify is verify.run_verify
 
     def test_run_verify_counts(self):
         report = run_verify(2)
@@ -568,9 +574,9 @@ class TestVerify:
         assert "agree: True" in out
 
     def test_broken_kernel_map_fails_iso_maps(self, monkeypatch):
-        square_image = cli._square_image
+        square_image = verify._square_image
         doubled = lambda endpoints, v: tuple(2 * x for x in square_image(endpoints, v))
-        monkeypatch.setattr(cli, "_square_image", doubled)
+        monkeypatch.setattr(verify, "_square_image", doubled)
         report = run_verify(4)
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"iso_maps": 38}
@@ -580,7 +586,7 @@ class TestVerify:
         # scaled basis vectors pass by design; a vector off by one in one
         # entry is outside the kernel and must not (a vector of length 1
         # would only be scaled, so the first longer one is changed)
-        kernel_basis = cli.kernel_basis
+        kernel_basis = verify.kernel_basis
         pending = [True]
 
         def off_by_one(mat):
@@ -590,7 +596,7 @@ class TestVerify:
                 pending.clear()
             return tuple(basis)
 
-        monkeypatch.setattr(cli, "kernel_basis", off_by_one)
+        monkeypatch.setattr(verify, "kernel_basis", off_by_one)
         report = run_verify(4)
         assert not pending
         # the bad basis and its white-kernel verdict are kept for their white
@@ -604,7 +610,7 @@ class TestVerify:
         # one entry of one cycle vector negated, its -2v to match, on the
         # first diagram with an even cycle: the vector leaves the boundary
         # kernel, and that diagram fails its cycle side alone
-        even_cycle_vectors = cli._even_cycle_vectors
+        even_cycle_vectors = verify._even_cycle_vectors
         pending = [True]
 
         def flipped(tau):
@@ -617,7 +623,7 @@ class TestVerify:
                 pairs[0] = (tuple(v), tuple(-2 * x for x in v))
             return pairs
 
-        monkeypatch.setattr(cli, "_even_cycle_vectors", flipped)
+        monkeypatch.setattr(verify, "_even_cycle_vectors", flipped)
         report = run_verify(4)
         assert not pending
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
@@ -628,7 +634,7 @@ class TestVerify:
         # the walk's length is the odd-cycle count: one vector dropped on one
         # diagram moves that diagram's count, and so its shape's tally; the
         # walk runs once per diagram
-        even_cycle_vectors = cli._even_cycle_vectors
+        even_cycle_vectors = verify._even_cycle_vectors
         pending, walked = [True], []
 
         def dropped(tau):
@@ -639,7 +645,7 @@ class TestVerify:
                 pairs.pop()
             return pairs
 
-        monkeypatch.setattr(cli, "_even_cycle_vectors", dropped)
+        monkeypatch.setattr(verify, "_even_cycle_vectors", dropped)
         report = run_verify(4)
         assert not pending
         assert len(walked) == report["diagrams"] == 72
@@ -652,7 +658,7 @@ class TestVerify:
         # to its own boundary and checks that image in its own kernel.  A
         # basis-side check is the one whose vector _boundary_image has just
         # returned (the cycle side checks cycle basis vectors instead).
-        boundary_image, in_boundary_kernel = cli._boundary_image, cli._in_boundary_kernel
+        boundary_image, in_boundary_kernel = verify._boundary_image, verify._in_boundary_kernel
         last, basis_side = [None], []
 
         def recorded(m, n, squares, w):
@@ -666,8 +672,8 @@ class TestVerify:
                     return False
             return in_boundary_kernel(p, q, v)
 
-        monkeypatch.setattr(cli, "_boundary_image", recorded)
-        monkeypatch.setattr(cli, "_in_boundary_kernel", wrong_once)
+        monkeypatch.setattr(verify, "_boundary_image", recorded)
+        monkeypatch.setattr(verify, "_in_boundary_kernel", wrong_once)
         report = run_verify(4)
         # one check per basis vector of every diagram, the white kernel
         # dimension being the stratum's
@@ -680,7 +686,7 @@ class TestVerify:
 
     def test_broken_boundary_kernel_fails_dimension_equality(self, monkeypatch):
         # the elimination of P_sigma + P_omega is one of the compared routes
-        boundary_kernel_dim = cli._boundary_kernel_dim
+        boundary_kernel_dim = verify._boundary_kernel_dim
         pending = [True]
 
         def off_by_one(p, q):
@@ -690,7 +696,7 @@ class TestVerify:
                 return dim + 1
             return dim
 
-        monkeypatch.setattr(cli, "_boundary_kernel_dim", off_by_one)
+        monkeypatch.setattr(verify, "_boundary_kernel_dim", off_by_one)
         report = run_verify(4)
         assert not pending
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
@@ -724,7 +730,7 @@ class TestVerify:
     def test_swapped_toric_entries_fail(self, monkeypatch):
         # trading two images of tau splits one cycle or merges two, which
         # changes the number of even-length cycles by one
-        permutations = cli._permutations
+        permutations = verify._permutations
         pending = [True]
 
         def swapped(m, n, bottom, rights):
@@ -734,7 +740,7 @@ class TestVerify:
                 tau = (tau[1], tau[0], *tau[2:])
             return sigma, tau
 
-        monkeypatch.setattr(cli, "_permutations", swapped)
+        monkeypatch.setattr(verify, "_permutations", swapped)
         report = run_verify(4)
         assert not pending
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
@@ -743,14 +749,14 @@ class TestVerify:
 
     def test_swapped_endpoints_fail_gluing(self, monkeypatch):
         # the sweep reads each row's endpoints once for every diagram below it
-        pipe_row = cli._pipe_row
+        pipe_row = verify._pipe_row
 
         def swapped(above, row, left):
             up, right, ends = pipe_row(above, row, left)
             ends[:2] = ends[1::-1]  # the row's first two entries trade places
             return up, right, ends
 
-        monkeypatch.setattr(cli, "_pipe_row", swapped)
+        monkeypatch.setattr(verify, "_pipe_row", swapped)
         report = run_verify(4)
         failed = {name: c["failures"] for name, c in report["checks"].items() if c["failures"]}
         assert failed == {"gluing_identity": 22, "iso_maps": 9}

@@ -39,8 +39,8 @@ from hstrata.exactlinalg import (
     _transfer_kernel_dim,
     _white_kernel_dim,
 )
-from hstrata.cli import _verify_sweep
 from hstrata.pipedreams import Permutation, _cycles, _even_cycle_count, _permutations
+from hstrata.verify import _verify_sweep
 
 from conftest import (
     SHAPES_UP_TO_9,

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 from hstrata import Diagram, pipedreams
-from hstrata.cli import run_verify
+from hstrata.verify import run_verify
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hstrata"
 # each module imports only from modules before it; the package entry points
 # (__init__, __main__) sit above all of them
-LAYERS = ("diagrams", "pipedreams", "exactlinalg", "genfunc", "enumeration", "cli")
+LAYERS = ("diagrams", "pipedreams", "exactlinalg", "genfunc", "enumeration", "verify", "cli")
 
 
 def relative_imports(path: Path) -> list[str]:
@@ -101,7 +101,36 @@ def callers(name: str) -> set[tuple[str, str]]:
 def test_one_pipe_pass():
     # _trace folds the row rule over a diagram and verify's sweep steps it
     # per row prefix; any other reader of the pipes goes through _trace
-    assert callers("_pipe_row") == {("pipedreams", "_trace"), ("cli", "_verify_sweep")}
+    assert callers("_pipe_row") == {("pipedreams", "_trace"), ("verify", "_verify_sweep")}
+
+
+# what only the cross-check suite composes: the kernel maps, the boundary
+# kernel test, the cycle-side vectors and the white-matrix basis
+SUITE_HELPERS = (
+    "_square_image",
+    "_boundary_image",
+    "_in_boundary_kernel",
+    "_even_cycle_vectors",
+    "kernel_basis",
+)
+
+
+def test_one_module_knows_the_suite():
+    # verify composes the suite's helpers; beside it only exactlinalg's
+    # public wrappers call them, and cli imports from exactlinalg just the
+    # two dimensions dim reads
+    for name in SUITE_HELPERS:
+        found = callers(name)
+        assert ("verify", "run_verify") in found
+        others = {(module, fn) for module, fn in found if module != "verify"}
+        assert all(module == "exactlinalg" and not fn.startswith("_") for module, fn in others), others
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level and node.module == "exactlinalg"
+        for alias in node.names
+    }
+    assert imported == {"_boundary_kernel_dim", "_white_kernel_dim"}
 
 
 def test_one_two_term_engine():
