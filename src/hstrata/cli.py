@@ -53,11 +53,12 @@ SERIES_MAX_ORDER = 28
 # N = 900, 0.06 to 0.09 s at 30x30, 1x900, 900x1, 3x300 and 10x90 (31 s,
 # 28 s, 17 s and 40 s with the full elimination of the white matrix at
 # 30x30, 1x900, 3x300 and 10x90); the slowest diagrams found, 900 white
-# squares on the diagonal or in one row of a 900x900 grid, took 0.26 to
-# 0.28 s and 0.18 to 0.19 s, most of it parsing and tracing the 810,000
-# cells.  The cap bounds the kernel routes, not the grid: time and memory
-# grow linearly in m*n, and an all-black 2000x2000 grid, with no white
-# square, took 0.60 to 0.68 s at 58 MB peak RSS (3 runs each).
+# squares on the diagonal or in one row of a 900x900 grid, took 0.25 to
+# 0.35 s and 0.15 to 0.21 s at 24 MB peak RSS, most of it parsing and
+# tracing the 810,000 cells.  The cap bounds the kernel routes, not the
+# grid: time and memory grow linearly in m*n.  900 white squares on the
+# diagonal of a 900x2000 grid took 0.59 to 0.62 s at 35 MB, and an
+# all-black 2000x2000 grid 0.51 to 0.73 s at 58 MB (3 runs each).
 DIM_MAX_WHITE = 900
 # asymptotics output grows as n_max^2 and m is not capped: at n_max = 1000 the
 # JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
@@ -117,8 +118,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze one diagram file",
         description=(
             f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
-            "(under 0.3 s at the cap on a 2-CPU box); time and memory grow linearly in "
-            "the m*n cells (about 0.65 s and 58 MB for an all-black 2000x2000 grid)."
+            "(about 0.3 s and 24 MB at the cap on a 2-CPU box); time and memory grow "
+            "linearly in the m*n cells (0.6 s and 35 MB for a 900x2000 grid with a white "
+            "diagonal, 0.6 s and 58 MB for an all-black 2000x2000 grid)."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")

@@ -121,7 +121,7 @@ def _check_shape(m: int, n: int) -> None:
 def cauchon_diagrams(m: int, n: int) -> Iterator[Diagram]:
     """Yield every m x n Cauchon diagram exactly once, deterministically."""
     _check_shape(m, n)
-    return (Diagram(rows) for rows, _ in _sweep(m, n, None, lambda state, cells: None))
+    return (Diagram._of_cells(rows) for rows, _ in _sweep(m, n, None, lambda state, cells: None))
 
 
 # the rows one sweep lists over all its column masks, so its memory is bounded

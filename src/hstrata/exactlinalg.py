@@ -265,8 +265,13 @@ def _transfer_kernel_dim(phi: Sequence[int]) -> int:
 def _white_kernel_dim(rows: Sequence[Sequence[bool]]) -> int:
     """kernel_dim of the white matrix of a diagram's rows, through the column transfer matrix."""
     phi = _identity(len(rows[0]))
+    # all-black rows map by the identity and a run of equal rows shares one
+    # plan; going through _phi_plan's cache would keep one per distinct row
+    plan = lru_cache(maxsize=1)(_phi_plan.__wrapped__)
     for row in rows:
-        phi = _phi_step(phi, row)
+        if not all(row):
+            gather, mask = plan(row)
+            phi = tuple(map(xor, mask, gather(phi)))
     return _transfer_kernel_dim(phi)
 
 
@@ -312,7 +317,7 @@ def _alternating(cycle: Sequence[int], size: int) -> list[int]:
 def _even_cycle_vectors(images: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(v, -2 v) for each even-length cycle of the permutation with one-line form images.
 
-    One walk of the permutation gives what _cycles, odd_cycle_count and
+    One walk gives what cycle_decomposition, odd_cycle_count and
     cycle_kernel_basis give in three passes: the list's length is the
     number of even-length cycles, and its vectors are cycle_kernel_basis's,
     in the same order, each cycle starting at its minimum.

@@ -26,7 +26,7 @@ Boundary labels come in two flavours:
   toric permutation is the standard one-line form with its two blocks
   swapped, i.e. the standard permutation composed with the inverse of the
   all-black diagram's permutation.  The exits of white squares under these
-  labels are their toric endpoints (toric_endpoint_table).
+  labels are their (left, top) toric endpoints (toric_endpoint_table).
 
 Every trace folds one row rule (_pipe_row) over the rows once (_trace),
 keeping only the current row of exits.
@@ -39,7 +39,7 @@ number of inversions, i.e. even length.  Fixed points are even cycles.
 from __future__ import annotations
 
 from operator import sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .diagrams import Diagram
 
@@ -124,18 +124,13 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
     Each cycle starts at its minimum element and the cycles are sorted by that
     minimum, so the decomposition is deterministic.
     """
-    return _cycles(p.images)
-
-
-def _cycles(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """cycle_decomposition of the permutation with one-line form images."""
+    images = p.images
     seen = [False] * len(images)
     cycles = []
     for start in range(1, len(images) + 1):
         if seen[start - 1]:
             continue
-        cycle = []
-        x = start
+        cycle, x = [], start
         while not seen[x - 1]:
             seen[x - 1] = True
             cycle.append(x)
@@ -275,22 +270,12 @@ def toric_permutation(d: Diagram) -> Permutation:
     return Permutation(_trace(d)[1])
 
 
-class ToricEndpoints(NamedTuple):
-    """Toric boundary labels reached from a white square's two arc exits."""
-
-    left: int
-    top: int
-
-
-def toric_endpoint_table(d: Diagram) -> tuple[ToricEndpoints, ...]:
-    """Toric labels reached by leaving each white square left or up.
+def toric_endpoint_table(d: Diagram) -> tuple[tuple[int, int], ...]:
+    """Toric labels (left, top) reached by leaving each white square left or up.
 
     Index i-1 holds white-square label i, the square d.white_squares()[i-1].
-    `left` follows the pipe leaving the square through its left edge, `top`
-    the one leaving through its top edge.
-    Whenever square j is the next white square to the right of square i in
-    its row, or the next white square above i in its column, the identity
-    table[i-1].top == table[j-1].left holds (the two exits continue along the
-    same pipe).
+    When square j is the next white square right of square i in its row, or
+    above it in its column, table[i-1][1] == table[j-1][0]: the two exits
+    continue along the same pipe.
     """
-    return tuple(ToricEndpoints(*pair) for pair in _trace(d)[2])
+    return _trace(d)[2]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, factorial
-from operator import xor
+from operator import mul, xor
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -189,15 +189,22 @@ def det_fraction(rows: list[list[Fraction]]) -> Fraction:
 
 
 def rank_by_minors(entries) -> int:
-    """Rank as the largest size of a nonsingular square submatrix."""
+    """Rank as the size of the largest linearly independent set of rows or columns.
+
+    Vectors are independent over the rationals exactly when their Gram
+    determinant, the determinant of their pairwise dot products, is nonzero.
+    The sets are drawn from the shorter side, so at most 2^min(rows, columns)
+    determinants are taken however long the other side is, which keeps the
+    tests that draw tall matrices within Hypothesis's deadline.
+    """
     rows = [list(row) for row in entries]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    for size in range(min(nrows, ncols), 0, -1):
-        for ris in combinations(range(nrows), size):
-            for cis in combinations(range(ncols), size):
-                sub = [[rows[i][j] for j in cis] for i in ris]
-                if det_fraction(sub) != 0:
-                    return size
+    if not rows or not rows[0]:
+        return 0
+    vectors = rows if len(rows) <= len(rows[0]) else [list(col) for col in zip(*rows)]
+    for size in range(len(vectors), 0, -1):
+        for chosen in combinations(vectors, size):
+            if det_fraction([[sum(map(mul, u, v)) for v in chosen] for u in chosen]) != 0:
+                return size
     return 0
 
 

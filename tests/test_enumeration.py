@@ -85,6 +85,23 @@ class TestCauchonDiagrams:
             expected = [d for d in all_diagrams(m, n) if cauchon_by_definition(d)]
             assert list(cauchon_diagrams(m, n)) == expected
 
+    def test_takes_the_sweeps_rows_as_they_are(self, monkeypatch):
+        # the sweep's leaves are nonempty, equal-length tuples of bools, so
+        # the stream builds its diagrams without Diagram's checks
+        expected = [d for d in all_diagrams(3, 3) if cauchon_by_definition(d)]
+        init, calls = Diagram.__init__, []
+
+        def counted(self, rows):
+            calls.append(rows)
+            init(self, rows)
+
+        monkeypatch.setattr(Diagram, "__init__", counted)
+        stream = list(cauchon_diagrams(3, 3))
+        assert calls == []
+        assert stream == expected
+        assert all(type(row) is tuple and len(row) == 3 for d in stream for row in d.rows)
+        assert all(type(cell) is bool for d in stream for row in d.rows for cell in row)
+
     def test_rows_are_listed_once_per_mask(self, monkeypatch):
         # every prefix ending in a column mask reads one list of its rows
         row_choices, masks = enumeration._row_choices, []

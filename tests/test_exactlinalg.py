@@ -34,12 +34,13 @@ from hstrata.exactlinalg import (
     _in_boundary_kernel,
     _integer_rows,
     _pair_rank,
+    _phi_plan,
     _phi_step,
     _pivot_rows,
     _transfer_kernel_dim,
     _white_kernel_dim,
 )
-from hstrata.pipedreams import Permutation, _cycles, _even_cycle_count, _permutations
+from hstrata.pipedreams import Permutation, _even_cycle_count, _permutations
 from hstrata.verify import _verify_sweep
 
 from conftest import (
@@ -498,6 +499,30 @@ class TestColumnTransfer:
         d = Diagram([[True] * 2000] * 1999 + [[False] * 2000])
         assert _white_kernel_dim(d.rows) == odd_cycle_count(cycle_decomposition(toric_permutation(d)))
 
+    def test_leaves_the_row_plan_cache_alone(self):
+        # the tallies reuse narrow rows' plans from _phi_plan's cache; one
+        # grid's fold must not fill it with a wide plan per distinct row
+        # (900 of them, 2000 columns wide, for a 900x2000 grid's diagonal)
+        d = Diagram([[c != r for c in range(97)] for r in range(40)] + [[True] * 97])
+        _phi_plan.cache_clear()
+        assert _white_kernel_dim(d.rows) == odd_cycle_count(cycle_decomposition(toric_permutation(d)))
+        assert _phi_plan.cache_info().currsize == 0
+
+    def test_plans_a_repeated_row_once(self, monkeypatch):
+        # all-black rows map by the identity, and a run of equal rows shares
+        # the plan of its first row
+        plan, planned = _phi_plan.__wrapped__, []
+
+        def counted(cells):
+            planned.append(cells)
+            return plan(cells)
+
+        monkeypatch.setattr(_phi_plan, "__wrapped__", counted)
+        ends = (False, True, True, True, False)
+        d = Diagram([[False] * 5] * 3 + [[True] * 5] + [ends] * 2 + [[False] * 5])
+        assert _white_kernel_dim(d.rows) == kernel_dim(white_adjacency_matrix(d))
+        assert planned == [(False,) * 5, ends, (False,) * 5]
+
 
 class TestCycleKernelBasis:
     def test_identity_has_empty_basis(self):
@@ -526,7 +551,7 @@ class TestEvenCycleVectors:
 
     @staticmethod
     def assert_matches_the_three_passes(images):
-        cycles = _cycles(images)
+        cycles = cycle_decomposition(Permutation(images))
         pairs = _even_cycle_vectors(images)
         assert len(pairs) == odd_cycle_count(cycles)
         assert [v for v, _ in pairs] == list(cycle_kernel_basis(cycles))

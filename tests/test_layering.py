@@ -169,26 +169,19 @@ def test_the_counting_oracles_share_no_engine():
 
 
 def test_verify_builds_no_permutation_or_endpoint_objects(monkeypatch):
-    # run_verify reads sigma, tau, their cycles and the white-square
-    # endpoints as plain int tuples; the counters are first seen to count
-    # what the public wrappers build
+    # run_verify reads sigma, tau and their cycles as plain int tuples, and
+    # the white-square endpoints are plain pairs everywhere; the counter is
+    # first seen to count what the public wrapper builds
     built: Counter = Counter()
-    init, new = pipedreams.Permutation.__init__, pipedreams.ToricEndpoints.__new__
+    init = pipedreams.Permutation.__init__
 
     def counted_init(self, images):
         built["Permutation"] += 1
         init(self, images)
 
-    def counted_new(cls, *args, **kwargs):
-        built["ToricEndpoints"] += 1
-        return new(cls, *args, **kwargs)
-
     monkeypatch.setattr(pipedreams.Permutation, "__init__", counted_init)
-    monkeypatch.setattr(pipedreams.ToricEndpoints, "__new__", counted_new)
-    d = Diagram.all_white(2, 2)
-    pipedreams.trace_permutation(d)
-    pipedreams.toric_endpoint_table(d)
-    assert built == Counter(Permutation=1, ToricEndpoints=4)
+    pipedreams.trace_permutation(Diagram.all_white(2, 2))
+    assert built == Counter(Permutation=1)
     built.clear()
     assert run_verify(6)["diagrams"] == 356
     assert built == Counter()
