@@ -23,11 +23,11 @@ from .diagrams import Diagram
 from .enumeration import diagram_from_permutation, tally_dimensions
 from .exactlinalg import _boundary_kernel_dim, _white_kernel_dim
 from .genfunc import (
+    _stratum_series_coeff,
     asymptotic_proportion,
     closed_form_coeffs,
     poly_bernoulli,
     stratum_poly,
-    stratum_series,
 )
 from .pipedreams import (
     Permutation,
@@ -44,9 +44,12 @@ VERIFY_DEFAULT_CELLS = 9
 # RSS 22, 24 and 25 MB (3 runs each) on a shared 2-CPU box (Python 3.11),
 # so 16, which covers the acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
-# count k k --method series took 24.5 to 27.4 s at k = 28 on the same box
-# (3 runs), and 12 to 15 s at 24 when 28 took 31 to 38 s.
-SERIES_MAX_ORDER = 28
+# count --method series solves one power recurrence and convolves only the
+# (m, n) coefficient of the product.  On the same box the whole command took
+# 5.7 to 6.2 s at 28x28 (26 MB peak RSS), 9.7 to 10.6 s at 32x32 (33 MB) and
+# 16.1 to 19.4 s at 36x36 (41 MB), 3 runs each: 36 stays inside the 24.5 to
+# 27.4 s that set the earlier cap of 28.
+SERIES_MAX_ORDER = 36
 # dim reads the white kernel off the n x n column transfer matrix, not the
 # N x N white matrix, and eliminates the boundary matrix on its two-term
 # rows.  On the same box the whole command took, for all-white grids at
@@ -133,9 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Count strata by dimension. --method formula takes any m and n and builds its "
             "table on the shorter side (about 1 s at 150x150 and 12 to 14 s at 300x300 on a "
-            f"2-CPU box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (25 to 27 s "
-            f"at the cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and takes any "
-            "longer side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at "
+            f"2-CPU box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (16 to 19 s "
+            f"and 41 MB at the cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and "
+            "takes any longer side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at "
             "100x6); past it use --method formula."
         ),
     )
@@ -253,7 +256,7 @@ def _method_counts(m: int, n: int, method: str, cache_dir) -> dict[int, int]:
     if method == "formula":
         poly = stratum_poly(min(m, n), max(m, n))  # the table is built on the shorter side
     else:
-        poly = stratum_series(m, n).egf_coeff(m, n)
+        poly = _stratum_series_coeff(m, n)  # the one coefficient, not the whole grid
     counts = {}
     for d, c in enumerate(poly.coeffs):
         if c.denominator != 1 or c < 0:

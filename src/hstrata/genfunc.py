@@ -13,9 +13,11 @@ mathematically independent routes:
   closed_form_coeffs returns the c_k = C_k[d] / 2^m as Fractions;
 * a truncated bivariate power series in x and y with polynomial-in-t
   coefficients (RatPoly, over Fractions) whose exponential coefficient of
-  x^m y^n is sum_d h(m, n, d) t^d (stratum_series).  Its exp and its powers
-  (the reciprocal is the power -1) are solved coefficient by coefficient
-  from first-order recurrences (J.C.P. Miller's power recurrence).
+  x^m y^n is sum_d h(m, n, d) t^d (stratum_series): G^alpha F^(alpha+1)
+  with F = e^x + e^y - 1, G(x, y) = F(-x, -y) and alpha = -(1+t)/2, so
+  one power F^alpha gives both factors.  Its exp and its powers (the
+  reciprocal is the power -1) are solved coefficient by coefficient from
+  first-order recurrences (J.C.P. Miller's power recurrence).
 
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
 a rational limit read off the integer coefficients of (t+1)(t+3)...(t+2m-1).
@@ -123,6 +125,16 @@ def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: in
             x *= scale
             for j, y in enumerate(pb):
                 acc[i + j] += x * y
+    return acc
+
+
+def _product_coeff(a: list[list[list[int]]], b: list[list[list[int]]], i: int, j: int) -> list[int]:
+    """The x^i y^j coefficient of the product of two series' integer grids (_integer_grid)."""
+    acc: list[int] = []
+    for i1 in range(i + 1):
+        row_a, row_b = a[i1], b[i - i1]
+        for j1 in range(j + 1):
+            _add_product(acc, row_a[j1], row_b[j - j1])
     return acc
 
 
@@ -450,17 +462,13 @@ class TruncatedSeries3:
         self._match(other)
         (a, da), (b, db) = self._integer_grid(), other._integer_grid()
         den = da * db
-        rows = []
-        for i in range(self.max_x + 1):
-            row = []
-            for j in range(self.max_y + 1):
-                acc: list[int] = []
-                for i1 in range(i + 1):
-                    row_a, row_b = a[i1], b[i - i1]
-                    for j1 in range(j + 1):
-                        _add_product(acc, row_a[j1], row_b[j - j1])
-                row.append(RatPoly([Fraction(v, den) for v in acc]))
-            rows.append(row)
+        rows = [
+            [
+                RatPoly([Fraction(v, den) for v in _product_coeff(a, b, i, j)])
+                for j in range(self.max_y + 1)
+            ]
+            for i in range(self.max_x + 1)
+        ]
         return TruncatedSeries3(self.max_x, self.max_y, rows)
 
     def _integer_grid(self) -> tuple[list[list[list[int]]], int]:
@@ -541,20 +549,38 @@ class TruncatedSeries3:
         return f"TruncatedSeries3(max_x={self.max_x}, max_y={self.max_y})"
 
 
+def _stratum_factors(max_x: int, max_y: int) -> tuple[TruncatedSeries3, TruncatedSeries3]:
+    """G^alpha and F^(alpha+1) from one power recurrence, H = F^alpha.
+
+    F = e^x + e^y - 1, G = e^-x + e^-y - 1 and alpha = -(1+t)/2.  As
+    G(x, y) = F(-x, -y), G^alpha is H with the coefficients of odd total
+    degree negated, and F^(alpha+1) = H F.
+    """
+    exponential = TruncatedSeries3.exponential
+    f = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - 1
+    h = f.pow_poly(RatPoly([Fraction(-1, 2), Fraction(-1, 2)]))
+    return h._map_coeffs(lambda i, j, c: -c if (i + j) % 2 else c), h * f
+
+
 def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
     """Trivariate counting series, truncated to the given orders.
 
     The exponential coefficient of x^m y^n is the polynomial whose t^d
-    coefficient is h(m, n, d).  Computed as the product of the two binomial
-    factors (e^-y + e^-x - 1) and (e^x + e^y - 1) raised to the affine
-    exponents -(1+t)/2 and (1-t)/2 by the power recurrence of pow_poly.
+    coefficient is h(m, n, d).  It is G^alpha F^(alpha+1) with
+    F = e^x + e^y - 1, G = e^-x + e^-y - 1 and alpha = -(1+t)/2; since
+    G(x, y) = F(-x, -y), both factors come from the one power F^alpha of
+    pow_poly's recurrence (_stratum_factors).
     """
-    exponential = TruncatedSeries3.exponential
-    neg_factor = exponential(max_x, max_y, 0, -1) + exponential(max_x, max_y, -1, 0) - 1
-    pos_factor = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - 1
-    alpha_neg = RatPoly([Fraction(-1, 2), Fraction(-1, 2)])  # -(1+t)/2
-    alpha_pos = RatPoly([Fraction(1, 2), Fraction(-1, 2)])  # (1-t)/2
-    return neg_factor.pow_poly(alpha_neg) * pos_factor.pow_poly(alpha_pos)
+    g_alpha, f_alpha1 = _stratum_factors(max_x, max_y)
+    return g_alpha * f_alpha1
+
+
+def _stratum_series_coeff(m: int, n: int) -> RatPoly:
+    """stratum_series(m, n).egf_coeff(m, n), convolving only that coefficient of the product."""
+    g_alpha, f_alpha1 = _stratum_factors(m, n)
+    (a, da), (b, db) = g_alpha._integer_grid(), f_alpha1._integer_grid()
+    scale = factorial(m) * factorial(n)
+    return RatPoly([Fraction(v * scale, da * db) for v in _product_coeff(a, b, m, n)])
 
 
 def poly_bernoulli_series(max_x: int, max_y: int) -> TruncatedSeries3:

@@ -7,7 +7,6 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -272,6 +271,39 @@ class TestCount:
         assert code == 0
         assert "agree: True" in out
 
+    @pytest.mark.parametrize("m, n", [(4, 4), (2, 5)])
+    def test_series_convolves_one_coefficient(self, capsys, monkeypatch, m, n):
+        # one power recurrence and one full product, H = F^alpha times F;
+        # of G^alpha F^(alpha+1) only the (m, n) coefficient is convolved
+        series = genfunc.TruncatedSeries3
+        recurrences, products, coefficients = [], [], []
+        recurrence, mul, product_coeff = series._recurrence, series.__mul__, genfunc._product_coeff
+
+        def counted_recurrence(self, p, q):
+            recurrences.append(p)
+            return recurrence(self, p, q)
+
+        def counted_mul(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        def counted_coeff(a, b, i, j):
+            coefficients.append((i, j))
+            return product_coeff(a, b, i, j)
+
+        monkeypatch.setattr(series, "_recurrence", counted_recurrence)
+        monkeypatch.setattr(series, "__mul__", counted_mul)
+        monkeypatch.setattr(genfunc, "_product_coeff", counted_coeff)
+        argv = ("count", str(m), str(n), "--method", "series", "--method", "formula")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "agree: True" in out
+        assert len(recurrences) == 1
+        f = series.exponential(m, n, 1, 0) + series.exponential(m, n, 0, 1) - 1
+        assert products == [f]
+        assert len(coefficients) == (m + 1) * (n + 1) + 1
+        assert coefficients[-1] == (m, n)
+
     def test_rejects_nonpositive(self, capsys):
         code, _, err = run_cli(capsys, "count", "0", "2")
         assert code == 2
@@ -281,8 +313,7 @@ class TestCount:
         # a fractional count must be reported, not truncated to 0 by int()
         poly = RatPoly([Fraction(1, 2), 7, 2])
         monkeypatch.setattr(cli, "stratum_poly", lambda m, n: poly)
-        series = SimpleNamespace(egf_coeff=lambda i, j: poly)
-        monkeypatch.setattr(cli, "stratum_series", lambda max_x, max_y: series)
+        monkeypatch.setattr(cli, "_stratum_series_coeff", lambda m, n: poly)
         code, out, err = run_cli(capsys, "count", "2", "2", "--method", method)
         assert code == 2
         assert out == ""

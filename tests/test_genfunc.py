@@ -388,6 +388,18 @@ def _dense_series(max_x: int, max_y: int, constant: RatPoly) -> TruncatedSeries3
     return TruncatedSeries3(max_x, max_y, rows)
 
 
+def _mirror(s: TruncatedSeries3) -> TruncatedSeries3:
+    """s(-x, -y)."""
+    rows = [
+        [
+            s.egf_coeff(i, j) * F((-1) ** (i + j), factorial(i) * factorial(j))
+            for j in range(s.max_y + 1)
+        ]
+        for i in range(s.max_x + 1)
+    ]
+    return TruncatedSeries3(s.max_x, s.max_y, rows)
+
+
 class TestSeries:
     def test_exponential_coefficient_normalization(self):
         s = TruncatedSeries3.exponential(3, 3, 1, 1)  # e^(x+y)
@@ -459,6 +471,39 @@ class TestSeries:
     @pytest.mark.parametrize("order", [(1, 1), (2, 3), (4, 2), (3, 5), (5, 5)])
     def test_stratum_series_matches_exp_log_route(self, order):
         assert stratum_series(*order) == stratum_series_by_exp_log(*order)
+
+    @pytest.mark.parametrize("order", SERIES_ORDERS)
+    def test_mirror_of_the_positive_factor_is_the_negative_one(self, order):
+        # G(x, y) = F(-x, -y): the coefficients of odd total degree change sign
+        ex = TruncatedSeries3.exponential
+        f = ex(*order, 1, 0) + ex(*order, 0, 1) - 1
+        g = ex(*order, -1, 0) + ex(*order, 0, -1) - 1
+        assert _mirror(f) == g
+
+    @pytest.mark.parametrize("order", SERIES_ORDERS)
+    def test_the_next_power_is_one_product(self, order):
+        ex = TruncatedSeries3.exponential
+        f = ex(*order, 1, 0) + ex(*order, 0, 1) - 1
+        alpha = RatPoly([F(-1, 2), F(-1, 2)])
+        assert f.pow_poly(alpha + 1) == f.pow_poly(alpha) * f
+
+    @pytest.mark.parametrize("order", [(4, 4), (3, 5)])
+    def test_stratum_series_solves_one_recurrence(self, monkeypatch, order):
+        calls = []
+        recurrence = TruncatedSeries3._recurrence
+
+        def counted(self, p, q):
+            calls.append((p, q))
+            return recurrence(self, p, q)
+
+        monkeypatch.setattr(TruncatedSeries3, "_recurrence", counted)
+        stratum_series(*order)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_one_coefficient_matches_the_full_series(self, m):
+        for n in range(1, 9):
+            assert genfunc._stratum_series_coeff(m, n) == stratum_series(m, n).egf_coeff(m, n)
 
     @pytest.mark.parametrize("order", SERIES_ORDERS)
     def test_exp_matches_power_sum(self, order):
