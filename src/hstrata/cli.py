@@ -44,11 +44,12 @@ VERIFY_DEFAULT_CELLS = 9
 # RSS 22, 24 and 25 MB (3 runs each) on a shared 2-CPU box (Python 3.11),
 # so 16, which covers the acceptance sweep, is the largest under a minute.
 VERIFY_MAX_CELLS = 16
-# count --method series solves one power recurrence and convolves only the
-# (m, n) coefficient of the product.  On the same box the whole command took
-# 5.7 to 6.2 s at 28x28 (26 MB peak RSS), 9.7 to 10.6 s at 32x32 (33 MB) and
-# 16.1 to 19.4 s at 36x36 (41 MB), 3 runs each: 36 stays inside the 24.5 to
-# 27.4 s that set the earlier cap of 28.
+# count --method series solves one power recurrence H = F^alpha and convolves
+# only the (m, n) coefficient of G^alpha (H F), where H F meets only F's
+# nonzero terms.  On the same box the whole command took 5.0 to 6.8 s at
+# 28x28 (26 MB peak RSS), 8.7 to 10.1 s at 32x32 (33 MB) and 14.6 to 16.7 s
+# at 36x36 (40 MB), 3 runs each, most of it in the recurrence: 36 stays
+# inside the 24.5 to 27.4 s that set the earlier cap of 28.
 SERIES_MAX_ORDER = 36
 # dim reads the white kernel off the n x n column transfer matrix, not the
 # N x N white matrix, and eliminates the boundary matrix on its two-term
@@ -136,8 +137,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "Count strata by dimension. --method formula takes any m and n and builds its "
             "table on the shorter side (about 1 s at 150x150 and 12 to 14 s at 300x300 on a "
-            f"2-CPU box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (16 to 19 s "
-            f"and 41 MB at the cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and "
+            f"2-CPU box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (15 to 17 s "
+            f"and 40 MB at the cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and "
             "takes any longer side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at "
             "100x6); past it use --method formula."
         ),

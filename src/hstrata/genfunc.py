@@ -15,9 +15,12 @@ mathematically independent routes:
   coefficients (RatPoly, over Fractions) whose exponential coefficient of
   x^m y^n is sum_d h(m, n, d) t^d (stratum_series): G^alpha F^(alpha+1)
   with F = e^x + e^y - 1, G(x, y) = F(-x, -y) and alpha = -(1+t)/2, so
-  one power F^alpha gives both factors.  Its exp and its powers (the
-  reciprocal is the power -1) are solved coefficient by coefficient from
-  first-order recurrences (J.C.P. Miller's power recurrence).
+  with H = F^alpha it is (H(-x, -y) H(x, y)) F: one power, its mirror
+  square on the even half of the grid, and one product over the few
+  nonzero terms of F (products skip zero coefficients).  Its exp and its
+  powers (the reciprocal is the power -1) are solved coefficient by
+  coefficient from first-order recurrences (J.C.P. Miller's power
+  recurrence).
 
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
 a rational limit read off the integer coefficients of (t+1)(t+3)...(t+2m-1).
@@ -129,13 +132,47 @@ def _add_product(acc: list[int], pa: Sequence[int], pb: Sequence[int], scale: in
 
 
 def _product_coeff(a: list[list[list[int]]], b: list[list[list[int]]], i: int, j: int) -> list[int]:
-    """The x^i y^j coefficient of the product of two series' integer grids (_integer_grid)."""
+    """The x^i y^j coefficient of the product of two series' integer grids (_integer_grid).
+
+    Pairs where either coefficient is zero are skipped, so a product with
+    F = e^x + e^y - 1 costs F's i + j + 1 nonzero terms per coefficient.
+    """
     acc: list[int] = []
     for i1 in range(i + 1):
         row_a, row_b = a[i1], b[i - i1]
         for j1 in range(j + 1):
-            _add_product(acc, row_a[j1], row_b[j - j1])
+            pa, pb = row_a[j1], row_b[j - j1]
+            if pa and pb:
+                _add_product(acc, pa, pb)
     return acc
+
+
+def _mirror_square(h: list[list[list[int]]]) -> list[list[list[int]]]:
+    """The integer grid of h(-x, -y) h(x, y), over the square of h's denominator.
+
+    Its x^i y^j coefficient is sum_(a,b) (-1)^(a+b) h[a][b] h[i-a][j-b].  The
+    terms at (a, b) and (i-a, j-b) carry the signs (-1)^(a+b) and
+    (-1)^(i+j-a-b): they cancel when i + j is odd and are equal when it is
+    even, so each unordered pair is added once, doubled, and the middle
+    term (i/2, j/2) once.
+    """
+    rows, cols = len(h), len(h[0])
+    out: list[list[list[int]]] = [[[] for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        for j in range(i % 2, cols, 2):
+            acc: list[int] = []
+            for a in range(i // 2 + 1):
+                row_a, row_b = h[a], h[i - a]
+                # (a, b) before its partner (i-a, j-b): every b while a < i-a, else b < j-b
+                for b in range(j + 1 if 2 * a < i else j // 2):
+                    pa, pb = row_a[b], row_b[j - b]
+                    if pa and pb:
+                        _add_product(acc, pa, pb, -2 if (a + b) % 2 else 2)
+            if not i % 2:  # then j is even too, and (i/2, j/2) is its own partner
+                mid = h[i // 2][j // 2]
+                _add_product(acc, mid, mid, -1 if (i + j) // 2 % 2 else 1)
+            out[i][j] = acc
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -461,15 +498,7 @@ class TruncatedSeries3:
             return self.scale(other)
         self._match(other)
         (a, da), (b, db) = self._integer_grid(), other._integer_grid()
-        den = da * db
-        rows = [
-            [
-                RatPoly([Fraction(v, den) for v in _product_coeff(a, b, i, j)])
-                for j in range(self.max_y + 1)
-            ]
-            for i in range(self.max_x + 1)
-        ]
-        return TruncatedSeries3(self.max_x, self.max_y, rows)
+        return _grid_product(a, b, da * db)
 
     def _integer_grid(self) -> tuple[list[list[list[int]]], int]:
         """The coefficients as integer lists over one common denominator."""
@@ -549,17 +578,20 @@ class TruncatedSeries3:
         return f"TruncatedSeries3(max_x={self.max_x}, max_y={self.max_y})"
 
 
-def _stratum_factors(max_x: int, max_y: int) -> tuple[TruncatedSeries3, TruncatedSeries3]:
-    """G^alpha and F^(alpha+1) from one power recurrence, H = F^alpha.
+def _grid_product(a: list[list[list[int]]], b: list[list[list[int]]], den: int) -> TruncatedSeries3:
+    """The series of the product of two integer grids of one shape, divided by den."""
+    rows = [
+        [RatPoly([Fraction(v, den) for v in _product_coeff(a, b, i, j)]) for j in range(len(a[0]))]
+        for i in range(len(a))
+    ]
+    return TruncatedSeries3(len(a) - 1, len(a[0]) - 1, rows)
 
-    F = e^x + e^y - 1, G = e^-x + e^-y - 1 and alpha = -(1+t)/2.  As
-    G(x, y) = F(-x, -y), G^alpha is H with the coefficients of odd total
-    degree negated, and F^(alpha+1) = H F.
-    """
+
+def _stratum_power(max_x: int, max_y: int) -> tuple[TruncatedSeries3, TruncatedSeries3]:
+    """H = F^alpha from one power recurrence, and F = e^x + e^y - 1; alpha = -(1+t)/2."""
     exponential = TruncatedSeries3.exponential
     f = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - 1
-    h = f.pow_poly(RatPoly([Fraction(-1, 2), Fraction(-1, 2)]))
-    return h._map_coeffs(lambda i, j, c: -c if (i + j) % 2 else c), h * f
+    return f.pow_poly(RatPoly([Fraction(-1, 2), Fraction(-1, 2)])), f
 
 
 def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
@@ -567,18 +599,25 @@ def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
 
     The exponential coefficient of x^m y^n is the polynomial whose t^d
     coefficient is h(m, n, d).  It is G^alpha F^(alpha+1) with
-    F = e^x + e^y - 1, G = e^-x + e^-y - 1 and alpha = -(1+t)/2; since
-    G(x, y) = F(-x, -y), both factors come from the one power F^alpha of
-    pow_poly's recurrence (_stratum_factors).
+    F = e^x + e^y - 1, G = e^-x + e^-y - 1 and alpha = -(1+t)/2.  Since
+    G(x, y) = F(-x, -y), with H = F^alpha from pow_poly's one recurrence it
+    is (H(-x, -y) H(x, y)) F: the mirror square of H (_mirror_square), zero
+    at odd total degree, times F's max_x + max_y + 1 nonzero terms.
     """
-    g_alpha, f_alpha1 = _stratum_factors(max_x, max_y)
-    return g_alpha * f_alpha1
+    h, f = _stratum_power(max_x, max_y)
+    (hg, dh), (fg, df) = h._integer_grid(), f._integer_grid()
+    return _grid_product(_mirror_square(hg), fg, dh * dh * df)
 
 
 def _stratum_series_coeff(m: int, n: int) -> RatPoly:
-    """stratum_series(m, n).egf_coeff(m, n), convolving only that coefficient of the product."""
-    g_alpha, f_alpha1 = _stratum_factors(m, n)
-    (a, da), (b, db) = g_alpha._integer_grid(), f_alpha1._integer_grid()
+    """stratum_series(m, n).egf_coeff(m, n) as G^alpha (H F), convolving only that coefficient.
+
+    G^alpha = H(-x, -y) is H's integer grid with the coefficients of odd
+    total degree negated.
+    """
+    h, f = _stratum_power(m, n)
+    (a, da), (b, db) = h._integer_grid(), (h * f)._integer_grid()
+    a = [[[-v for v in c] if (i + j) % 2 else c for j, c in enumerate(row)] for i, row in enumerate(a)]
     scale = factorial(m) * factorial(n)
     return RatPoly([Fraction(v * scale, da * db) for v in _product_coeff(a, b, m, n)])
 
@@ -586,12 +625,12 @@ def _stratum_series_coeff(m: int, n: int) -> RatPoly:
 def poly_bernoulli_series(max_x: int, max_y: int) -> TruncatedSeries3:
     """Series whose exponential coefficient of x^m y^n counts all diagrams.
 
-    The closed form e^(x+y) / (e^x + e^y - e^(x+y)), truncated.
+    The closed form e^(x+y) / (e^x + e^y - e^(x+y)), truncated.  Dividing
+    through by e^(x+y), it equals (e^-x + e^-y - 1)^-1: one power recurrence
+    over the max_x + max_y + 1 nonzero terms of e^-x + e^-y - 1, and no product.
     """
     exponential = TruncatedSeries3.exponential
-    numerator = exponential(max_x, max_y, 1, 1)
-    denominator = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - numerator
-    return numerator * denominator.pow_poly(-1)
+    return (exponential(max_x, max_y, -1, 0) + exponential(max_x, max_y, 0, -1) - 1).pow_poly(-1)
 
 
 def series_pipeline_check(max_x: int, max_y: int) -> bool:

@@ -273,11 +273,13 @@ class TestCount:
 
     @pytest.mark.parametrize("m, n", [(4, 4), (2, 5)])
     def test_series_convolves_one_coefficient(self, capsys, monkeypatch, m, n):
-        # one power recurrence and one full product, H = F^alpha times F;
-        # of G^alpha F^(alpha+1) only the (m, n) coefficient is convolved
+        # one power recurrence and one full product, H = F^alpha times F, whose
+        # coefficient (i, j) meets only F's i + j + 1 nonzero terms; of
+        # G^alpha F^(alpha+1) only the (m, n) coefficient is convolved
         series = genfunc.TruncatedSeries3
-        recurrences, products, coefficients = [], [], []
-        recurrence, mul, product_coeff = series._recurrence, series.__mul__, genfunc._product_coeff
+        recurrences, products, coefficients, added = [], [], [], []
+        recurrence, mul = series._recurrence, series.__mul__
+        product_coeff, add_product = genfunc._product_coeff, genfunc._add_product
 
         def counted_recurrence(self, p, q):
             recurrences.append(p)
@@ -288,12 +290,19 @@ class TestCount:
             return mul(self, other)
 
         def counted_coeff(a, b, i, j):
-            coefficients.append((i, j))
-            return product_coeff(a, b, i, j)
+            before = len(added)
+            out = product_coeff(a, b, i, j)
+            coefficients.append((i, j, len(added) - before))
+            return out
+
+        def counted_add(*args):
+            added.append(args)
+            return add_product(*args)
 
         monkeypatch.setattr(series, "_recurrence", counted_recurrence)
         monkeypatch.setattr(series, "__mul__", counted_mul)
         monkeypatch.setattr(genfunc, "_product_coeff", counted_coeff)
+        monkeypatch.setattr(genfunc, "_add_product", counted_add)
         argv = ("count", str(m), str(n), "--method", "series", "--method", "formula")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
@@ -301,8 +310,10 @@ class TestCount:
         assert len(recurrences) == 1
         f = series.exponential(m, n, 1, 0) + series.exponential(m, n, 0, 1) - 1
         assert products == [f]
-        assert len(coefficients) == (m + 1) * (n + 1) + 1
-        assert coefficients[-1] == (m, n)
+        *h_times_f, last = coefficients
+        assert len(h_times_f) == (m + 1) * (n + 1)
+        assert all(calls <= i + j + 1 for i, j, calls in h_times_f)
+        assert last[:2] == (m, n)
 
     def test_rejects_nonpositive(self, capsys):
         code, _, err = run_cli(capsys, "count", "0", "2")

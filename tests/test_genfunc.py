@@ -376,6 +376,15 @@ class TestAsymptoticProportion:
 
 
 SERIES_ORDERS = [(1, 1), (1, 4), (3, 2), (4, 4), (5, 5)]
+# squares up to 8 and the long thin shapes, for the mirror square and its product
+MIRROR_ORDERS = [(k, k) for k in range(1, 9)] + [(3, 6), (6, 3), (1, 8), (8, 1)]
+ALPHA = RatPoly([F(-1, 2), F(-1, 2)])  # -(1+t)/2
+
+
+def _positive_base(max_x: int, max_y: int) -> TruncatedSeries3:
+    """F = e^x + e^y - 1."""
+    ex = TruncatedSeries3.exponential
+    return ex(max_x, max_y, 1, 0) + ex(max_x, max_y, 0, 1) - 1
 
 
 def _dense_series(max_x: int, max_y: int, constant: RatPoly) -> TruncatedSeries3:
@@ -504,6 +513,47 @@ class TestSeries:
     def test_one_coefficient_matches_the_full_series(self, m):
         for n in range(1, 9):
             assert genfunc._stratum_series_coeff(m, n) == stratum_series(m, n).egf_coeff(m, n)
+
+    @pytest.mark.parametrize("order", MIRROR_ORDERS)
+    def test_mirror_square_is_the_product_with_the_mirror(self, order):
+        # H(-x, -y) H(x, y) for H = F^alpha and for a series with no structure
+        for h in (_positive_base(*order).pow_poly(ALPHA), _dense_series(*order, RatPoly([1]))):
+            product = _mirror(h) * h
+            grid, den = h._integer_grid()
+            rows = [[RatPoly([F(v, den * den) for v in c]) for c in row] for row in genfunc._mirror_square(grid)]
+            assert TruncatedSeries3(*order, rows) == product
+            for i in range(order[0] + 1):
+                for j in range(1 - i % 2, order[1] + 1, 2):
+                    assert not product.egf_coeff(i, j)
+
+    @pytest.mark.parametrize("order", MIRROR_ORDERS)
+    def test_stratum_series_is_the_two_factor_product(self, order):
+        # G^alpha F^(alpha+1) as two recurrences and one dense product
+        f = _positive_base(*order)
+        assert stratum_series(*order) == _mirror(f.pow_poly(ALPHA)) * f.pow_poly(ALPHA + 1)
+
+    def test_stratum_series_skips_zero_products(self, monkeypatch):
+        # the dense G^alpha (H F) took 2 * 28^2 = 1,568 calls at (6, 6); the
+        # mirror square and the product over F's 13 nonzero terms take 383
+        calls = []
+        add_product = genfunc._add_product
+
+        def counted(*args):
+            calls.append(args)
+            return add_product(*args)
+
+        monkeypatch.setattr(genfunc, "_add_product", counted)
+        stratum_series(6, 6)
+        assert len(calls) <= 400
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_poly_bernoulli_series_is_the_quotient(self, m):
+        # (e^-x + e^-y - 1)^-1 = e^(x+y) / (e^x + e^y - e^(x+y))
+        ex = TruncatedSeries3.exponential
+        for n in range(1, 9):
+            numerator = ex(m, n, 1, 1)
+            quotient = numerator * (ex(m, n, 1, 0) + ex(m, n, 0, 1) - numerator).pow_poly(-1)
+            assert poly_bernoulli_series(m, n) == quotient
 
     @pytest.mark.parametrize("order", SERIES_ORDERS)
     def test_exp_matches_power_sum(self, order):

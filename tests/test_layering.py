@@ -145,7 +145,7 @@ def test_one_two_term_engine():
 # the integer closed-form table (its difference table and Horner sums
 # live in _closed_table itself) and its one exact division, the surjection
 # rows behind poly_bernoulli, single_cycle_count and stirling2, and the
-# series recurrences and convolution
+# series recurrences, convolution and mirror square
 COUNTING_ENGINE = {
     "_closed_table",
     "_exact",
@@ -154,6 +154,8 @@ COUNTING_ENGINE = {
     "_recurrence",
     "_integer_grid",
     "_product_coeff",
+    "_grid_product",
+    "_mirror_square",
 }
 
 
