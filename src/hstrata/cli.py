@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import log10
 
 from .diagrams import Diagram
 from .enumeration import diagram_from_permutation, tally_dimensions
@@ -46,10 +47,11 @@ VERIFY_DEFAULT_CELLS = 9
 VERIFY_MAX_CELLS = 16
 # count --method series solves one power recurrence H = F^alpha and convolves
 # only the (m, n) coefficient of G^alpha (H F), where H F meets only F's
-# nonzero terms.  On the same box the whole command took 5.0 to 6.8 s at
-# 28x28 (26 MB peak RSS), 8.7 to 10.1 s at 32x32 (33 MB) and 14.6 to 16.7 s
-# at 36x36 (40 MB), 3 runs each, most of it in the recurrence: 36 stays
-# inside the 24.5 to 27.4 s that set the earlier cap of 28.
+# nonzero terms, on integer grids.  On the same box the whole command took
+# 5.0 to 6.8 s at 28x28 (26 MB peak RSS), 8.7 to 10.1 s at 32x32 (33 MB) and
+# 14.6 to 16.7 s at 36x36, 3 runs each, most of it in the recurrence: 36
+# stays inside the 24.5 to 27.4 s that set the earlier cap of 28.  At 36x36
+# the peak RSS is 28 MB (3 runs, 21.6 to 26.3 s on a loaded box).
 SERIES_MAX_ORDER = 36
 # dim reads the white kernel off the n x n column transfer matrix, not the
 # N x N white matrix, and eliminates the boundary matrix on its two-term
@@ -64,16 +66,33 @@ SERIES_MAX_ORDER = 36
 # diagonal of a 900x2000 grid took 0.59 to 0.62 s at 35 MB, and an
 # all-black 2000x2000 grid 0.51 to 0.73 s at 58 MB (3 runs each).
 DIM_MAX_WHITE = 900
-# asymptotics output grows as n_max^2 and m is not capped: at n_max = 1000 the
-# JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
+# asymptotics output grows as n_max^2, and m has FORMULA_MAX_SIDE: at n_max = 1000
+# the JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
 ASYMPTOTICS_MAX_N = 1000
 # count --method enum tallies on a frontier whose cost is exponential only
 # in min(m, n) and polynomial in the longer side, so only the shorter side
-# is capped.  On the same box (shared, 3 runs each) the whole command took
-# 0.06 to 0.15 s at 5x5, 300x3 and 100x4, 0.16 to 0.26 s at 25x5, 0.4 to
-# 0.65 s at 100x5, 0.45 to 0.8 s at 6x6, 1.9 s at 20x6 and 6.5 to 8.3 s at
-# 100x6 (75,973 frontier keys, each stepped once).
+# has a cap of its own (the longer one has COUNT_MAX_DIGITS).  On the same
+# box (shared, 3 runs each) the whole command took 0.06 to 0.15 s at 5x5,
+# 300x3 and 100x4, 0.16 to 0.26 s at 25x5, 0.4 to 0.65 s at 100x5, 0.45 to
+# 0.8 s at 6x6, 1.9 s at 20x6 and 6.5 to 8.3 s at 100x6 (75,973 frontier
+# keys, each stepped once).
 ENUM_MAX_SIDE = 6
+# coeffs, asymptotics and count --method formula build the closed-form table
+# _closed_table(m), O(m^2) integers of about m log m bits in O(m^3) steps,
+# about 15x the time per doubling of m.  On the same box (single runs under a
+# 3 GB address-space limit) coeffs 400 1 took 47 s, count 400 400 45 s and
+# asymptotics 400 200 37 s (55 s at --n-max 1000, 158 MB), each at 149 MB
+# peak RSS; coeffs 3000 1 ran out of memory under a 1.5 GB limit.  For count
+# the side is min(m, n), since the table is built on it.
+FORMULA_MAX_SIDE = 400
+# count prints counts of about max(m, n) * log10(min(m, n) + 1) digits, one
+# per dimension, and CPython's int-to-str conversion is quadratic in the
+# digits, while the table's evaluation grows with min(m, n)^2 times the
+# digits.  At 20,000 digits the whole command took 3.3 s at 150x9180 (33 MB)
+# and 69 s at 400x7680 (156 MB), against 45 s at 400x400; at 100,000 digits
+# it took 0.8 s at 2x209590, 7 s at 36x63770, 22 s at 100x49890 and 273 s at
+# 400x38420 (263 MB), single runs on the same box.
+COUNT_MAX_DIGITS = 20_000
 
 FORMATS = ("text", "json", "csv")
 
@@ -135,12 +154,15 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="count strata by dimension",
         description=(
-            "Count strata by dimension. --method formula takes any m and n and builds its "
-            "table on the shorter side (about 1 s at 150x150 and 12 to 14 s at 300x300 on a "
-            f"2-CPU box). --method series needs max(m, n) <= {SERIES_MAX_ORDER} (15 to 17 s "
-            f"and 40 MB at the cap). --method enum needs min(m, n) <= {ENUM_MAX_SIDE} and "
-            "takes any longer side (under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at "
-            "100x6); past it use --method formula."
+            "Count strata by dimension. The counts have about max(m, n) * log10(min(m, n) + 1) "
+            f"digits, at most {COUNT_MAX_DIGITS} (3.3 s at 150x9180 and 69 s and 156 MB at "
+            f"400x7680 on a 2-CPU box). --method formula needs min(m, n) <= {FORMULA_MAX_SIDE} "
+            "and builds its table on the shorter side (about 1 s at 150x150, 12 to 14 s at "
+            "300x300 and 45 s and 149 MB at 400x400). --method series needs max(m, n) <= "
+            f"{SERIES_MAX_ORDER} (15 to 17 s and 28 MB at the cap). --method enum needs "
+            f"min(m, n) <= {ENUM_MAX_SIDE} and takes any longer side within the digit bound "
+            "(under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at 100x6); past it use "
+            "--method formula."
         ),
     )
     p.add_argument("m", type=int)
@@ -179,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             f"Exact ratios against the limiting share for n = 1..--n-max (default 10, at "
             f"most {ASYMPTOTICS_MAX_N}: 2.2 MB of JSON in 0.3 s at the cap for m = 4 and "
-            "8.4 MB in about 5 s for m = 150 on a 2-CPU box; m takes any value)."
+            f"8.4 MB in about 5 s for m = 150 on a 2-CPU box). m is at most {FORMULA_MAX_SIDE} "
+            "(37 s at the default --n-max and 55 s at --n-max 1000, both at 158 MB, for m = 400)."
         ),
     )
     p.add_argument("m", type=int)
@@ -199,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="closed-form coefficients c_k",
         description=(
             "Closed-form coefficients c_k with h(m, n, d) = sum_k c_k k^n for all n >= 1. "
-            "m takes any value (0.8 to 0.95 s at m = 150 and 12 s at m = 300 on a 2-CPU box)."
+            f"m is at most {FORMULA_MAX_SIDE} (0.8 to 0.95 s at m = 150, 12 s at m = 300 and "
+            "47 s and 149 MB at the cap on a 2-CPU box)."
         ),
     )
     p.add_argument("m", type=int)
@@ -271,13 +295,22 @@ def _cmd_count(args) -> dict:
     methods = list(dict.fromkeys(args.method or ["formula"]))
     if args.m < 1 or args.n < 1:
         raise ValueError("m and n must be positive")
-    if "series" in methods and max(args.m, args.n) > SERIES_MAX_ORDER:
+    short, longer = min(args.m, args.n), max(args.m, args.n)
+    longest = int(COUNT_MAX_DIGITS / log10(short + 1))
+    if longer > longest:
+        raise ValueError(
+            f"count is capped at {COUNT_MAX_DIGITS} digits, max(m, n) * log10(min(m, n) + 1); "
+            f"with min(m, n) = {short} the longer side is at most {longest}"
+        )
+    if "series" in methods and longer > SERIES_MAX_ORDER:
         raise ValueError(f"--method series is capped at max(m, n) <= {SERIES_MAX_ORDER}")
-    if "enum" in methods and min(args.m, args.n) > ENUM_MAX_SIDE:
+    if "enum" in methods and short > ENUM_MAX_SIDE:
         raise ValueError(
             f"--method enum is capped at min(m, n) <= {ENUM_MAX_SIDE}; "
             "use --method formula for larger grids"
         )
+    if "formula" in methods and short > FORMULA_MAX_SIDE:
+        raise ValueError(f"--method formula is capped at min(m, n) <= {FORMULA_MAX_SIDE}")
     counts = {meth: _method_counts(args.m, args.n, meth, args.cache_dir) for meth in methods}
     first = counts[methods[0]]
     agree = all(counts[meth] == first for meth in methods)
@@ -308,6 +341,8 @@ def _cmd_asymptotics(args) -> dict:
         raise ValueError("--n-max must be at least 1")
     if args.n_max > ASYMPTOTICS_MAX_N:
         raise ValueError(f"--n-max capped at {ASYMPTOTICS_MAX_N} for asymptotics")
+    if m > FORMULA_MAX_SIDE:
+        raise ValueError(f"asymptotics is capped at m <= {FORMULA_MAX_SIDE}")
     limit = asymptotic_proportion(m, d)
     cf = closed_form_coeffs(m, d)
     rows = []
@@ -354,6 +389,8 @@ def _cmd_lookup(args) -> dict:
 
 
 def _cmd_coeffs(args) -> dict:
+    if args.m > FORMULA_MAX_SIDE:
+        raise ValueError(f"coeffs is capped at m <= {FORMULA_MAX_SIDE}")
     cf = closed_form_coeffs(args.m, args.d)
     return {"command": "coeffs", **cf.to_json_dict(), "formula": str(cf), "status": "ok"}
 

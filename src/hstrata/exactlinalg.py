@@ -23,7 +23,7 @@ from operator import add, itemgetter, xor
 from typing import Callable, Iterable, Sequence, Union
 
 from .diagrams import Diagram
-from .pipedreams import _all_black_images, _trace
+from .pipedreams import _all_black_images, _cycle_walk, _trace
 
 Rational = Union[int, Fraction]
 ExactVector = tuple[Rational, ...]
@@ -317,25 +317,13 @@ def _alternating(cycle: Sequence[int], size: int) -> list[int]:
 def _even_cycle_vectors(images: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(v, -2 v) for each even-length cycle of the permutation with one-line form images.
 
-    One walk gives what cycle_decomposition, odd_cycle_count and
-    cycle_kernel_basis give in three passes: the list's length is the
-    number of even-length cycles, and its vectors are cycle_kernel_basis's,
-    in the same order, each cycle starting at its minimum.
+    The list's length is odd_cycle_count's and its vectors are cycle_kernel_basis's,
+    in the same order, from the one cycle walk (pipedreams._cycle_walk).
     """
-    size = len(images)
-    seen = [False] * size
     pairs = []
-    for start in range(1, size + 1):
-        if seen[start - 1]:
-            continue
-        cycle, x = [start], images[start - 1]
-        seen[start - 1] = True
-        while x != start:
-            seen[x - 1] = True
-            cycle.append(x)
-            x = images[x - 1]
+    for cycle in _cycle_walk(images):
         if len(cycle) % 2 == 0:
-            v = _alternating(cycle, size)
+            v = _alternating(cycle, len(images))
             pairs.append((tuple(v), tuple([-2 * e for e in v])))
     return pairs
 

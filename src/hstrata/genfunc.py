@@ -498,7 +498,7 @@ class TruncatedSeries3:
             return self.scale(other)
         self._match(other)
         (a, da), (b, db) = self._integer_grid(), other._integer_grid()
-        return _grid_product(a, b, da * db)
+        return _grid_series(_grid_product(a, b), da * db)
 
     def _integer_grid(self) -> tuple[list[list[list[int]]], int]:
         """The coefficients as integer lists over one common denominator."""
@@ -578,20 +578,22 @@ class TruncatedSeries3:
         return f"TruncatedSeries3(max_x={self.max_x}, max_y={self.max_y})"
 
 
-def _grid_product(a: list[list[list[int]]], b: list[list[list[int]]], den: int) -> TruncatedSeries3:
-    """The series of the product of two integer grids of one shape, divided by den."""
-    rows = [
-        [RatPoly([Fraction(v, den) for v in _product_coeff(a, b, i, j)]) for j in range(len(a[0]))]
-        for i in range(len(a))
-    ]
-    return TruncatedSeries3(len(a) - 1, len(a[0]) - 1, rows)
+def _grid_product(a: list[list[list[int]]], b: list[list[list[int]]]) -> list[list[list[int]]]:
+    """The integer grid of the product of two integer grids of one shape."""
+    return [[_product_coeff(a, b, i, j) for j in range(len(a[0]))] for i in range(len(a))]
 
 
-def _stratum_power(max_x: int, max_y: int) -> tuple[TruncatedSeries3, TruncatedSeries3]:
-    """H = F^alpha from one power recurrence, and F = e^x + e^y - 1; alpha = -(1+t)/2."""
+def _grid_series(grid: list[list[list[int]]], den: int) -> TruncatedSeries3:
+    """The series of an integer grid divided by den."""
+    rows = [[RatPoly([Fraction(v, den) for v in c]) for c in row] for row in grid]
+    return TruncatedSeries3(len(grid) - 1, len(grid[0]) - 1, rows)
+
+
+def _stratum_power(max_x: int, max_y: int) -> tuple[tuple[list, int], tuple[list, int]]:
+    """The integer grids of H = F^alpha (one recurrence) and F = e^x + e^y - 1; alpha = -(1+t)/2."""
     exponential = TruncatedSeries3.exponential
     f = exponential(max_x, max_y, 1, 0) + exponential(max_x, max_y, 0, 1) - 1
-    return f.pow_poly(RatPoly([Fraction(-1, 2), Fraction(-1, 2)])), f
+    return f.pow_poly(RatPoly([Fraction(-1, 2), Fraction(-1, 2)]))._integer_grid(), f._integer_grid()
 
 
 def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
@@ -604,22 +606,21 @@ def stratum_series(max_x: int, max_y: int) -> TruncatedSeries3:
     is (H(-x, -y) H(x, y)) F: the mirror square of H (_mirror_square), zero
     at odd total degree, times F's max_x + max_y + 1 nonzero terms.
     """
-    h, f = _stratum_power(max_x, max_y)
-    (hg, dh), (fg, df) = h._integer_grid(), f._integer_grid()
-    return _grid_product(_mirror_square(hg), fg, dh * dh * df)
+    (hg, dh), (fg, df) = _stratum_power(max_x, max_y)
+    return _grid_series(_grid_product(_mirror_square(hg), fg), dh * dh * df)
 
 
 def _stratum_series_coeff(m: int, n: int) -> RatPoly:
     """stratum_series(m, n).egf_coeff(m, n) as G^alpha (H F), convolving only that coefficient.
 
-    G^alpha = H(-x, -y) is H's integer grid with the coefficients of odd
-    total degree negated.
+    H F is the product of H's and F's integer grids, and G^alpha = H(-x, -y)
+    is H's grid with the coefficients of odd total degree negated.
     """
-    h, f = _stratum_power(m, n)
-    (a, da), (b, db) = h._integer_grid(), (h * f)._integer_grid()
+    (a, da), (b, db) = _stratum_power(m, n)
+    hf = _grid_product(a, b)
     a = [[[-v for v in c] if (i + j) % 2 else c for j, c in enumerate(row)] for i, row in enumerate(a)]
     scale = factorial(m) * factorial(n)
-    return RatPoly([Fraction(v * scale, da * db) for v in _product_coeff(a, b, m, n)])
+    return RatPoly([Fraction(v * scale, da * da * db) for v in _product_coeff(a, hf, m, n)])
 
 
 def poly_bernoulli_series(max_x: int, max_y: int) -> TruncatedSeries3:
@@ -649,15 +650,7 @@ def series_pipeline_check(max_x: int, max_y: int) -> bool:
     if exp_xy * d_series.exp() != poly_bernoulli_series(max_x, max_y):
         return False
 
-    odd_length = TruncatedSeries3.from_egf_values(
-        max_x, max_y, lambda i, j: single_cycle_count(i, j) if (i + j) % 2 else 0
-    )
-    even_length = TruncatedSeries3.from_egf_values(
-        max_x, max_y, lambda i, j: 0 if (i + j) % 2 else single_cycle_count(i, j)
-    )
-    rows = [[RatPoly() for _ in range(max_y + 1)] for _ in range(max_x + 1)]
-    rows[1][0] = RatPoly([1])
-    rows[0][1] = RatPoly([1])
-    x_plus_y = TruncatedSeries3(max_x, max_y, rows)
-    argument = x_plus_y + odd_length + even_length.scale(RatPoly([0, 1]))
+    # x + y fills degree 1, where D has no terms, and t marks D's even-length terms
+    one, t = RatPoly([1]), RatPoly([0, 1])
+    argument = d_series._map_coeffs(lambda i, j, c: one if i + j == 1 else c if (i + j) % 2 else c * t)
     return argument.exp() == stratum_series(max_x, max_y)

@@ -39,7 +39,7 @@ number of inversions, i.e. even length.  Fixed points are even cycles.
 from __future__ import annotations
 
 from operator import sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .diagrams import Diagram
 
@@ -124,19 +124,22 @@ def cycle_decomposition(p: Permutation) -> tuple[tuple[int, ...], ...]:
     Each cycle starts at its minimum element and the cycles are sorted by that
     minimum, so the decomposition is deterministic.
     """
-    images = p.images
+    return tuple(map(tuple, _cycle_walk(p.images)))
+
+
+def _cycle_walk(images: Sequence[int]) -> Iterator[list[int]]:
+    """The cycles of the one-line form images, in cycle_decomposition's order: the one cycle walk."""
     seen = [False] * len(images)
-    cycles = []
     for start in range(1, len(images) + 1):
         if seen[start - 1]:
             continue
-        cycle, x = [], start
-        while not seen[x - 1]:
+        cycle, x = [start], images[start - 1]
+        seen[start - 1] = True
+        while x != start:
             seen[x - 1] = True
             cycle.append(x)
             x = images[x - 1]
-        cycles.append(tuple(cycle))
-    return tuple(cycles)
+        yield cycle
 
 
 def odd_cycle_count(cycles: tuple[tuple[int, ...], ...]) -> int:

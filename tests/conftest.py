@@ -8,8 +8,9 @@ tallies through the per-diagram object path, a frontier keyed by tuples in
 a dict, kernel bases by Gauss-Jordan elimination in Fraction, a row's
 Cayley map solved by that elimination, the boundary matrix P_p + P_q as
 sparse and as dense rows,
-the dense matrix-vector product and the dense column transfer matrix) used
-to validate the package's faster or cleverer code paths.
+the dense matrix-vector product, the dense column transfer matrix and a
+permutation's cycles as the orbits of their least labels) used to validate
+the package's faster or cleverer code paths.
 """
 
 from __future__ import annotations
@@ -65,6 +66,23 @@ def random_cauchon(rng, m: int, n: int, p: float) -> Diagram:
             row.append(black)
         rows.append(row)
     return Diagram(rows)
+
+
+def cycles_by_orbits(images) -> tuple[tuple[int, ...], ...]:
+    """The cycles of the one-line form images, each from its least label, by that label.
+
+    Each label's orbit is followed until it returns, and kept only when the
+    label is the orbit's least: no marks, so nothing shared with the package's
+    walk.
+    """
+    cycles = []
+    for a in range(1, len(images) + 1):
+        orbit = [a]
+        while images[orbit[-1] - 1] != a:
+            orbit.append(images[orbit[-1] - 1])
+        if min(orbit) == a:
+            cycles.append(tuple(orbit))
+    return tuple(cycles)
 
 
 def word_permutation(d: Diagram) -> Permutation:

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import reduce
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hstrata import Diagram, RatPoly
 from hstrata import cli, genfunc, verify
@@ -273,17 +278,22 @@ class TestCount:
 
     @pytest.mark.parametrize("m, n", [(4, 4), (2, 5)])
     def test_series_convolves_one_coefficient(self, capsys, monkeypatch, m, n):
-        # one power recurrence and one full product, H = F^alpha times F, whose
-        # coefficient (i, j) meets only F's i + j + 1 nonzero terms; of
-        # G^alpha F^(alpha+1) only the (m, n) coefficient is convolved
+        # one power recurrence H = F^alpha, H's and F's integer grids taken
+        # once each, and one full product of the two grids, whose coefficient
+        # (i, j) meets only F's i + j + 1 nonzero terms; of G^alpha F^(alpha+1)
+        # only the (m, n) coefficient is convolved, and no series is multiplied
         series = genfunc.TruncatedSeries3
-        recurrences, products, coefficients, added = [], [], [], []
-        recurrence, mul = series._recurrence, series.__mul__
+        powers, gridded, products, coefficients, added = [], [], [], [], []
+        recurrence, integer_grid, mul = series._recurrence, series._integer_grid, series.__mul__
         product_coeff, add_product = genfunc._product_coeff, genfunc._add_product
 
         def counted_recurrence(self, p, q):
-            recurrences.append(p)
-            return recurrence(self, p, q)
+            powers.append(recurrence(self, p, q))
+            return powers[-1]
+
+        def counted_grid(self):
+            gridded.append(self)
+            return integer_grid(self)
 
         def counted_mul(self, other):
             products.append(other)
@@ -300,6 +310,7 @@ class TestCount:
             return add_product(*args)
 
         monkeypatch.setattr(series, "_recurrence", counted_recurrence)
+        monkeypatch.setattr(series, "_integer_grid", counted_grid)
         monkeypatch.setattr(series, "__mul__", counted_mul)
         monkeypatch.setattr(genfunc, "_product_coeff", counted_coeff)
         monkeypatch.setattr(genfunc, "_add_product", counted_add)
@@ -307,9 +318,11 @@ class TestCount:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert "agree: True" in out
-        assert len(recurrences) == 1
+        assert len(powers) == 1
         f = series.exponential(m, n, 1, 0) + series.exponential(m, n, 0, 1) - 1
-        assert products == [f]
+        assert len(gridded) == 2
+        assert gridded[0] is powers[0] and gridded[1] == f
+        assert products == []
         *h_times_f, last = coefficients
         assert len(h_times_f) == (m + 1) * (n + 1)
         assert all(calls <= i + j + 1 for i, j, calls in h_times_f)
@@ -318,6 +331,41 @@ class TestCount:
     def test_rejects_nonpositive(self, capsys):
         code, _, err = run_cli(capsys, "count", "0", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("m, n", [("99999999999999999999", "2"), ("2", "99999999999999999999")])
+    def test_longer_side_is_bounded_before_any_method(self, capsys, monkeypatch, m, n):
+        def ran(*args, **kwargs):
+            raise AssertionError("a method ran past the digit bound")
+
+        for name in ("tally_dimensions", "stratum_poly", "_stratum_series_coeff", "poly_bernoulli"):
+            monkeypatch.setattr(cli, name, ran)
+        for method in ("formula", "series", "enum"):
+            code, out, err = run_cli(capsys, "count", m, n, "--method", method)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: count is capped at 20000 digits") and err.count("\n") == 1
+
+    def test_digit_bound_edge(self, capsys, monkeypatch):
+        # 2 x 25 prints about 25 log10(3) = 11.9 digits, 2 x 26 about 12.4
+        monkeypatch.setattr(cli, "COUNT_MAX_DIGITS", 12)
+        code, _, _ = run_cli(capsys, "count", "2", "25")
+        assert code == 0
+        code, out, err = run_cli(capsys, "count", "2", "26")
+        assert code == 2
+        assert out == ""
+        assert "the longer side is at most 25" in err
+
+    def test_formula_table_is_capped_on_the_shorter_side(self, capsys, monkeypatch):
+        cap = cli.FORMULA_MAX_SIDE
+        monkeypatch.setattr(cli, "stratum_poly", lambda m, n: pytest.fail("the table was built"))
+        code, out, err = run_cli(capsys, "count", str(cap + 1), str(cap + 1))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --method formula is capped at min(m, n) <= {cap}\n"
+        monkeypatch.undo()
+        code, out, _ = run_cli(capsys, "count", str(cap + 1), "2")
+        assert code == 0
+        assert "status: ok" in out
 
     @pytest.mark.parametrize("method", ["formula", "series"])
     def test_non_integral_coefficient_is_an_error(self, capsys, monkeypatch, method):
@@ -852,6 +900,15 @@ class TestAsymptotics:
         code, _, err = run_cli(capsys, "asymptotics", "2", "1", "--n-max", "0")
         assert code == 2
 
+    def test_table_cap(self, capsys, monkeypatch):
+        cap = cli.FORMULA_MAX_SIDE
+        monkeypatch.setattr(cli, "closed_form_coeffs", lambda m, d: pytest.fail("the table was built"))
+        monkeypatch.setattr(cli, "asymptotic_proportion", lambda m, d: pytest.fail("the limit was built"))
+        code, out, err = run_cli(capsys, "asymptotics", str(cap + 1), "1")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: asymptotics is capped at m <= {cap}\n"
+
     def test_n_max_cap(self, capsys):
         cap = cli.ASYMPTOTICS_MAX_N
         code, out, err = run_cli(capsys, "asymptotics", "1", "0", "--n-max", str(cap + 1))
@@ -917,6 +974,14 @@ class TestCoeffs:
         lines = out.splitlines()
         assert lines[0] == "k,coefficient"
         assert "4,1/8" in lines
+
+    @pytest.mark.parametrize("d", ["1", "5000"])
+    def test_table_cap(self, capsys, monkeypatch, d):
+        monkeypatch.setattr(cli, "closed_form_coeffs", lambda m, d: pytest.fail("the table was built"))
+        code, out, err = run_cli(capsys, "coeffs", "3000", d)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: coeffs is capped at m <= {cli.FORMULA_MAX_SIDE}\n"
 
 
 class TestFormatConsistency:
@@ -995,6 +1060,10 @@ class TestOptionScope:
             ("verify", "VERIFY_MAX_CELLS"),
             ("count", "SERIES_MAX_ORDER"),
             ("count", "ENUM_MAX_SIDE"),
+            ("count", "FORMULA_MAX_SIDE"),
+            ("count", "COUNT_MAX_DIGITS"),
+            ("coeffs", "FORMULA_MAX_SIDE"),
+            ("asymptotics", "FORMULA_MAX_SIDE"),
         ],
     )
     def test_help_states_the_cap(self, capsys, command, cap):
@@ -1031,3 +1100,96 @@ def test_closed_pipe_is_an_error_without_traceback():
     assert proc.wait() == 2
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+# every cap patched small, so that each fuzzed command is cheap; asymptotics
+# keeps its default --n-max of 10 inside the cap
+SMALL_CAPS = {
+    "VERIFY_MAX_CELLS": 4,
+    "SERIES_MAX_ORDER": 3,
+    "DIM_MAX_WHITE": 6,
+    "ASYMPTOTICS_MAX_N": 10,
+    "ENUM_MAX_SIDE": 2,
+    "FORMULA_MAX_SIDE": 4,
+    "COUNT_MAX_DIGITS": 12,
+}
+
+# half small sizes, then 0, negatives and values on both sides of every small
+# cap, then values past every real cap and words that are no integer
+numbers = st.integers(0, 9).flatmap(
+    lambda r: st.integers(1, 4).map(str)
+    if r < 5
+    else st.integers(-3, 14).map(str)
+    if r < 8
+    else st.sampled_from(["99999999999999999999", "-99999999999999999999", "401", "x", "1.5", ""])
+)
+formats = st.lists(st.sampled_from(["text", "json", "json", "csv", "xml"]).map("--format={}".format), max_size=1)
+# '.', '#', other characters, ragged rows, blank lines and empty input
+diagram_texts = st.one_of(
+    st.text(alphabet=".#x \r\n", max_size=24),
+    st.lists(st.text(alphabet=".#", min_size=1, max_size=4), min_size=1, max_size=4).map("\n".join),
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(st.text(alphabet=".#", min_size=width, max_size=width), min_size=1, max_size=4)
+    ).map("\n".join),
+)
+
+
+@st.composite
+def command_lines(draw, cache_dir):
+    """An argv over the parser's grammar, and the stdin dim - reads."""
+    command = draw(st.sampled_from(["count", "verify", "asymptotics", "coeffs", "lookup", "dim"]))
+    if command == "count":
+        args = [draw(numbers), draw(numbers)]
+        for method in draw(st.lists(st.sampled_from(["enum", "formula", "series", "all"]), max_size=3)):
+            args += ["--method", method]
+        if draw(st.booleans()):
+            args += ["--cache-dir", draw(st.sampled_from([cache_dir, str(Path(cache_dir) / "file")]))]
+    elif command == "verify":
+        args = draw(st.lists(st.sampled_from(["--inject-fault", "--max-cells"]), unique=True))
+        if "--max-cells" in args:
+            args.append(draw(numbers))
+    elif command in ("asymptotics", "coeffs"):
+        args = [draw(numbers), draw(numbers)]
+        if command == "asymptotics" and draw(st.booleans()):
+            args += ["--n-max", draw(numbers)]
+    elif command == "lookup":
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        images = draw(st.permutations(range(1, m + n + 1)))
+        args = ["[" + ",".join(map(str, images)) + "]", str(m), str(n)]
+        if draw(st.booleans()):  # a permutation, m or n that does not fit
+            args[draw(st.integers(0, 2))] = draw(numbers)
+    else:
+        args = [draw(st.sampled_from(["-", str(Path(cache_dir) / "missing.txt")]))]
+    return [command, *args, *draw(formats)], draw(diagram_texts)
+
+
+@pytest.fixture(scope="module")
+def fuzz_cache(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("fuzz_cache")
+    (cache / "file").write_text("not a directory")
+    return str(cache)
+
+
+def run_fuzzed(argv, stdin):
+    """(exit code, whether argparse accepted argv, stdout, stderr) of main under the small caps."""
+    out, err = io.StringIO(), io.StringIO()
+    with patch.multiple(cli, **SMALL_CAPS), patch.object(sys, "stdin", io.StringIO(stdin)):
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code, parsed = main(argv), True
+            except SystemExit as exc:  # argparse: a usage error, or --help
+                code, parsed = exc.code, False
+    return code, parsed, out.getvalue(), err.getvalue()
+
+
+@given(data=st.data())
+@settings(max_examples=300)
+def test_fuzzed_command_lines(fuzz_cache, data):
+    argv, stdin = data.draw(command_lines(fuzz_cache), label="argv, stdin")
+    code, parsed, out, err = run_fuzzed(argv, stdin)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if parsed and code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    if parsed and code != 2 and "--format=json" in argv:
+        json.loads(out)

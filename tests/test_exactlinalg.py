@@ -50,6 +50,7 @@ from conftest import (
     boundary_rows,
     cauchon_by_definition,
     cayley_dense,
+    cycles_by_orbits,
     diagrams,
     kernel_basis_by_fractions,
     matvec,
@@ -546,27 +547,35 @@ class TestCycleKernelBasis:
 
 
 class TestEvenCycleVectors:
-    # verify's one walk of tau against the three passes it replaces: the
-    # cycles, their odd-cycle count and the cycle kernel basis
+    # cycle_decomposition and verify's _even_cycle_vectors read one walk
+    # (pipedreams._cycle_walk), so both are checked against conftest's
+    # orbits, which share no code with it: the cycles, and for each
+    # even-length one its alternating vector v and -2 v
 
     @staticmethod
-    def assert_matches_the_three_passes(images):
-        cycles = cycle_decomposition(Permutation(images))
+    def assert_matches_the_orbits(images):
+        cycles = cycles_by_orbits(images)
+        assert cycle_decomposition(Permutation(images)) == cycles
+        expected = []
+        for cycle in cycles:
+            if len(cycle) % 2 == 0:
+                sign = {a: (-1) ** i for i, a in enumerate(cycle)}
+                v = tuple(sign.get(a, 0) for a in range(1, len(images) + 1))
+                expected.append((v, tuple(-2 * x for x in v)))
         pairs = _even_cycle_vectors(images)
+        assert pairs == expected
         assert len(pairs) == odd_cycle_count(cycles)
         assert [v for v, _ in pairs] == list(cycle_kernel_basis(cycles))
-        for v, minus_2v in pairs:
-            assert minus_2v == tuple(-2 * x for x in v)
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_every_permutation_up_to_7(self, k):
         for images in permutations(range(1, k + 1)):
-            self.assert_matches_the_three_passes(images)
+            self.assert_matches_the_orbits(images)
 
     @pytest.mark.parametrize("m,n", SHAPES_UP_TO_12)
     def test_every_swept_tau_up_to_12_cells(self, m, n):
         for _, (bottom, rights, *_) in _verify_sweep(m, n):
-            self.assert_matches_the_three_passes(_permutations(m, n, bottom, rights)[1])
+            self.assert_matches_the_orbits(_permutations(m, n, bottom, rights)[1])
 
 
 class TestSignCondition:

@@ -437,8 +437,34 @@ class TestSeries:
                 assert series.egf_coeff(m, n) == RatPoly([poly_bernoulli(m, n)])
 
     def test_pipeline_check_small_orders(self):
-        assert series_pipeline_check(1, 1)
-        assert series_pipeline_check(3, 3)
+        for k in range(1, 7):
+            assert series_pipeline_check(k, k)
+
+    def test_pipeline_check_reads_each_count_once(self, monkeypatch):
+        calls = []
+
+        def counted(i, j):
+            calls.append((i, j))
+            return single_cycle_count(i, j)
+
+        monkeypatch.setattr(genfunc, "single_cycle_count", counted)
+        assert series_pipeline_check(3, 4)
+        assert sorted(calls) == [(i, j) for i in range(1, 4) for j in range(1, 5)]
+
+    @pytest.mark.parametrize("cell", [(2, 2), (1, 2)], ids=["even", "odd"])
+    def test_pipeline_check_marks_every_length(self, monkeypatch, cell):
+        # one count perturbed at an even-length cell, then at an odd-length
+        # one, with the total series made to agree, so part (b) must see it
+        def perturbed(i, j):
+            return single_cycle_count(i, j) + ((i, j) == cell)
+
+        def total(max_x, max_y):
+            d_series = TruncatedSeries3.from_egf_values(max_x, max_y, perturbed)
+            return TruncatedSeries3.exponential(max_x, max_y, 1, 1) * d_series.exp()
+
+        monkeypatch.setattr(genfunc, "single_cycle_count", perturbed)
+        monkeypatch.setattr(genfunc, "poly_bernoulli_series", total)
+        assert not series_pipeline_check(3, 3)
 
     def test_pipeline_check_detects_perturbation(self, monkeypatch):
         def perturbed(i, j):
@@ -511,8 +537,12 @@ class TestSeries:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_one_coefficient_matches_the_full_series(self, m):
+        # stratum_series shares the power and the grid products with the one
+        # coefficient; the closed form shares neither
         for n in range(1, 9):
-            assert genfunc._stratum_series_coeff(m, n) == stratum_series(m, n).egf_coeff(m, n)
+            coeff = genfunc._stratum_series_coeff(m, n)
+            assert coeff == stratum_series(m, n).egf_coeff(m, n)
+            assert coeff == stratum_poly(m, n)
 
     @pytest.mark.parametrize("order", MIRROR_ORDERS)
     def test_mirror_square_is_the_product_with_the_mirror(self, order):

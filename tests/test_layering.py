@@ -104,6 +104,16 @@ def test_one_pipe_pass():
     assert callers("_pipe_row") == {("pipedreams", "_trace"), ("verify", "_verify_sweep")}
 
 
+def test_one_cycle_walk():
+    # cycle_decomposition and verify's cycle-side vectors read one walk of a
+    # permutation's cycles; conftest's oracle walks them on its own
+    assert callers("_cycle_walk") == {
+        ("pipedreams", "cycle_decomposition"),
+        ("exactlinalg", "_even_cycle_vectors"),
+    }
+    assert "_cycle_walk" not in names_used(Path(__file__).resolve().parent / "conftest.py")
+
+
 # what only the cross-check suite composes: the kernel maps, the boundary
 # kernel test, the cycle-side vectors and the white-matrix basis
 SUITE_HELPERS = (
