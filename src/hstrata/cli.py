@@ -4,9 +4,11 @@ Subcommands: dim, count, verify, asymptotics, lookup, coeffs.  Each command
 checks its arguments against its cap and calls the library (verify calls
 the cross-check suite in hstrata.verify).  Every command builds one report
 dictionary and renders it as text, JSON (a single document) or CSV (with a
-header row), so the three formats always carry the same numbers.  Counts are printed as decimal strings since they outgrow fixed
-width integers quickly.  The exit code is 0 exactly when no internal
-cross-check failed; the JSON "status" field mirrors it.
+header row), so the three formats always carry the same numbers.  Counts
+are printed as decimal strings since they outgrow fixed width integers
+quickly.  The exit code is 0 exactly when no internal cross-check failed;
+the JSON "status" field mirrors it.  Only this module touches files: dim's
+diagram, and the tally files of count --cache-dir (_enum_counts).
 """
 
 from __future__ import annotations
@@ -49,34 +51,34 @@ VERIFY_MAX_CELLS = 16
 # only the (m, n) coefficient of G^alpha (H F), where H F meets only F's
 # nonzero terms, on integer grids.  On the same box the whole command took
 # 5.0 to 6.8 s at 28x28 (26 MB peak RSS), 8.7 to 10.1 s at 32x32 (33 MB) and
-# 14.6 to 16.7 s at 36x36, 3 runs each, most of it in the recurrence: 36
-# stays inside the 24.5 to 27.4 s that set the earlier cap of 28.  At 36x36
-# the peak RSS is 28 MB (3 runs, 21.6 to 26.3 s on a loaded box).
+# 14.6 to 16.7 s at 36x36, 3 runs each, most of it in the recurrence.  At
+# 36x36 the peak RSS is 28 MB (3 runs, 21.6 to 26.3 s on a loaded box).
 SERIES_MAX_ORDER = 36
-# dim reads the white kernel off the n x n column transfer matrix, not the
-# N x N white matrix, and eliminates the boundary matrix on its two-term
-# rows.  On the same box the whole command took, for all-white grids at
-# N = 900, 0.06 to 0.09 s at 30x30, 1x900, 900x1, 3x300 and 10x90 (31 s,
-# 28 s, 17 s and 40 s with the full elimination of the white matrix at
-# 30x30, 1x900, 3x300 and 10x90); the slowest diagrams found, 900 white
-# squares on the diagonal or in one row of a 900x900 grid, took 0.25 to
-# 0.35 s and 0.15 to 0.21 s at 24 MB peak RSS, most of it parsing and
-# tracing the 810,000 cells.  The cap bounds the kernel routes, not the
-# grid: time and memory grow linearly in m*n.  900 white squares on the
-# diagonal of a 900x2000 grid took 0.59 to 0.62 s at 35 MB, and an
-# all-black 2000x2000 grid 0.51 to 0.73 s at 58 MB (3 runs each).
-DIM_MAX_WHITE = 900
+# dim reads the white kernel off the n x n column transfer matrix and
+# eliminates the boundary matrix on its two-term rows, so its three routes
+# are linear in the m*n cells; sigma, tau and their printed forms add m + n
+# entries each, about ten cells' worth apiece.  So the bound is on
+# m*n + 10*(m + n).  On the same box (single runs) the whole command took,
+# at the bound, 1.3 s at 368 MB peak RSS for an all-white 2014x2014 grid
+# (1.4 s at 363 MB at 2000x2000), 1.5 s at 209 MB at 1x372726, 1.7 s at
+# 154 MB at 372726x1 and 1.35 s at 264 MB at 10x204990, all white; random,
+# checkerboard and all-black 2014x2014 grids took 0.4 to 1.4 s at 59 to
+# 213 MB.  A grid past the bound is refused once parsed, before any trace.
+DIM_MAX_SIZE = 4_100_000
 # asymptotics output grows as n_max^2, and m has FORMULA_MAX_SIDE: at n_max = 1000
 # the JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
 ASYMPTOTICS_MAX_N = 1000
-# count --method enum tallies on a frontier whose cost is exponential only
-# in min(m, n) and polynomial in the longer side, so only the shorter side
-# has a cap of its own (the longer one has COUNT_MAX_DIGITS).  On the same
-# box (shared, 3 runs each) the whole command took 0.06 to 0.15 s at 5x5,
-# 300x3 and 100x4, 0.16 to 0.26 s at 25x5, 0.4 to 0.65 s at 100x5, 0.45 to
-# 0.8 s at 6x6, 1.9 s at 20x6 and 6.5 to 8.3 s at 100x6 (75,973 frontier
-# keys, each stepped once).
+# count --method enum tallies on a frontier stepped once per row of the
+# longer side.  Its time per row grows about tenfold per unit of min(m, n)
+# (75,973 keys at width 6), and also with the longer side as the counts get
+# long, so both the width and the work max(m, n) * 10^min(m, n) are capped.
+# On the same box (3 runs each) the whole command took, at the work bound,
+# 5.5 to 6.2 s at 100x6 (60 MB peak RSS), 4.2 to 4.8 s at 1000x5 (24 MB)
+# and 13.4 to 14.7 s at 10000x4 (20 MB); width 3 meets COUNT_MAX_DIGITS
+# first, at 33219x3, in 10.0 to 10.9 s (17 MB).  Inside it, 100x5 and 6x6
+# took 0.33 to 0.39 s and 20x6 1.6 to 2.0 s (2 runs each).
 ENUM_MAX_SIDE = 6
+ENUM_MAX_WORK = 10**8
 # coeffs, asymptotics and count --method formula build the closed-form table
 # _closed_table(m), O(m^2) integers of about m log m bits in O(m^3) steps,
 # about 15x the time per doubling of m.  On the same box (single runs under a
@@ -140,10 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="analyze one diagram file",
         description=(
-            f"Analyze one diagram. It may have at most {DIM_MAX_WHITE} white squares "
-            "(about 0.3 s and 24 MB at the cap on a 2-CPU box); time and memory grow "
-            "linearly in the m*n cells (0.6 s and 35 MB for a 900x2000 grid with a white "
-            "diagonal, 0.6 s and 58 MB for an all-black 2000x2000 grid)."
+            f"Analyze one m x n diagram, with m*n + 10*(m + n) <= {DIM_MAX_SIZE}. Time and "
+            "memory grow linearly in the cells and in m + n: at the bound an all-white "
+            "2014x2014 grid took 1.3 s and 368 MB, and an all-white 1x372726 grid 1.5 s and "
+            "209 MB, on a 2-CPU box."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -160,9 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "and builds its table on the shorter side (about 1 s at 150x150, 12 to 14 s at "
             "300x300 and 45 s and 149 MB at 400x400). --method series needs max(m, n) <= "
             f"{SERIES_MAX_ORDER} (15 to 17 s and 28 MB at the cap). --method enum needs "
-            f"min(m, n) <= {ENUM_MAX_SIDE} and takes any longer side within the digit bound "
-            "(under 1 s at 100x5 and 6x6, 2 s at 20x6 and 6.5 to 8.3 s at 100x6); past it use "
-            "--method formula."
+            f"min(m, n) <= {ENUM_MAX_SIDE} and max(m, n) * 10^min(m, n) <= {ENUM_MAX_WORK} "
+            "(at that bound 5.5 to 6.2 s and 60 MB at 100x6, 4.2 to 4.8 s at 1000x5 and 13 to "
+            "15 s and 20 MB at 10000x4; under 0.4 s at 100x5 and 6x6); past it use --method "
+            "formula."
         ),
     )
     p.add_argument("m", type=int)
@@ -243,9 +246,9 @@ def _cmd_dim(args) -> dict:
         with open(args.diagram) as handle:
             text = handle.read()
     d = Diagram.parse(text)
-    white = sum(row.count(False) for row in d.rows)
-    if white > DIM_MAX_WHITE:
-        raise ValueError(f"dim is capped at {DIM_MAX_WHITE} white squares, got {white}")
+    size = d.m * d.n + 10 * (d.m + d.n)
+    if size > DIM_MAX_SIZE:
+        raise ValueError(f"dim is capped at m*n + 10*(m + n) <= {DIM_MAX_SIZE}, got {size} at {d.m}x{d.n}")
     sigma, tau, _ = _trace(d)
     pp_dim = _boundary_kernel_dim(sigma, _all_black_images(d.m, d.n))
     sigma, tau = Permutation(sigma), Permutation(tau)
@@ -259,7 +262,7 @@ def _cmd_dim(args) -> dict:
         "m": d.m,
         "n": d.n,
         "cauchon": cauchon,
-        "white_squares": white,
+        "white_squares": sum(row.count(False) for row in d.rows),
         "sigma": sigma.one_line(),
         "sigma_cycles": sigma.cycle_string(),
         "tau": tau.one_line(),
@@ -277,7 +280,7 @@ def _cmd_dim(args) -> dict:
 
 def _method_counts(m: int, n: int, method: str, cache_dir) -> dict[int, int]:
     if method == "enum":
-        return dict(tally_dimensions(m, n, cache_dir=cache_dir).counts)
+        return _enum_counts(m, n, cache_dir) if cache_dir else dict(tally_dimensions(m, n).counts)
     if method == "formula":
         poly = stratum_poly(min(m, n), max(m, n))  # the table is built on the shorter side
     else:
@@ -288,6 +291,50 @@ def _method_counts(m: int, n: int, method: str, cache_dir) -> dict[int, int]:
             raise ArithmeticError(f"{method} gave a non-count {c} at ({m},{n},{d})")
         if c:
             counts[d] = int(c)
+    return counts
+
+
+def _enum_counts(m: int, n: int, cache_dir) -> dict[int, int]:
+    """The cycles tally of m x n, read from cache_dir or computed and written there.
+
+    m x n and n x m share one file, named and stored as min(m, n) x max(m, n),
+    since transposing keeps a diagram's dimension.  A file is trusted only
+    when it parses, is for this shape, has nonnegative integer counts at
+    dimensions 0..min(m, n) and a total equal both to their sum and to
+    poly_bernoulli(m, n); any other is recomputed and replaced through a
+    temporary name, so a reader never sees a partial file.
+    """
+    lo, hi = sorted((m, n))
+    path = os.path.join(cache_dir, f"tally-v1-{lo}x{hi}-cycles.json")
+    try:
+        with open(path) as handle:
+            data = json.load(handle)
+        shape = sorted((data["m"], data["n"]))
+        # through str so that a float count such as 5.9 fails, not truncates
+        counts = {int(d): int(str(c)) for d, c in data["counts"].items()}
+        total = int(str(data["total"]))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        pass
+    else:
+        if (
+            shape == [lo, hi]
+            and all(0 <= d <= lo and c >= 0 for d, c in counts.items())
+            and total == sum(counts.values()) == poly_bernoulli(m, n)
+        ):
+            return {d: c for d, c in sorted(counts.items()) if c}
+    counts = dict(tally_dimensions(m, n).counts)
+    # counts as decimal strings: these grow past fixed-width integers fast
+    strings = {str(d): str(c) for d, c in counts.items()}
+    os.makedirs(cache_dir, exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            json.dump({"m": lo, "n": hi, "counts": strings, "total": str(sum(counts.values()))}, handle)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     return counts
 
 
@@ -304,10 +351,11 @@ def _cmd_count(args) -> dict:
         )
     if "series" in methods and longer > SERIES_MAX_ORDER:
         raise ValueError(f"--method series is capped at max(m, n) <= {SERIES_MAX_ORDER}")
-    if "enum" in methods and short > ENUM_MAX_SIDE:
+    # short-circuit: 10**short only once short is within ENUM_MAX_SIDE
+    if "enum" in methods and (short > ENUM_MAX_SIDE or longer * 10**short > ENUM_MAX_WORK):
         raise ValueError(
-            f"--method enum is capped at min(m, n) <= {ENUM_MAX_SIDE}; "
-            "use --method formula for larger grids"
+            f"--method enum is capped at min(m, n) <= {ENUM_MAX_SIDE} and "
+            f"max(m, n) * 10^min(m, n) <= {ENUM_MAX_WORK}; use --method formula for larger grids"
         )
     if "formula" in methods and short > FORMULA_MAX_SIDE:
         raise ValueError(f"--method formula is capped at min(m, n) <= {FORMULA_MAX_SIDE}")

@@ -35,34 +35,25 @@ off a reduced word.
 Nothing here bounds the shape.  The stream yields all poly_bernoulli(m, n)
 diagrams, while a tally's cost grows only polynomially in the longer side at
 a fixed shorter one, so the command line bounds each caller by its own cost:
-verify by cells, count --method enum by min(m, n).  Tallies by dimension
-can be cached on disk as JSON.  A cached tally is used only when its shape
-matches, its counts are nonnegative integers at dimensions 0..min(m, n),
-and its total equals both their sum and poly_bernoulli(m, n).
+verify by cells, count --method enum by its work.  Nothing here reads or
+writes a file: count's --cache-dir is the command line's own.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import Counter
 from itertools import islice, product
 from operator import xor
-from pathlib import Path
 from typing import Callable, Iterator
 
 from .diagrams import Diagram
 from .exactlinalg import _identity, _phi_plan, _transfer_kernel_dim
-from .genfunc import poly_bernoulli
 from .pipedreams import (
     Permutation,
     _even_cycle_count,
     _trace,
     is_restricted,
 )
-
-CACHE_VERSION = 1
-
 
 class StratumTally:
     """Per-dimension diagram counts for one grid shape.
@@ -220,12 +211,7 @@ def _frontier(m: int, n: int) -> Counter:
 _ROUTES = {"cycles": _even_cycle_count, "kernel": _transfer_kernel_dim}
 
 
-def tally_dimensions(
-    m: int,
-    n: int,
-    method: str = "cycles",
-    cache_dir: str | os.PathLike | None = None,
-) -> StratumTally:
+def tally_dimensions(m: int, n: int, method: str = "cycles") -> StratumTally:
     """Count Cauchon diagrams by stratum dimension.
 
     method 'cycles' counts odd cycles of the toric permutation; 'kernel'
@@ -236,79 +222,16 @@ def tally_dimensions(
     methods differ only in how they read a final state, and neither builds
     a Diagram or Permutation per diagram.  The frontier runs
     along the longer side, so the cost is exponential only in min(m, n), and
-    no shape is refused here; the count command bounds min(m, n).  Results
-    are cached as JSON in cache_dir when one is given; nothing else turns the
-    cache on.  Transposing a diagram keeps its dimension, so m x n and n x m
-    share one file, named and stored as min(m, n) x max(m, n).  A cached file
-    is trusted only when it parses, is for this shape in either orientation,
-    has nonnegative integer counts at dimensions 0..min(m, n) and a
-    total equal both to their sum and to poly_bernoulli(m, n); otherwise the
-    tally is recomputed and the file replaced.  Files are written to a
-    temporary name and then renamed, so a reader never sees a partial one.
+    no shape is refused here; the count command bounds its work.
     """
     if method not in _ROUTES:
         raise ValueError(f"unknown method {method!r}, expected one of {tuple(_ROUTES)}")
     _check_shape(m, n)
-
-    if cache_dir:
-        lo, hi = sorted((m, n))
-        path = Path(cache_dir) / f"tally-v{CACHE_VERSION}-{lo}x{hi}-{method}.json"
-        cached = _read_cache(path, m, n)
-        if cached is not None:
-            return cached
-
     read = _ROUTES[method]
     counts: Counter = Counter()
     for state, count in _frontier(m, n).items():
         counts[read(state)] += count
-    tally = StratumTally(m, n, counts)
-
-    if cache_dir:
-        _write_cache(path, tally)
-    return tally
-
-
-def _read_cache(path: Path, m: int, n: int) -> StratumTally | None:
-    """The tally stored at path, or None unless it passes every check.
-
-    The file must parse and be for m x n or n x m, each dimension must lie in
-    0..min(m, n) with a nonnegative integer count, and the file's total
-    must equal both the sum of the counts and poly_bernoulli(m, n).
-    """
-    try:
-        data = json.loads(path.read_text())
-        shape = sorted((data["m"], data["n"]))
-        # through str so that a float count such as 5.9 fails, not truncates
-        counts = {int(d): int(str(c)) for d, c in data["counts"].items()}
-        total = int(str(data["total"]))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        return None
-    if (
-        shape != sorted((m, n))
-        or any(not 0 <= d <= min(m, n) or c < 0 for d, c in counts.items())
-        or total != sum(counts.values())
-        or total != poly_bernoulli(m, n)
-    ):
-        return None
     return StratumTally(m, n, counts)
-
-
-def _write_cache(path: Path, tally: StratumTally) -> None:
-    # counts as decimal strings: these grow past fixed-width integers fast
-    data = {
-        "m": min(tally.m, tally.n),
-        "n": max(tally.m, tally.n),
-        "counts": {str(d): str(c) for d, c in tally.counts.items()},
-        "total": str(tally.total),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(json.dumps(data))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def diagram_from_permutation(p: Permutation, m: int, n: int) -> Diagram | None:

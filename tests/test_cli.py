@@ -113,22 +113,25 @@ class TestDim:
         assert code == 0
         assert "dimension: 2" in out
 
-    def test_white_square_cap(self, capsys, diagram_file, monkeypatch):
-        cap = cli.DIM_MAX_WHITE
-        assert cap >= 256  # a 16x16 grid stays allowed
-        path = diagram_file("." * (cap + 1))
-        code, out, err = run_cli(capsys, "dim", path)
+    def test_grid_size_cap(self, capsys, diagram_file, monkeypatch):
+        cap = cli.DIM_MAX_SIZE
+        assert 2000 * 2000 + 10 * (2000 + 2000) <= cap  # an all-white 2000x2000 grid is allowed
+        n = (cap - 10) // 11 + 1  # a 1 x n grid has size 11n + 10, just past the cap
+        code, out, err = run_cli(capsys, "dim", diagram_file("#" * n))
         assert code == 2
         assert out == ""
-        assert f"capped at {cap} white squares, got {cap + 1}" in err
-        # only white squares count, and the cap itself is allowed
-        monkeypatch.setattr(cli, "DIM_MAX_WHITE", 3)
-        code, out, _ = run_cli(capsys, "dim", diagram_file("#.\n.."))
+        assert err == f"error: dim is capped at m*n + 10*(m + n) <= {cap}, got {11 * n + 10} at 1x{n}\n"
+        # the cap itself is allowed, and past it even an all-black grid is
+        # refused before it is traced
+        monkeypatch.setattr(cli, "DIM_MAX_SIZE", 44)  # 2x2: 4 + 10 * 4
+        code, out, _ = run_cli(capsys, "dim", diagram_file("..\n.."))
         assert code == 0
-        assert "white_squares: 3" in out
-        code, _, err = run_cli(capsys, "dim", diagram_file("..\n.."))
+        assert "white_squares: 4" in out
+        monkeypatch.setattr(cli, "_trace", lambda d: pytest.fail("traced past the cap"))
+        code, out, err = run_cli(capsys, "dim", diagram_file("###\n###"))
         assert code == 2
-        assert "capped at 3 white squares, got 4" in err
+        assert out == ""
+        assert "got 56 at 2x3" in err
 
     def test_traces_its_diagram_once(self, capsys, diagram_file, monkeypatch):
         from hstrata import pipedreams
@@ -238,6 +241,35 @@ class TestCount:
             assert "agree: True" in out
         code, out, _ = run_cli(capsys, "count", "6", "6", "--method", "formula")
         assert code == 0
+
+    def test_enum_work_bound_edge(self, capsys, monkeypatch):
+        # every documented case stays inside the real bound
+        for m, n in [(25, 1), (300, 3), (100, 4), (25, 5), (100, 5), (6, 6), (20, 6), (100, 6), (1, 900)]:
+            assert max(m, n) * 10 ** min(m, n) <= cli.ENUM_MAX_WORK
+        # 3 x 12 is 12 * 10^3 units of work, 3 x 13 is 13 * 10^3
+        monkeypatch.setattr(cli, "ENUM_MAX_WORK", 12_000)
+        code, out, _ = run_cli(capsys, "count", "3", "12", "--method", "enum")
+        assert code == 0
+        assert "status: ok" in out
+        code, out, err = run_cli(capsys, "count", "13", "3", "--method", "enum")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --method enum is capped at min(m, n) <= {cli.ENUM_MAX_SIDE} and "
+            "max(m, n) * 10^min(m, n) <= 12000; use --method formula for larger grids\n"
+        )
+        code, _, _ = run_cli(capsys, "count", "13", "3")  # the formula has no such bound
+        assert code == 0
+
+    @pytest.mark.parametrize("m, n", [("6", "23600"), ("25000", "5")])
+    def test_enum_work_is_bounded_before_any_method(self, capsys, monkeypatch, m, n):
+        # both are inside the digit bound, and would run for many minutes
+        for name in ("tally_dimensions", "stratum_poly", "_stratum_series_coeff", "poly_bernoulli"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("a method ran past the enum bound"))
+        code, out, err = run_cli(capsys, "count", m, n, "--method", "formula", "--method", "enum")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --method enum is capped at") and err.count("\n") == 1
 
     def test_repeated_method_is_computed_once(self, capsys, monkeypatch):
         calls = []
@@ -1055,11 +1087,12 @@ class TestOptionScope:
     @pytest.mark.parametrize(
         "command,cap",
         [
-            ("dim", "DIM_MAX_WHITE"),
+            ("dim", "DIM_MAX_SIZE"),
             ("asymptotics", "ASYMPTOTICS_MAX_N"),
             ("verify", "VERIFY_MAX_CELLS"),
             ("count", "SERIES_MAX_ORDER"),
             ("count", "ENUM_MAX_SIDE"),
+            ("count", "ENUM_MAX_WORK"),
             ("count", "FORMULA_MAX_SIDE"),
             ("count", "COUNT_MAX_DIGITS"),
             ("coeffs", "FORMULA_MAX_SIDE"),
@@ -1107,9 +1140,10 @@ def test_closed_pipe_is_an_error_without_traceback():
 SMALL_CAPS = {
     "VERIFY_MAX_CELLS": 4,
     "SERIES_MAX_ORDER": 3,
-    "DIM_MAX_WHITE": 6,
+    "DIM_MAX_SIZE": 60,
     "ASYMPTOTICS_MAX_N": 10,
     "ENUM_MAX_SIDE": 2,
+    "ENUM_MAX_WORK": 1000,
     "FORMULA_MAX_SIDE": 4,
     "COUNT_MAX_DIGITS": 12,
 }

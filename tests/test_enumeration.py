@@ -27,7 +27,7 @@ from hstrata import (
     white_adjacency_matrix,
 )
 from hstrata import enumeration
-from hstrata.cli import main
+from hstrata.cli import _enum_counts, main
 
 from conftest import (
     SHAPES_UP_TO_12,
@@ -42,7 +42,7 @@ from conftest import (
 # every shape with a side of at most 4 and none past 12, and a long one
 FRONTIER_SHAPES = [(m, n) for m in range(1, 13) for n in range(1, 13) if min(m, n) <= 4] + [(25, 5)]
 
-# the 2x2 cycles tally as the cache has always written it
+# the 2x2 cycles tally as count --cache-dir has always written it
 TALLY_2X2_JSON = '{"m": 2, "n": 2, "counts": {"0": "5", "1": "7", "2": "2"}, "total": "14"}'
 
 
@@ -216,7 +216,7 @@ class TestTallyDimensions:
         assert a.counts == b.counts
 
     def test_dimension_bound(self):
-        # the cache rejects a dimension past min(m, n), so the bound must be sharp
+        # count's cache rejects a dimension past min(m, n), so the bound must be sharp
         for m, n in [(1, 4), (2, 3), (3, 3), (2, 4)]:
             tally = tally_dimensions(m, n)
             assert max(tally.counts) == min(m, n)
@@ -335,33 +335,37 @@ class TestTallyDimensions:
             gather, phi_mask = _phi_plan(cells)
             assert (gather(cols), phi_mask) == (tuple(src), tuple(mask))
 
+    # the tally cache belongs to count --cache-dir, so these cases run its helper
     def test_cache_round_trip(self, tmp_path):
-        tally = tally_dimensions(2, 2, cache_dir=tmp_path)
+        counts = _enum_counts(2, 2, tmp_path)
         files = list(tmp_path.iterdir())
         assert len(files) == 1
-        again = tally_dimensions(2, 2, cache_dir=tmp_path)
-        assert again == tally
+        again = _enum_counts(2, 2, tmp_path)
+        assert again == counts == tally_dimensions(2, 2).counts
 
     def test_cache_is_read_back(self, tmp_path):
-        tally_dimensions(2, 2, cache_dir=tmp_path)
+        _enum_counts(2, 2, tmp_path)
         path = next(tmp_path.iterdir())
         # wrong but plausible: in range, summing to poly_bernoulli(2, 2)
         path.write_text('{"m": 2, "n": 2, "counts": {"0": "6", "1": "6", "2": "2"}, "total": "14"}')
-        assert tally_dimensions(2, 2, cache_dir=tmp_path) == StratumTally(2, 2, {0: 6, 1: 6, 2: 2})
+        assert _enum_counts(2, 2, tmp_path) == {0: 6, 1: 6, 2: 2}
 
     def test_cache_for_another_shape_is_recomputed(self, tmp_path):
         path = tmp_path / "tally-v1-2x2-cycles.json"
         path.write_text(
             '{"m": 3, "n": 3, "counts": {"0": "70", "1": "109", "2": "45", "3": "6"}, "total": "230"}'
         )
-        tally = tally_dimensions(2, 2, cache_dir=tmp_path)
-        assert tally.counts == {0: 5, 1: 7, 2: 2}
+        assert _enum_counts(2, 2, tmp_path) == {0: 5, 1: 7, 2: 2}
+        assert path.read_text() == TALLY_2X2_JSON
+        # plausible counts for 2x2, so only the shape fields give it away
+        path.write_text('{"m": 3, "n": 3, "counts": {"0": "6", "1": "6", "2": "2"}, "total": "14"}')
+        assert _enum_counts(2, 2, tmp_path) == {0: 5, 1: 7, 2: 2}
         assert path.read_text() == TALLY_2X2_JSON
 
     def test_cache_with_wrong_total_is_recomputed(self, tmp_path):
         path = tmp_path / "tally-v1-2x2-cycles.json"
         path.write_text('{"m": 2, "n": 2, "counts": {"0": "5", "1": "7"}, "total": "12"}')
-        assert tally_dimensions(2, 2, cache_dir=tmp_path).counts == {0: 5, 1: 7, 2: 2}
+        assert _enum_counts(2, 2, tmp_path) == {0: 5, 1: 7, 2: 2}
 
     @pytest.mark.parametrize(
         "text",
@@ -383,24 +387,23 @@ class TestTallyDimensions:
     def test_corrupt_cache_is_recomputed(self, tmp_path, text):
         path = tmp_path / "tally-v1-2x2-cycles.json"
         path.write_text(text)
-        tally = tally_dimensions(2, 2, cache_dir=tmp_path)
-        assert tally.counts == {0: 5, 1: 7, 2: 2}
+        assert _enum_counts(2, 2, tmp_path) == {0: 5, 1: 7, 2: 2}
         assert path.read_text() == TALLY_2X2_JSON
 
     def test_cache_write_leaves_no_temp_file(self, tmp_path):
-        tally_dimensions(2, 2, cache_dir=tmp_path)
-        tally_dimensions(2, 1, "kernel", cache_dir=tmp_path)
+        _enum_counts(2, 2, tmp_path)
+        _enum_counts(2, 1, tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "tally-v1-1x2-kernel.json",
+            "tally-v1-1x2-cycles.json",
             "tally-v1-2x2-cycles.json",
         ]
 
-    def test_cache_env_var(self, tmp_path, monkeypatch):
-        # the environment does not turn the cache on; only cache_dir does
+    def test_cache_env_var(self, tmp_path, monkeypatch, capsys):
+        # the environment does not turn the cache on; only --cache-dir does
         monkeypatch.setenv("HSTRATA_CACHE_DIR", str(tmp_path))
-        tally_dimensions(2, 1)
+        assert main(["count", "2", "1", "--method", "enum"]) == 0
         assert not any(tmp_path.iterdir())
-        tally_dimensions(2, 1, cache_dir=tmp_path)
+        assert main(["count", "2", "1", "--method", "enum", "--cache-dir", str(tmp_path)]) == 0
         assert any("1x2" in p.name for p in tmp_path.iterdir())
 
 
@@ -408,7 +411,7 @@ class TestStratumTally:
     def test_json_matches_documented_shape(self, tmp_path):
         # the bytes of a cache file stay as they were first written, so files
         # written before and after a change are read back by either
-        tally_dimensions(2, 2, cache_dir=tmp_path)
+        _enum_counts(2, 2, tmp_path)
         assert (tmp_path / "tally-v1-2x2-cycles.json").read_text() == TALLY_2X2_JSON
 
     def test_total_invariant_enforced(self):

@@ -75,6 +75,22 @@ def names_in(tree: ast.AST) -> set[str]:
     return found
 
 
+# what reads or writes a file: only the command line does, for dim's diagram
+# and count's --cache-dir
+FILE_NAMES = {"open", "os", "json", "pathlib", "Path"}
+
+
+def test_only_cli_touches_files():
+    named = {}
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # names_in keeps an import's last dotted part, so add each package imported from
+        packages = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+        named[path.stem] = (names_in(tree) | packages) & FILE_NAMES
+    assert {stem: names for stem, names in named.items() if names and stem != "cli"} == {}
+    assert named["cli"] >= {"open", "os", "json"}
+
+
 def test_the_kernel_oracle_shares_no_elimination():
     # kernel_basis_by_fractions checks kernel_basis only while it runs an
     # elimination of its own
