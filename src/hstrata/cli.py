@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from math import log10
 
-from .diagrams import Diagram
+from .diagrams import Diagram, _shape
 from .enumeration import diagram_from_permutation, tally_dimensions
 from .exactlinalg import _boundary_kernel_dim, _white_kernel_dim
 from .genfunc import (
@@ -49,21 +49,23 @@ VERIFY_DEFAULT_CELLS = 9
 VERIFY_MAX_CELLS = 16
 # count --method series solves one power recurrence H = F^alpha and convolves
 # only the (m, n) coefficient of G^alpha (H F), where H F meets only F's
-# nonzero terms, on integer grids.  On the same box the whole command took
-# 5.0 to 6.8 s at 28x28 (26 MB peak RSS), 8.7 to 10.1 s at 32x32 (33 MB) and
-# 14.6 to 16.7 s at 36x36, 3 runs each, most of it in the recurrence.  At
-# 36x36 the peak RSS is 28 MB (3 runs, 21.6 to 26.3 s on a loaded box).
+# nonzero terms, on integer grids.  F is symmetric, so on a square grid the
+# recurrence solves only half of H; a rectangle solves all of it.  On the
+# same box the whole command took 2.8 to 3.3 s at 28x28 (21 MB peak RSS),
+# 5.7 to 5.8 s at 28x27 (23 MB), 8.3 to 8.4 s at 36x36 (28 MB) and 16.4 to
+# 16.5 s at 36x35 (29 MB), 2 runs each, most of it in the recurrence.
 SERIES_MAX_ORDER = 36
 # dim reads the white kernel off the n x n column transfer matrix and
 # eliminates the boundary matrix on its two-term rows, so its three routes
-# are linear in the m*n cells; sigma, tau and their printed forms add m + n
-# entries each, about ten cells' worth apiece.  So the bound is on
-# m*n + 10*(m + n).  On the same box (single runs) the whole command took,
-# at the bound, 1.3 s at 368 MB peak RSS for an all-white 2014x2014 grid
-# (1.4 s at 363 MB at 2000x2000), 1.5 s at 209 MB at 1x372726, 1.7 s at
-# 154 MB at 372726x1 and 1.35 s at 264 MB at 10x204990, all white; random,
-# checkerboard and all-black 2014x2014 grids took 0.4 to 1.4 s at 59 to
-# 213 MB.  A grid past the bound is refused once parsed, before any trace.
+# are linear in the m*n cells, and its trace keeps no endpoint per white
+# square; sigma, tau and their printed forms add m + n entries each, about
+# ten cells' worth apiece.  So the bound is on m*n + 10*(m + n).  On the same
+# box (single runs) the whole command took, at the bound, 1.65 s at 183 MB
+# peak RSS for an all-white 1x372726 grid, the worst case, 2.2 s at 129 MB
+# at 372726x1 and 1.5 s at 124 MB at 10x204990, all white; all-white,
+# random and all-black 2014x2014 grids took 0.5 to 1.4 s at 55 MB.  The
+# shape is read off the text, so a text past the bound is refused before it
+# is parsed: a 1 x 20,000,000 file in 0.17 s at 54 MB.
 DIM_MAX_SIZE = 4_100_000
 # asymptotics output grows as n_max^2, and m has FORMULA_MAX_SIDE: at n_max = 1000
 # the JSON report took 0.3 s (2.2 MB) at m = 4 and 4.8 to 5.3 s (8.4 MB) at m = 150.
@@ -143,9 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analyze one diagram file",
         description=(
             f"Analyze one m x n diagram, with m*n + 10*(m + n) <= {DIM_MAX_SIZE}. Time and "
-            "memory grow linearly in the cells and in m + n: at the bound an all-white "
-            "2014x2014 grid took 1.3 s and 368 MB, and an all-white 1x372726 grid 1.5 s and "
-            "209 MB, on a 2-CPU box."
+            "memory grow linearly in the cells and in m + n: at the bound a 2014x2014 grid "
+            "took at most 1.4 s and 55 MB, and an all-white 1x372726 grid, the worst case, "
+            "1.65 s and 183 MB, on a 2-CPU box."
         ),
     )
     p.add_argument("diagram", help="path to a '.'/'#' diagram file, or - for stdin")
@@ -161,7 +163,9 @@ def _build_parser() -> argparse.ArgumentParser:
             f"400x7680 on a 2-CPU box). --method formula needs min(m, n) <= {FORMULA_MAX_SIDE} "
             "and builds its table on the shorter side (about 1 s at 150x150, 12 to 14 s at "
             "300x300 and 45 s and 149 MB at 400x400). --method series needs max(m, n) <= "
-            f"{SERIES_MAX_ORDER} (15 to 17 s and 28 MB at the cap). --method enum needs "
+            f"{SERIES_MAX_ORDER}; a square solves half the recurrence (8.4 s and 28 MB at "
+            "36x36, 3 s at 28x28), a rectangle all of it (16.5 s and 29 MB at 36x35, 5.8 s "
+            "at 28x27). --method enum needs "
             f"min(m, n) <= {ENUM_MAX_SIDE} and max(m, n) * 10^min(m, n) <= {ENUM_MAX_WORK} "
             "(at that bound 5.5 to 6.2 s and 60 MB at 100x6, 4.2 to 4.8 s at 1000x5 and 13 to "
             "15 s and 20 MB at 10000x4; under 0.4 s at 100x5 and 6x6); past it use --method "
@@ -245,10 +249,11 @@ def _cmd_dim(args) -> dict:
     else:
         with open(args.diagram) as handle:
             text = handle.read()
-    d = Diagram.parse(text)
-    size = d.m * d.n + 10 * (d.m + d.n)
+    text, m, n = _shape(text)  # so that a text past the bound is refused before any row is built
+    size = m * n + 10 * (m + n)
     if size > DIM_MAX_SIZE:
-        raise ValueError(f"dim is capped at m*n + 10*(m + n) <= {DIM_MAX_SIZE}, got {size} at {d.m}x{d.n}")
+        raise ValueError(f"dim is capped at m*n + 10*(m + n) <= {DIM_MAX_SIZE}, got {size} at {m}x{n}")
+    d = Diagram.parse(text)
     sigma, tau, _ = _trace(d)
     pp_dim = _boundary_kernel_dim(sigma, _all_black_images(d.m, d.n))
     sigma, tau = Permutation(sigma), Permutation(tau)

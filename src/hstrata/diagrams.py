@@ -33,6 +33,17 @@ class DiagramParseError(ValueError):
         self.column = column
 
 
+def _shape(text: str) -> tuple[str, int, int]:
+    """The text as parse reads it, its line count and its first line's width.
+
+    parse reads LF line ends and drops trailing ones; the counts are the m
+    and n of the diagram it would build, read without building a row.
+    """
+    text = text.replace("\r\n", "\n").rstrip("\n")
+    first = text.find("\n")
+    return text, text.count("\n") + 1, first if first >= 0 else len(text)
+
+
 class Diagram:
     """An immutable m x n grid of black and white squares."""
 
@@ -94,11 +105,10 @@ class Diagram:
         empty row.  Raises DiagramParseError with 1-based line/column
         positions on bad input.
         """
-        text = text.replace("\r\n", "\n").rstrip("\n")
+        text, _, width = _shape(text)
         if not text:
             raise DiagramParseError("empty input")
         lines = text.split("\n")
-        width = len(lines[0])
         rows = []
         for i, line in enumerate(lines, start=1):
             if not line:

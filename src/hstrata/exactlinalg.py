@@ -354,7 +354,7 @@ def to_square_kernel(d: Diagram, v: Sequence[Rational]) -> ExactVector:
     """
     if len(v) != d.m + d.n:
         raise ValueError(f"vector length {len(v)} does not match m+n = {d.m + d.n}")
-    sigma, _, endpoints = _trace(d)
+    sigma, _, endpoints = _trace(d, endpoints=True)
     if not _in_boundary_kernel(sigma, _all_black_images(d.m, d.n), v):
         raise ValueError("vector is not in the boundary kernel")
     return _square_image(endpoints, v)

@@ -20,7 +20,10 @@ mathematically independent routes:
   nonzero terms of F (products skip zero coefficients).  Its exp and its
   powers (the reciprocal is the power -1) are solved coefficient by
   coefficient from first-order recurrences (J.C.P. Miller's power
-  recurrence).
+  recurrence).  The counting series is symmetric in x and y, since
+  transposing a diagram keeps its dimension, and so are F, H and the
+  pipeline check's series; on a square, symmetric input the recurrence
+  solves only j >= i and mirrors the rest.
 
 For n -> infinity at fixed m, the proportion of d-dimensional strata tends to
 a rational limit read off the integer coefficients of (t+1)(t+3)...(t+2m-1).
@@ -514,7 +517,8 @@ class TruncatedSeries3:
 
         H = exp(G) solves x dH/dx = (x dG/dx) H, so for i >= 1
         i H[i][j] = sum_(a,b) a G[a][b] H[i-a][j-b]; on the first row the
-        same recurrence runs along y.
+        same recurrence runs along y.  A square, symmetric G solves only
+        j >= i and mirrors the rest (_recurrence).
         """
         if self.constant_term:
             raise ValueError("exp needs a zero constant term")
@@ -526,7 +530,8 @@ class TruncatedSeries3:
         H = F^alpha solves F x dH/dx = alpha (x dF/dx) H (J.C.P. Miller's
         recurrence; Knuth, TAOCP vol. 2, 4.7), so for i >= 1
         i H[i][j] = sum_((a,b) != (0,0)) ((alpha+1) a - i) F[a][b] H[i-a][j-b];
-        on the first row the same recurrence runs along y.
+        on the first row the same recurrence runs along y.  A square,
+        symmetric F solves only j >= i and mirrors the rest (_recurrence).
         """
         if self.constant_term != RatPoly([1]):
             raise ValueError("pow_poly needs constant term 1")
@@ -540,6 +545,11 @@ class TruncatedSeries3:
         where c = self, n = i and e = a when i >= 1, and n = j and e = b on
         the first row.  Each coefficient costs one pass over the nonzero
         coefficients of c.
+
+        When the orders are equal and c[a][b] == c[b][a] for every a, b, H is
+        symmetric too, so only j >= i is solved and H[j][i] = H[i][j].  This
+        is exact: the solution is unique and symmetric, and rows are solved
+        in order, so every H[i-a][j-b] read at (i, j) is solved or mirrored.
         """
         terms = [
             (a, b, ca)
@@ -547,10 +557,13 @@ class TruncatedSeries3:
             for b, ca in enumerate(row)
             if ca and (a, b) != (0, 0)
         ]
+        symmetric = self.max_x == self.max_y and all(
+            self._coeffs[a][b] == self._coeffs[b][a] for a in range(self.max_x + 1) for b in range(a)
+        )
         h = [[RatPoly()] * (self.max_y + 1) for _ in range(self.max_x + 1)]
         h[0][0] = RatPoly([1])
         for i in range(self.max_x + 1):
-            for j in range(self.max_y + 1):
+            for j in range(i if symmetric else 0, self.max_y + 1):
                 if (i, j) == (0, 0):
                     continue
                 n = i or j
@@ -565,6 +578,8 @@ class TruncatedSeries3:
                         if q:
                             plain = plain + prod
                 h[i][j] = (p * weighted - plain * (q * n)) * Fraction(1, n)
+                if symmetric:
+                    h[j][i] = h[i][j]
         return TruncatedSeries3(self.max_x, self.max_y, h)
 
     def __eq__(self, other: object) -> bool:

@@ -220,21 +220,25 @@ def _pipe_row(above: Sequence[int], row: Sequence[bool], left: int) -> tuple[lis
     return up, left, ends
 
 
-def _trace(d: Diagram) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]:
+def _trace(
+    d: Diagram, endpoints: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...] | None]:
     """Trace the pipes once, keeping only the current row of exits.
 
-    Returns the one-line forms of the standard and toric permutations and the
-    (left, top) toric endpoints of the white squares in row-major order; a
-    ValueError reports a trace that is not restricted.
+    Returns the one-line forms of the standard and toric permutations and,
+    when endpoints is true, the (left, top) toric endpoints of the white
+    squares in row-major order (else None: one pair per white square is most
+    of a trace's memory); a ValueError reports a trace that is not restricted.
     """
     m = d.m
     up, rights, ends = range(m + 1, m + d.n + 1), [], []
     for r, row in enumerate(d.rows, start=1):
         up, right, row_ends = _pipe_row(up, row, m + 1 - r)
         rights.append(right)
-        ends += row_ends
+        if endpoints:
+            ends += row_ends
     sigma, tau = _permutations(m, d.n, up, rights)
-    return sigma, tau, tuple(ends)
+    return sigma, tau, tuple(ends) if endpoints else None
 
 
 def _permutations(
@@ -281,4 +285,4 @@ def toric_endpoint_table(d: Diagram) -> tuple[tuple[int, int], ...]:
     above it in its column, table[i-1][1] == table[j-1][0]: the two exits
     continue along the same pipe.
     """
-    return _trace(d)[2]
+    return _trace(d, endpoints=True)[2]

@@ -148,6 +148,37 @@ class TestDim:
         assert code == 0
         assert passed == [(False, False, True), (False, True, True)]  # one pass per row
 
+    def test_oversized_text_is_refused_before_it_is_parsed(self, capsys, diagram_file, monkeypatch):
+        # the shape is read off the text as parse reads it (CRLF and trailing
+        # newlines dropped, rows and the first row's width), so no row is
+        # built past the bound; a malformed text past it gets the size error
+        monkeypatch.setattr(cli, "DIM_MAX_SIZE", 44)  # 2x2: 4 + 10 * 4
+        code, _, err = run_cli(capsys, "dim", diagram_file("#x\r\n##\r\n\r\n"))
+        assert code == 2
+        assert err == "error: line 1, column 2: illegal character 'x' (expected '.' or '#')\n"
+        monkeypatch.setattr(Diagram, "parse", lambda text: pytest.fail("parsed past the cap"))
+        for text in ("###\r\n###\r\n\r\n", "###\n#x\n", "###\n#\n\n"):
+            code, out, err = run_cli(capsys, "dim", diagram_file(text))
+            assert (code, out) == (2, "")
+            assert err == "error: dim is capped at m*n + 10*(m + n) <= 44, got 56 at 2x3\n"
+
+    def test_white_squares_cost_no_memory_of_their_own(self, capsys, diagram_file):
+        # the trace keeps no endpoint per white square for dim, so an all-white
+        # grid peaks like an all-black one (3 MB above it when it did)
+        import tracemalloc
+
+        peaks = []
+        for square in ".#":
+            path = diagram_file("\n".join([square * 200] * 200))
+            tracemalloc.start()
+            try:
+                code, _, _ = run_cli(capsys, "dim", path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert peaks[0] - peaks[1] < 1_000_000
+
     def test_csv_has_header_row(self, capsys, diagram_file):
         path = diagram_file("..\n..")
         code, out, _ = run_cli(capsys, "dim", path, "--format", "csv")
@@ -307,6 +338,13 @@ class TestCount:
         )
         assert code == 0
         assert "agree: True" in out
+
+    def test_square_series_agrees_with_the_formula(self, capsys):
+        # a square count solves half of H's grid (the power recurrence's
+        # symmetric half); the formula route shares no code with it
+        code, out, _ = run_cli(capsys, "count", "12", "12", "--method", "series", "--method", "formula")
+        assert code == 0
+        assert out.splitlines()[-2:] == ["agree: True", "status: ok"]  # ok: the total is poly_bernoulli's
 
     @pytest.mark.parametrize("m, n", [(4, 4), (2, 5)])
     def test_series_convolves_one_coefficient(self, capsys, monkeypatch, m, n):
@@ -578,7 +616,7 @@ class TestVerify:
         assert [rows for rows, _ in swept] == [d.rows for d in diagrams]
         for d, (_, state) in zip(diagrams, swept):
             bottom, rights, squares, lines, col_bits, phi, endpoints, glued = state
-            sigma, _, traced_endpoints = _trace(d)
+            sigma, _, traced_endpoints = _trace(d, endpoints=True)
             assert (*bottom, *rights[::-1]) == sigma
             assert squares == d.white_squares()
             assert endpoints == traced_endpoints

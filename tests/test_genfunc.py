@@ -397,6 +397,20 @@ def _dense_series(max_x: int, max_y: int, constant: RatPoly) -> TruncatedSeries3
     return TruncatedSeries3(max_x, max_y, rows)
 
 
+def _symmetric_series(order: int, constant: RatPoly) -> TruncatedSeries3:
+    """A square series with c[i][j] == c[j][i], every coefficient nonzero and depending on t.
+
+    The entries depend on i + j and on i * j, so the series is no function
+    of x + y or of x * y alone.
+    """
+    rows = [
+        [RatPoly([F(i + j + 1, i * j + 2), F((-1) ** (i + j), i * j + 1)]) for j in range(order + 1)]
+        for i in range(order + 1)
+    ]
+    rows[0][0] = constant
+    return TruncatedSeries3(order, order, rows)
+
+
 def _mirror(s: TruncatedSeries3) -> TruncatedSeries3:
     """s(-x, -y)."""
     rows = [
@@ -601,6 +615,46 @@ class TestSeries:
         exponent = RatPoly([F(1, 2), F(-1, 2)])
         assert f.pow_poly(exponent) == series_pow_by_exp_log(f, exponent)
         assert f.pow_poly(3) == f * f * f
+
+    @pytest.mark.parametrize("order", range(1, 6))
+    def test_symmetric_half_matches_the_oracles(self, order):
+        # a square, symmetric input solves only j >= i and mirrors the rest
+        g = _symmetric_series(order, RatPoly())
+        assert g.exp() == series_exp_by_powers(g)
+        f = _symmetric_series(order, RatPoly([1]))
+        assert f.pow_poly(ALPHA) == series_pow_by_exp_log(f, ALPHA)
+        assert f.pow_poly(-1) == series_inverse_by_geometric_sum(f)
+
+    def test_symmetric_input_solves_half_the_grid(self, monkeypatch):
+        # the same nonzero pattern made asymmetric in one coefficient takes
+        # the full loop; the symmetric one solves 20 of the 35 coefficients
+        # and makes 495 products against 840
+        f = _symmetric_series(5, RatPoly([1]))
+        rows = [list(row) for row in f._coeffs]
+        rows[1][0] = rows[1][0] + 1
+        skewed = TruncatedSeries3(5, 5, rows)
+        mul, products = RatPoly.__mul__, []
+
+        def counted(self, other):
+            products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(RatPoly, "__mul__", counted)
+        counts = []
+        for s in (f, skewed):
+            products.clear()
+            s.pow_poly(ALPHA)
+            counts.append(len(products))
+        assert 3 * counts[0] < 2 * counts[1]
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (2, 6)])
+    def test_transposing_keeps_the_counts(self, m, n):
+        # the premise of the half-grid solve, checked on rectangles, which
+        # take the full loop
+        s, t = stratum_series(m, n), stratum_series(n, m)
+        for i in range(m + 1):
+            for j in range(n + 1):
+                assert s.egf_coeff(i, j) == t.egf_coeff(j, i)
 
     def test_inverse_is_reciprocal(self):
         s = TruncatedSeries3.exponential(3, 3, 1, -1)

@@ -184,7 +184,8 @@ class TestTrace:
             n = cells // m
             std, tor = BoundaryLabeling.standard(m, n), BoundaryLabeling.toric(m, n)
             for d in all_diagrams(m, n):
-                sigma, tau, endpoints = pipedreams._trace(d)
+                sigma, tau, endpoints = pipedreams._trace(d, endpoints=True)
+                assert pipedreams._trace(d) == (sigma, tau, None)
                 assert sigma == traced_permutation(d, std).images
                 assert tau == traced_permutation(d, tor).images
                 assert endpoints == endpoints_walked(d)
@@ -288,7 +289,7 @@ class TestToricEndpoints:
         # white-label order, with no wrapper around a pair
         d = Diagram.parse(text)
         table = toric_endpoint_table(d)
-        assert table == pipedreams._trace(d)[2]
+        assert table == pipedreams._trace(d, endpoints=True)[2]
         assert len(table) == len(d.white_squares())
         assert all(type(pair) is tuple and len(pair) == 2 for pair in table)
         assert all(type(label) is int for pair in table for label in pair)
